@@ -7,138 +7,13 @@ isomorphism, and count the resulting structures.  The actions layer
 turns records into explicit bracoids, braces, and set-theoretic
 Yang-Baxter solutions; the CLI persists per-degree results and diffs
 them against the embedded reference table.
+
+`build_degree_census` is the library entry point and `hgcensus.cli:main`
+the command line; the layers are importable as submodules.
 """
 
 __version__ = "0.1.0"
 
-from .actions import (
-    SkewBrace,
-    SkewBracoid,
-    YBESolution,
-    brace_from_regular,
-    bracoid_from_subgroup,
-    cocycle_decompose,
-    realize_regular_subgroup,
-    trivial_brace,
-    ybe_solution,
-)
-from .catalog import (
-    CayleyGroup,
-    GroupInvariants,
-    automorphism_group,
-    groups_of_order,
-    invariants,
-    opposite_group,
-    regular_representation,
-)
-from .classify import EquivalenceClass, classify_degree, stab_respecting_iso
-from .counts import (
-    DegreeCensus,
-    DegreeReportRow,
-    bijective_correspondence,
-    build_degree_census,
-    build_report_row,
-    hgs_count_for_class,
-    hopf_subalgebra_count,
-    intermediate_field_count,
-    is_almost_classical,
-)
-from .degree2pq import (
-    Degree2pqFamily,
-    WitnessReport,
-    build_family,
-    witness_M_series,
-    witness_four_types,
-)
-from .enumeration import (
-    TransitiveClassRecord,
-    enumerate_transitive_classes,
-    minimal_conjugate,
-    regular_classes,
-    subgroup_classes,
-)
-from .errors import (
-    BudgetError,
-    ClosureBudgetError,
-    ConsistencyError,
-    SearchBudgetError,
-    StructureError,
-    UnsupportedOrderError,
-)
-from .expected import DISPUTED, EXPECTED, expected_row, is_disputed
-from .holomorph import HolomorphContext, build_holomorph, dot_action
-from .perm import Perm, PermGroup, compose, conjugate, format_cycles, inverse, parse_cycles
-from .table import GroupTable, table_from_permgroup
+from .counts import build_degree_census
 
-__all__ = [
-    "__version__",
-    # errors
-    "BudgetError",
-    "ClosureBudgetError",
-    "ConsistencyError",
-    "SearchBudgetError",
-    "StructureError",
-    "UnsupportedOrderError",
-    # permutations and tables
-    "Perm",
-    "PermGroup",
-    "compose",
-    "conjugate",
-    "inverse",
-    "format_cycles",
-    "parse_cycles",
-    "GroupTable",
-    "table_from_permgroup",
-    # catalog
-    "CayleyGroup",
-    "GroupInvariants",
-    "groups_of_order",
-    "regular_representation",
-    "automorphism_group",
-    "opposite_group",
-    "invariants",
-    # holomorph
-    "HolomorphContext",
-    "build_holomorph",
-    "dot_action",
-    # enumeration and classification
-    "TransitiveClassRecord",
-    "subgroup_classes",
-    "minimal_conjugate",
-    "enumerate_transitive_classes",
-    "regular_classes",
-    "EquivalenceClass",
-    "classify_degree",
-    "stab_respecting_iso",
-    # counting
-    "DegreeCensus",
-    "DegreeReportRow",
-    "build_degree_census",
-    "build_report_row",
-    "hgs_count_for_class",
-    "is_almost_classical",
-    "intermediate_field_count",
-    "hopf_subalgebra_count",
-    "bijective_correspondence",
-    # actions
-    "SkewBracoid",
-    "SkewBrace",
-    "YBESolution",
-    "bracoid_from_subgroup",
-    "cocycle_decompose",
-    "brace_from_regular",
-    "trivial_brace",
-    "ybe_solution",
-    "realize_regular_subgroup",
-    # order-2pq witnesses
-    "Degree2pqFamily",
-    "WitnessReport",
-    "build_family",
-    "witness_four_types",
-    "witness_M_series",
-    # reference values
-    "EXPECTED",
-    "DISPUTED",
-    "expected_row",
-    "is_disputed",
-]
+__all__ = ["__version__", "build_degree_census"]

@@ -18,21 +18,14 @@ import numpy as np
 from .catalog import CayleyGroup
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext
-from .perm import Perm, PermGroup, closure, compose, identity, inverse, is_transitive
-from .table import GroupTable, table_from_permgroup
+from .perm import Perm, PermGroup, compose, inverse, is_transitive
+from .table import GroupTable
 
 
-def _greedy_gens(elems_sorted: Sequence[Perm], degree: int) -> list[Perm]:
+def _small_generating_set(elems_sorted: Sequence[Perm]) -> list[Perm]:
     """Small generating subset; keeps law checks near-linear in the order."""
-    gens: list[Perm] = []
-    have: frozenset[Perm] = frozenset([identity(degree)])
-    for p in elems_sorted:
-        if p not in have:
-            gens.append(p)
-            have = frozenset(closure(gens, degree))
-            if len(have) == len(elems_sorted):
-                break
-    return gens or [identity(degree)]
+    T = GroupTable.from_perms(elems_sorted)
+    return [elems_sorted[i] for i in T.small_generating_set(np.arange(T.order))] or [elems_sorted[0]]
 
 
 def _check_group_table(t: np.ndarray, what: str) -> None:
@@ -203,7 +196,7 @@ def bracoid_from_subgroup(
         raise StructureError("bracoid requires a transitive subgroup")
     if delta is None:
         perms = M.sorted_elements
-        acting = table_from_permgroup(perms)
+        acting = GroupTable.from_perms(perms)
         action = np.array(perms, dtype=np.int32)
         reduced = True
     else:
@@ -253,7 +246,7 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
 
     pos = {p: i for i, p in enumerate(perms)}
     t = ctx.group.table
-    gens = list(M.generators) if len(M.generators) <= 16 else _greedy_gens(perms, M.degree)
+    gens = list(M.generators) if len(M.generators) <= 16 else _small_generating_set(perms)
     for s in gens:
         i = pos[s]
         for j, k in enumerate(perms):
@@ -342,7 +335,7 @@ def realize_regular_subgroup(
     if ident not in g_elems or phi[ident] != tuple(range(M.degree)):
         raise StructureError("map does not preserve the identity")
     # homomorphism on generator pairs extends to all pairs by induction on words
-    for s in _greedy_gens(sorted(dom), deg):
+    for s in _small_generating_set(sorted(dom)):
         for p in dom:
             q = compose(s, p)
             if q not in g_elems or phi[q] != compose(phi[s], phi[p]):

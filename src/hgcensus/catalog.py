@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import StructureError, UnsupportedOrderError
-from .iso import IsoSearch, find_isomorphism
+from .iso import IsoSearch
 from .perm import Perm, PermGroup, closure, compose, parse_cycles
 from .table import GroupTable
 
@@ -259,7 +259,7 @@ def groups_of_order(n: int) -> list[CayleyGroup]:
     if n <= _SELFTEST_LIMIT and n not in _checked_orders:
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                if find_isomorphism(groups[i].as_table(), groups[j].as_table()) is not None:
+                if IsoSearch(groups[i].as_table(), groups[j].as_table()).run("first") is not None:
                     raise StructureError(
                         f"catalog groups {groups[i].name} and {groups[j].name} are isomorphic"
                     )

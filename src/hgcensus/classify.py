@@ -20,7 +20,7 @@ from .enumeration import TransitiveClassRecord
 from .errors import ConsistencyError
 from .iso import IsoSearch
 from .perm import Perm, PermGroup
-from .table import GroupTable, table_from_permgroup
+from .table import GroupTable
 
 
 @dataclass
@@ -40,7 +40,7 @@ class EquivalenceClass:
 
     @property
     def stabilizer_order(self) -> int:
-        return self.members[0][1].stabilizer.order
+        return self.members[0][1].stabilizer_order
 
     @property
     def regular(self) -> bool:
@@ -50,34 +50,19 @@ class EquivalenceClass:
         return [rec for _, rec in self.members]
 
 
-def _stab_mask(T: GroupTable, elems: list[Perm], stab: frozenset[Perm]) -> np.ndarray:
-    mask = np.zeros(T.order, dtype=bool)
-    for i, p in enumerate(elems):
-        if p in stab:
-            mask[i] = True
-    return mask
-
-
 def stab_respecting_iso(g1: PermGroup, g2: PermGroup) -> Optional[dict[Perm, Perm]]:
     """Isomorphism g1 -> g2 carrying point-0 stabilizer onto point-0
     stabilizer, or None.  The stabilizer constraint prunes the search
     rather than filtering afterwards."""
     if g1.order != g2.order:
         return None
-    s1 = {p for p in g1.elements if p[0] == 0}
-    s2 = {p for p in g2.elements if p[0] == 0}
-    if len(s1) != len(s2):
-        return None
     e1 = g1.sorted_elements
     e2 = g2.sorted_elements
-    t1 = table_from_permgroup(e1)
-    t2 = table_from_permgroup(e2)
-    search = IsoSearch(
-        t1,
-        t2,
-        marked1=np.flatnonzero(_stab_mask(t1, e1, frozenset(s1))),
-        marked2=np.flatnonzero(_stab_mask(t2, e2, frozenset(s2))),
-    )
+    s1 = np.flatnonzero([p[0] == 0 for p in e1])
+    s2 = np.flatnonzero([p[0] == 0 for p in e2])
+    if len(s1) != len(s2):
+        return None
+    search = IsoSearch(GroupTable.from_perms(e1), GroupTable.from_perms(e2), marked1=s1, marked2=s2)
     img = search.run("first")
     if img is None:
         return None
@@ -130,23 +115,23 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
 
     ordered = sorted(
         class_members.items(),
-        key=lambda kv: (records[kv[0]].order, records[kv[0]].stabilizer.order, kv[0]),
+        key=lambda kv: (records[kv[0]].order, records[kv[0]].stabilizer_order, kv[0]),
     )
     seq: dict[tuple[int, int], int] = {}
     out = []
     for leader, idxs in ordered:
         rec0 = records[leader]
-        shape = (rec0.order, rec0.stabilizer.order)
+        shape = (rec0.order, rec0.stabilizer_order)
         seq[shape] = seq.get(shape, 0) + 1
         label = f"d{degree}-o{shape[0]}-s{shape[1]}-c{seq[shape]}"
         cls = EquivalenceClass(
             degree=degree,
             members=[(records[i].type_name, records[i]) for i in idxs],
-            abstract_invariants=invariants(tables[leader][0]),
+            abstract_invariants=keys[leader][0],
             label=label,
         )
         for _, rec in cls.members:
-            if rec.order != cls.order or rec.stabilizer.order != cls.stabilizer_order:
+            if rec.order != cls.order or rec.stabilizer_order != cls.stabilizer_order:
                 raise ConsistencyError("class members disagree on order data")
         out.append(cls)
 

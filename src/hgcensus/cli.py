@@ -4,12 +4,15 @@ Per-degree results persist as canonical JSON (sorted keys, fixed
 indent), so identical configuration and code reproduce identical bytes.
 Wall-clock timings are deliberately kept out of those artifacts; they go
 to a sidecar log, `timings.json`, which is the one file in the cache
-directory that is not deterministic.
+directory that is not deterministic.  Every file is written through a
+temporary file and a rename, so a reader never sees half of one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import sys
@@ -18,10 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
+from . import __version__
 from .actions import brace_from_regular, bracoid_from_subgroup, ybe_solution
-from .catalog import CayleyGroup, groups_of_order
+from .catalog import groups_of_order, invariants
 from .counts import DegreeCensus, DegreeReportRow, build_degree_census
 from .degree2pq import build_family, witness_M_series, witness_four_types
 from .enumeration import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
@@ -47,16 +49,18 @@ _HEADERS = (
 )
 
 
+@functools.cache
 def _engine_version() -> str:
-    try:
-        from importlib.metadata import version
+    """Package version plus a digest of the package's sources and catalog.
 
-        return version("hgcensus")
-    except Exception:
-        return "unpackaged"
-
-
-ENGINE_VERSION = _engine_version()
+    Any edit to the engine code or the catalog data changes the digest, so
+    a cache written by other code is recomputed instead of served.
+    """
+    pkg = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(pkg.glob("*.py")) + [pkg / "catalog_data.txt"]:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
 @dataclass
@@ -125,6 +129,12 @@ def _dump_canonical(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def _row_dict(row: DegreeReportRow) -> dict:
     d: dict = {"degree": row.degree, "partial": row.partial}
     for cell in DegreeReportRow.CELLS:
@@ -154,7 +164,7 @@ def _census_payload(census: DegreeCensus, cfg: RunConfig) -> dict:
                     "bijective_correspondence": census.bc_flags[i],
                     "intermediate_fields": bc_pair[0] if bc_pair else None,
                     "hopf_subalgebras": bc_pair[1] if bc_pair else None,
-                    "generators": [format_cycles(p) for p in rec.rep.generators],
+                    "generators": [format_cycles(rec.ctx.perms[g].tolist()) for g in rec.gens],
                 }
             )
         classes.append(
@@ -168,7 +178,7 @@ def _census_payload(census: DegreeCensus, cfg: RunConfig) -> dict:
         )
     return {
         "schema_version": SCHEMA_VERSION,
-        "engine_version": ENGINE_VERSION,
+        "engine_version": _engine_version(),
         "degree": census.row.degree,
         "flags": {
             "skip_ac": cfg.skip_ac,
@@ -192,7 +202,7 @@ def _read_payload(path: Path) -> Optional[dict]:
         return None
     if payload.get("schema_version") != SCHEMA_VERSION:
         return None
-    if payload.get("engine_version") != ENGINE_VERSION:
+    if payload.get("engine_version") != _engine_version():
         return None
     return payload
 
@@ -266,8 +276,8 @@ def _merge_timings(cache_dir: Path, new_seconds: dict[str, float]) -> None:
         except (OSError, json.JSONDecodeError):
             seconds = {}
     seconds.update(new_seconds)
-    body = {"engine_version": ENGINE_VERSION, "seconds": seconds}
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    body = {"engine_version": _engine_version(), "seconds": seconds}
+    _write_atomic(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 class _MemberRebuilder:
@@ -305,7 +315,7 @@ def _export_class_actions(
     ctx, M = rebuilder.subgroup(rep_member)
     bracoid = bracoid_from_subgroup(ctx, M)
     path = out_dir / f"{cls['label']}-bracoid.json"
-    path.write_text(_dump_canonical(bracoid.to_json_dict()))
+    _write_atomic(path, _dump_canonical(bracoid.to_json_dict()))
     written.append(path)
     written.extend(_export_member_braces(cls, out_dir, rebuilder))
     err.write(f"  {cls['label']}: wrote {len(written)} artifact file(s)\n")
@@ -320,9 +330,9 @@ def _export_member_braces(cls: dict, out_dir: Path, rebuilder: _MemberRebuilder)
         ctx, M = rebuilder.subgroup(member)
         brace = brace_from_regular(ctx, M)
         bpath = out_dir / f"{member['label']}-brace.json"
-        bpath.write_text(_dump_canonical(brace.to_json_dict()))
+        _write_atomic(bpath, _dump_canonical(brace.to_json_dict()))
         ypath = out_dir / f"{member['label']}-ybe.json"
-        ypath.write_text(_dump_canonical(ybe_solution(brace).to_json_dict()))
+        _write_atomic(ypath, _dump_canonical(ybe_solution(brace).to_json_dict()))
         written.extend([bpath, ypath])
     return written
 
@@ -352,7 +362,7 @@ def cmd_enumerate(cfg: RunConfig, out=None, err=None) -> int:
             elapsed = round(time.perf_counter() - started, 3)
             new_seconds[str(degree)] = elapsed
             payload = _census_payload(census, cfg)
-            path.write_text(_dump_canonical(payload))
+            _write_atomic(path, _dump_canonical(payload))
             err.write(f"degree {degree}: computed in {elapsed}s -> {path.name}\n")
             if census.row.partial:
                 err.write(f"degree {degree}: budget or skip left cells unknown\n")
@@ -492,32 +502,14 @@ def cmd_verify_2pq(p: int, q: int, out=None) -> int:
     return 0
 
 
-def _group_summary(g: CayleyGroup) -> str:
-    t = g.as_table()
-    mul = t.mul
-    n = t.order
-    abelian = bool(np.array_equal(mul, mul.T))
-    orders = np.ones(n, dtype=np.int64)
-    cur = np.arange(n)
-    base = np.arange(n)
-    for _ in range(n):
-        unfinished = cur != 0
-        if not unfinished.any():
-            break
-        cur[unfinished] = mul[cur[unfinished], base[unfinished]]
-        orders[unfinished] += 1
-    exponent = int(np.lcm.reduce(orders))
-    center = int(sum(1 for a in range(n) if np.array_equal(mul[a], mul[:, a])))
-    return (
-        f"{g.name}  order={n} abelian={'yes' if abelian else 'no'} "
-        f"exponent={exponent} center={center}"
-    )
-
-
 def cmd_catalog_list(order: int, out=None) -> int:
     out = out or sys.stdout
     for g in groups_of_order(order):
-        out.write(_group_summary(g) + "\n")
+        inv = invariants(g)
+        out.write(
+            f"{g.name}  order={inv.order} abelian={'yes' if inv.abelian else 'no'} "
+            f"exponent={inv.exponent} center={inv.center_order}\n"
+        )
     return 0
 
 
@@ -617,7 +609,6 @@ if __name__ == "__main__":
 
 
 __all__ = [
-    "ENGINE_VERSION",
     "SCHEMA_VERSION",
     "CACHE_ENV",
     "RunConfig",

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CayleyGroup, groups_of_order
+from .catalog import groups_of_order
 from .classify import EquivalenceClass, classify_degree
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
@@ -24,11 +24,9 @@ from .enumeration import (
     TransitiveClassRecord,
     enumerate_transitive_classes,
 )
-from .errors import BudgetError, ConsistencyError, SearchBudgetError, StructureError
+from .errors import BudgetError, ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
-from .perm import Perm, PermGroup, compose, conjugate
-from .table import table_from_permgroup
 
 # cap on distinct invariant point-blocks walked per record before the
 # intermediate-lattice search is declared out of budget
@@ -82,16 +80,6 @@ class DegreeReportRow:
                 raise ConsistencyError(f"negative cell {name} at degree {self.degree}")
 
 
-def aut_stab_order(g: PermGroup, gp: PermGroup) -> int:
-    """Number of automorphisms of g mapping the subgroup gp onto itself."""
-    if not gp.elements <= g.elements:
-        raise StructureError("constraint subgroup is not contained in the group")
-    elems = g.sorted_elements
-    t = table_from_permgroup(elems)
-    marked = np.array([i for i, p in enumerate(elems) if p in gp.elements], dtype=np.int64)
-    return int(IsoSearch(t, t, marked1=marked, marked2=marked).run("count"))
-
-
 def _class_weight(cls: EquivalenceClass) -> int:
     """|Aut(G, G')| for the class's abstract pair, cached on the class."""
     if cls.aut_marked_order is None:
@@ -126,27 +114,26 @@ def hgs_count_for_class(cls: EquivalenceClass, galois_only: bool = False) -> int
     return int(total)
 
 
-def is_almost_classical(record: TransitiveClassRecord, ctx: Optional[HolomorphContext] = None) -> bool:
+def is_almost_classical(record: TransitiveClassRecord) -> bool:
     """True when the subgroup contains every right translation.
 
     Containment forces the subgroup to factor as right translations
     times the point stabilizer; that factorization is re-verified as a
     consistency check.
     """
-    ctx = ctx or record.ctx
-    rep_set = record.rep.elements
-    ac = ctx.contains_right_translations(rep_set)
+    ctx = record.ctx
+    right = ctx.right_indices
+    ac = bool(np.isin(right, record.indices).all())
     if ac:
-        stab = record.stabilizer.elements
-        product = {compose(r, s) for r in ctx.right.elements for s in stab}
-        if frozenset(product) != rep_set:
+        stab = record.indices[ctx.perms[record.indices, 0] == 0]
+        if not np.array_equal(np.unique(ctx.table().mul[np.ix_(right, stab)]), record.indices):
             raise ConsistencyError(
                 "translation/stabilizer factorization failed on an almost-classical record"
             )
     return ac
 
 
-def _minimal_block(gens: list[Perm], n: int, seed: frozenset[int], extra: int) -> frozenset[int]:
+def _minimal_block(gens: list[list[int]], n: int, seed: frozenset[int], extra: int) -> frozenset[int]:
     """Smallest invariant block containing seed and extra, via union-find."""
     parent = list(range(n))
 
@@ -187,7 +174,7 @@ def intermediate_field_count(record: TransitiveClassRecord, block_budget: int = 
     walk over those atoms finds all of them.
     """
     n = record.ctx.n
-    gens = [p for p in record.rep.generators]
+    gens = record.ctx.perms[record.gens].tolist()
     zero = frozenset([0])
     atoms = set()
     for x in range(1, n):
@@ -212,34 +199,32 @@ def intermediate_field_count(record: TransitiveClassRecord, block_budget: int = 
     return len(blocks)
 
 
-def hopf_subalgebra_count(record: TransitiveClassRecord, ctx: Optional[HolomorphContext] = None) -> int:
+def hopf_subalgebra_count(record: TransitiveClassRecord) -> int:
     """Number of subgroups of the base group normalized by the record.
 
-    A subgroup H counts when conjugation by every generator of the
+    A subgroup H counts when conjugation by every generator r of the
     record's group maps the left translations of H into themselves.
+    Since r . lambda_h . r^-1 = lambda_{r(h) r(0)^-1}, that is the test
+    r(h) r(0)^-1 in H for every h in H.
     """
-    ctx = ctx or record.ctx
-    nt = ctx.group.as_table()
-    rep_gens = record.rep.generators
-    count = 0
-    for sub in nt.all_subgroups():
-        h_set = {ctx.embed_element(int(h)) for h in sub.tolist()}
-        h_gens = [ctx.embed_element(int(h)) for h in nt.small_generating_set(sub)] or [
-            ctx.embed_element(0)
-        ]
-        if all(conjugate(r, h) in h_set for r in rep_gens for h in h_gens):
-            count += 1
-    return count
+    ctx = record.ctx
+    t = ctx.group.table
+    inv = ctx.group.as_table().inv
+    member = ctx.base_subgroups
+    ok = np.ones(len(member), dtype=bool)
+    for r in ctx.perms[record.gens]:
+        moved = t[r, inv[r[0]]]
+        ok &= (member[:, moved] | ~member).all(axis=1)
+    return int(ok.sum())
 
 
 def bijective_correspondence(
     record: TransitiveClassRecord,
-    ctx: Optional[HolomorphContext] = None,
     block_budget: int = DEFAULT_BLOCK_BUDGET,
 ) -> tuple[bool, int, int]:
     """(counts match?, intermediate field count, Hopf subalgebra count)."""
     fields = intermediate_field_count(record, block_budget)
-    hopfs = hopf_subalgebra_count(record, ctx)
+    hopfs = hopf_subalgebra_count(record)
     return (fields == hopfs, fields, hopfs)
 
 
@@ -365,20 +350,14 @@ def build_degree_census(
     return DegreeCensus(row, contexts, records, classes, weights, ac_flags, bc_flags, bc_counts)
 
 
-def build_report_row(degree: int, **kwargs) -> DegreeReportRow:
-    return build_degree_census(degree, **kwargs).row
-
-
 __all__ = [
     "DEFAULT_BLOCK_BUDGET",
     "DegreeReportRow",
     "DegreeCensus",
-    "aut_stab_order",
     "hgs_count_for_class",
     "is_almost_classical",
     "intermediate_field_count",
     "hopf_subalgebra_count",
     "bijective_correspondence",
     "build_degree_census",
-    "build_report_row",
 ]

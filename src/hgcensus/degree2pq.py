@@ -29,7 +29,7 @@ from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
 from .perm import Perm, PermGroup, compose, inverse, is_transitive, perm_order
-from .table import table_from_permgroup
+from .table import GroupTable
 
 
 def _is_prime(n: int) -> bool:
@@ -299,7 +299,7 @@ def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
 
 
 def _assert_abstract_type(sub: PermGroup, model: CayleyGroup, what: str) -> None:
-    t1 = table_from_permgroup(sub.sorted_elements)
+    t1 = GroupTable.from_perms(sub.sorted_elements)
     t2 = model.as_table()
     if invariants(t1) != invariants(t2) or IsoSearch(t1, t2).run("first") is None:
         raise ConsistencyError(f"{what} is not isomorphic to {model.name}")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from hashlib import blake2b
 from typing import Optional
 
@@ -155,15 +156,18 @@ def subgroup_classes(
 
 @dataclass
 class TransitiveClassRecord:
-    """A conjugacy class of transitive subgroups of a holomorph."""
+    """A conjugacy class of transitive subgroups of a holomorph.
+
+    The class is held by row indices into `ctx.perms`; `rep` and
+    `stabilizer` are tuple-level views built on first use.
+    """
 
     ctx: HolomorphContext
     indices: np.ndarray
     gens: list[int]
     class_size: int
     normalizer_order: int
-    rep: PermGroup = field(repr=False)
-    stabilizer: PermGroup = field(repr=False)
+    stabilizer_order: int
     regular: bool
 
     @property
@@ -174,49 +178,43 @@ class TransitiveClassRecord:
     def type_name(self) -> str:
         return self.ctx.group.name
 
-    def table_with_stab(self):
+    @cached_property
+    def rep(self) -> PermGroup:
+        perms = self.ctx.perms
+        gens = [tuple(perms[g].tolist()) for g in self.gens or [0]]
+        elems = frozenset(map(tuple, perms[self.indices].tolist()))
+        return PermGroup(gens, self.ctx.n, _elements=elems)
+
+    @cached_property
+    def stabilizer(self) -> PermGroup:
+        rows = self.ctx.perms[self.indices]
+        return PermGroup.from_elements(map(tuple, rows[rows[:, 0] == 0].tolist()), self.ctx.n)
+
+    @cached_property
+    def _table_with_stab(self) -> tuple[GroupTable, np.ndarray]:
+        T, _ = self.ctx.table().subtable(self.indices)
+        return T, self.ctx.perms[self.indices, 0] == 0
+
+    def table_with_stab(self) -> tuple[GroupTable, np.ndarray]:
         """Multiplication table of the class representative, plus a mask
         marking the point-0 stabilizer inside it.  Cached per record."""
-        cached = getattr(self, "_table_cache", None)
-        if cached is None:
-            T, _ = self.ctx.table().subtable(self.indices)
-            perms = self.ctx.hol.sorted_elements
-            mask = np.fromiter(
-                (perms[i][0] == 0 for i in self.indices.tolist()),
-                dtype=bool,
-                count=len(self.indices),
-            )
-            cached = (T, mask)
-            self._table_cache = cached
-        return cached
+        return self._table_with_stab
 
 
 def enumerate_transitive_classes(
     ctx: HolomorphContext,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
-    table_budget: Optional[int] = None,
 ) -> list[TransitiveClassRecord]:
     """Transitive subgroup classes of Hol, sorted by (order, canonical member)."""
-    T = ctx.table() if table_budget is None else ctx.table(table_budget)
-    all_classes = subgroup_classes(T, node_budget, time_budget)
-    perms = ctx.hol.sorted_elements
-    img0 = np.array([p[0] for p in perms], dtype=np.int64)
+    all_classes = subgroup_classes(ctx.table(), node_budget, time_budget)
+    img0 = ctx.perms[:, 0]
     n = ctx.n
     out = []
     for cls in all_classes:
-        stab_mask = img0[cls.indices] == 0
-        stab_order = int(stab_mask.sum())
+        stab_order = int((img0[cls.indices] == 0).sum())
         if cls.order != stab_order * n:
             continue  # orbit of 0 is smaller than the whole domain
-        sub_perms = [perms[i] for i in cls.indices.tolist()]
-        sub = PermGroup(
-            [perms[g] for g in cls.gens] or [perms[0]],
-            n,
-            _elements=frozenset(sub_perms),
-        )
-        stab_elems = [perms[i] for i in cls.indices[stab_mask].tolist()]
-        stab = PermGroup.from_elements(stab_elems, n)
         out.append(
             TransitiveClassRecord(
                 ctx=ctx,
@@ -224,16 +222,11 @@ def enumerate_transitive_classes(
                 gens=cls.gens,
                 class_size=cls.class_size,
                 normalizer_order=len(cls.normalizer),
-                rep=sub,
-                stabilizer=stab,
+                stabilizer_order=stab_order,
                 regular=cls.order == n,
             )
         )
     return out
-
-
-def regular_classes(records: list[TransitiveClassRecord]) -> list[TransitiveClassRecord]:
-    return [r for r in records if r.regular]
 
 
 __all__ = [
@@ -242,7 +235,6 @@ __all__ = [
     "subgroup_classes",
     "minimal_conjugate",
     "enumerate_transitive_classes",
-    "regular_classes",
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_TIME_BUDGET",
 ]

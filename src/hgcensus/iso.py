@@ -244,31 +244,6 @@ class IsoSearch:
         return maps
 
 
-def count_isomorphisms(
-    T1: GroupTable,
-    T2: GroupTable,
-    marked1: Optional[np.ndarray] = None,
-    marked2: Optional[np.ndarray] = None,
-) -> int:
-    return IsoSearch(T1, T2, marked1, marked2).run("count")
-
-
-def find_isomorphism(
-    T1: GroupTable,
-    T2: GroupTable,
-    marked1: Optional[np.ndarray] = None,
-    marked2: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
-    return IsoSearch(T1, T2, marked1, marked2).run("first")
-
-
-def all_automorphisms(T: GroupTable) -> list[np.ndarray]:
-    return IsoSearch(T, T).run("all")
-
-
 __all__ = [
     "IsoSearch",
-    "count_isomorphisms",
-    "find_isomorphism",
-    "all_automorphisms",
 ]

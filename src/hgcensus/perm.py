@@ -231,43 +231,3 @@ def point_stabilizer(g: PermGroup, x: int) -> PermGroup:
     if sub.order * len(orbit(g, x)) != g.order:
         raise StructureError("orbit-stabilizer mismatch; input not a group?")
     return sub
-
-
-def normalizer(ambient: PermGroup, h: PermGroup) -> PermGroup:
-    """{a in ambient : a h a^-1 = h}, by conjugating generators of h."""
-    if not h <= ambient:
-        raise StructureError("normalizer: h is not contained in ambient")
-    helems = h.elements
-    out = []
-    for a in ambient.sorted_elements:
-        if all(conjugate(a, gen) in helems for gen in h.generators):
-            out.append(a)
-    return PermGroup.from_elements(out, ambient.degree)
-
-
-def centralizer(ambient: PermGroup, h: PermGroup) -> PermGroup:
-    """{a in ambient : a x = x a for every generator x of h}."""
-    if h.degree != ambient.degree:
-        raise StructureError("centralizer: degree mismatch")
-    out = []
-    for a in ambient.sorted_elements:
-        if all(compose(a, gen) == compose(gen, a) for gen in h.generators):
-            out.append(a)
-    return PermGroup.from_elements(out, ambient.degree)
-
-
-def are_conjugate(
-    ambient: PermGroup,
-    h: PermGroup,
-    k: PermGroup,
-    within: Optional[Iterable[Perm]] = None,
-) -> Optional[Perm]:
-    """Element a with a h a^-1 = k, or None.  `within` restricts the search."""
-    if h.order != k.order:
-        return None
-    kelems = k.elements
-    candidates = within if within is not None else ambient.sorted_elements
-    for a in candidates:
-        if all(conjugate(a, gen) in kelems for gen in h.generators):
-            return a
-    return None

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, StructureError
-from .perm import Perm, compose
+from .perm import Perm
 
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
@@ -138,19 +138,22 @@ class GroupTable:
         """Table of the subgroup on `indices`; also returns the index list.
 
         Local index i corresponds to global index out[i]; identity stays 0.
+        All of the group's indices give back this table itself, not a copy.
         """
         idx = np.array(sorted(indices), dtype=np.int64)
         if idx[0] != 0:
             raise StructureError("subgroup must contain the identity (index 0)")
-        back = np.full(self.order, -1, dtype=np.int64)
-        back[idx] = np.arange(len(idx))
-        sub = self.mul[np.ix_(idx, idx)].astype(np.int64)
-        local = back[sub.ravel()]
+        k = len(idx)
+        if np.array_equal(idx, np.arange(self.order)):
+            return self, idx
+        # stay in the table's own dtype: these are k*k arrays
+        back = np.full(self.order, -1, dtype=self.mul.dtype)
+        back[idx] = np.arange(k)
+        local = back[self.mul[np.ix_(idx, idx)]]
         if (local < 0).any():
             raise StructureError("indices are not closed under multiplication")
-        k = len(idx)
         dtype = np.int16 if k < 2**15 else np.int32
-        return GroupTable(local.reshape(k, k).astype(dtype)), idx
+        return GroupTable(local.astype(dtype, copy=False)), idx
 
     # -- basic per-element data -------------------------------------------
 
@@ -394,25 +397,7 @@ class GroupTable:
         return out
 
 
-def table_from_permgroup(
-    elems_sorted: Sequence[Perm],
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-    base: Optional[Sequence[int]] = None,
-) -> GroupTable:
-    return GroupTable.from_perms(elems_sorted, table_budget, base=base)
-
-
-def compose_check(p: Perm, q: Perm) -> Perm:
-    """Reference composition via explicit loop (kept separate for oracles)."""
-    out = []
-    for x in range(len(p)):
-        out.append(p[q[x]])
-    return tuple(out)
-
-
 __all__ = [
     "GroupTable",
     "DEFAULT_TABLE_BUDGET",
-    "table_from_permgroup",
-    "compose_check",
 ]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hgcensus import __version__
 from hgcensus.cli import SCHEMA_VERSION, main, parse_degrees
 from hgcensus.errors import StructureError
 
@@ -110,6 +111,25 @@ def test_artifact_schema_and_cache_gate(tmp_path, capsys):
     _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
          "--cache-dir", str(tmp_path))
     assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
+
+
+def test_cache_from_other_engine_code_is_recomputed(tmp_path, capsys):
+    _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
+         "--cache-dir", str(tmp_path))
+    path = tmp_path / "degree-004.json"
+    fresh = path.read_text()
+    stale = json.loads(fresh)
+    assert stale["engine_version"].startswith(__version__ + "+")
+    stale["engine_version"] = __version__
+    stale["row"]["hgs_total"] += 1
+    path.write_text(json.dumps(stale))
+    rc, out, err = _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
+                        "--cache-dir", str(tmp_path))
+    assert rc == 0
+    assert "cache hit" not in err
+    assert out == "4,2,10,8,6,4,6,6,7\n"
+    assert path.read_text() == fresh
+    assert not list(tmp_path.glob(".*.tmp"))  # atomic writes leave no temp files
 
 
 def test_full_cache_satisfies_skipped_rerun(tmp_path, capsys):

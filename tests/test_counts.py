@@ -2,37 +2,35 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from hgcensus import build_degree_census
 from hgcensus.counts import (
     DegreeReportRow,
-    aut_stab_order,
     bijective_correspondence,
-    build_report_row,
     hgs_count_for_class,
     hopf_subalgebra_count,
     intermediate_field_count,
     is_almost_classical,
 )
-from hgcensus.catalog import groups_of_order, regular_representation
 from hgcensus.enumeration import minimal_conjugate
 from hgcensus.errors import ConsistencyError
 from hgcensus.expected import EXPECTED
-from hgcensus.perm import PermGroup, parse_cycles
+from hgcensus.perm import conjugate
 from hgcensus.table import GroupTable
 
 
-def test_aut_stab_order_matches_plain_aut_count_when_unconstrained():
-    s3 = regular_representation(groups_of_order(6)[1])
-    assert aut_stab_order(s3, PermGroup([s3.sorted_elements[0]], 6)) == 6
-
-
-def test_aut_stab_order_rejects_noninclusion():
-    s3 = regular_representation(groups_of_order(6)[1])
-    c6 = regular_representation(groups_of_order(6)[0])
-    with pytest.raises(Exception):
-        aut_stab_order(s3, c6)
+def test_aut_stab_order_matches_plain_aut_count_when_unconstrained(census):
+    # a trivial stabilizer marks nothing, so |Aut(G, 1)| = |Aut(G)|; the
+    # left translations of N form a regular record with G = N
+    seen = 0
+    for cls in census(6).classes:
+        for _, rec in cls.members:
+            if rec.regular and rec.rep.elements == rec.ctx.left.elements:
+                hgs_count_for_class(cls)
+                assert cls.aut_marked_order == rec.ctx.aut.order
+                seen += 1
+    assert seen == 2  # one per type, C6 and S3
 
 
 def test_orbit_stabilizer_for_every_class(census):
@@ -143,7 +141,35 @@ def test_report_row_validation_catches_impossible_rows():
 
 
 def test_build_report_row_matches_reference_at_degree_6():
-    assert build_report_row(6).cells() == EXPECTED[6].cells()
+    assert build_degree_census(6).row.cells() == EXPECTED[6].cells()
+
+
+def _hopf_count_by_tuples(rec) -> int:
+    """Subgroups H of N with r . lambda_h . r^-1 in lambda(H), by tuple conjugation."""
+    ctx = rec.ctx
+    count = 0
+    for sub in ctx.group.as_table().all_subgroups():
+        lam = {ctx.embed_element(int(h)) for h in sub.tolist()}
+        if all(conjugate(r, h) in lam for r in rec.rep.generators for h in lam):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_index_flags_match_tuple_oracles(census, degree):
+    c = census(degree)
+    for rec, ac, (_, hopfs) in zip(c.records, c.ac_flags, c.bc_counts):
+        assert ac == (rec.ctx.right.elements <= rec.rep.elements)
+        assert hopfs == _hopf_count_by_tuples(rec)
+
+
+def test_census_never_builds_tuple_views():
+    c = build_degree_census(8)
+    assert c.records
+    for ctx in c.contexts:
+        assert "hol" not in vars(ctx), ctx.group.name
+    for rec in c.records:
+        assert "rep" not in vars(rec) and "stabilizer" not in vars(rec)
 
 
 def test_weights_align_with_records(census):

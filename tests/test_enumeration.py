@@ -9,7 +9,6 @@ from hgcensus.catalog import groups_of_order
 from hgcensus.enumeration import (
     enumerate_transitive_classes,
     minimal_conjugate,
-    regular_classes,
     subgroup_classes,
 )
 from hgcensus.errors import SearchBudgetError
@@ -82,13 +81,6 @@ def test_transitive_records_at_degree_4():
 
 def test_record_count_matches_reference_at_degree_6(census):
     assert len(census(6).records) == EXPECTED[6].sbracoids_total
-
-
-def test_regular_classes_filter():
-    recs = enumerate_transitive_classes(_ctx_of(6, "S3"))
-    regs = regular_classes(recs)
-    assert all(r.order == 6 for r in regs)
-    assert {id(r) for r in regs} <= {id(r) for r in recs}
 
 
 def test_records_are_sorted_and_deterministic():

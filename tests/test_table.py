@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hgcensus.errors import BudgetError, StructureError
-from hgcensus.perm import PermGroup, closure, parse_cycles
-from hgcensus.table import GroupTable, table_from_permgroup
+from hgcensus.perm import closure, parse_cycles
+from hgcensus.table import GroupTable
 
 
 def _table_of(gen_texts: list[str], degree: int) -> GroupTable:
@@ -51,14 +51,6 @@ def test_greedy_base_lookup_agrees_with_hashing():
     plain = GroupTable.from_perms(elems)
     based = GroupTable.from_perms(elems, base=[0, 1])
     assert np.array_equal(plain.mul, based.mul)
-
-
-def test_table_from_permgroup_matches_from_perms():
-    g = PermGroup([parse_cycles("(0 1 2 3)", 4), parse_cycles("(1 3)", 4)], 4)
-    T = table_from_permgroup(g.sorted_elements)
-    assert T.order == 8
-    U = GroupTable.from_perms(g.sorted_elements)
-    assert np.array_equal(T.mul, U.mul)
 
 
 def test_subtable_relabels_consistently():
