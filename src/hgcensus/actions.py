@@ -25,7 +25,7 @@ from .table import GroupTable
 def _small_generating_set(elems_sorted: Sequence[Perm]) -> list[Perm]:
     """Small generating subset; keeps law checks near-linear in the order."""
     T = GroupTable.from_perms(elems_sorted)
-    return [elems_sorted[i] for i in T.small_generating_set(np.arange(T.order))] or [elems_sorted[0]]
+    return [elems_sorted[i] for i in T.generators()] or [elems_sorted[0]]
 
 
 def _check_group_table(t: np.ndarray, what: str) -> None:

@@ -133,14 +133,13 @@ class CayleyGroup:
 
 
 def invariants(g: CayleyGroup | GroupTable) -> GroupInvariants:
+    """Invariants of the table; center, derived subgroup and the abelian
+    test all work from the table's one cached generating set."""
     gt = g.as_table() if isinstance(g, CayleyGroup) else g
-    orders = gt.elem_order
-    pairs = {}
-    for o in orders.tolist():
-        pairs[o] = pairs.get(o, 0) + 1
+    orders, counts = np.unique(gt.elem_order, return_counts=True)
     return GroupInvariants(
         order=gt.order,
-        order_multiset=tuple(sorted(pairs.items())),
+        order_multiset=tuple(zip(orders.tolist(), counts.tolist())),
         center_order=len(gt.center()),
         derived_order=len(gt.derived_subgroup()),
         abelian=gt.is_abelian(),

@@ -186,7 +186,7 @@ def _census_payload(census: DegreeCensus, cfg: RunConfig) -> dict:
             "node_budget": cfg.node_budget,
             "time_budget": cfg.time_budget,
         },
-        "types": [ctx.group.name for ctx in census.contexts],
+        "types": [g.name for g in groups_of_order(census.row.degree)],
         "row": _row_dict(census.row),
         "classes": classes,
     }

@@ -27,6 +27,7 @@ from .enumeration import (
 from .errors import BudgetError, ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
+from .table import DEFAULT_TABLE_BUDGET
 
 # cap on distinct invariant point-blocks walked per record before the
 # intermediate-lattice search is declared out of budget
@@ -267,31 +268,26 @@ def build_degree_census(
 ) -> DegreeCensus:
     """Run the full pipeline for one degree.
 
-    Budget exhaustion during enumeration leaves every computed cell
-    unknown except the type count; exhaustion during the
-    correspondence checks blanks only that column.  Both mark the row
-    partial rather than fail.
+    A holomorph too large for the dense table, or budget exhaustion
+    during enumeration, leaves every computed cell unknown except the
+    type count; exhaustion during the correspondence checks blanks only
+    that column.  Each marks the row partial rather than fail.
     """
     groups = groups_of_order(degree)
+    unknown = DegreeReportRow(degree, len(groups), *(None,) * 7, partial=True)
+    # |Hol(N)| = n |Aut(N)|: a holomorph whose dense table the enumeration
+    # would refuse stops the degree before any holomorph is built
+    for g in groups:
+        gt = g.as_table()
+        if degree * IsoSearch(gt, gt).run("count") > DEFAULT_TABLE_BUDGET:
+            return DegreeCensus(unknown, [], [], [], [], [], [], [])
     contexts = [build_holomorph(g) for g in groups]
     records: list[TransitiveClassRecord] = []
     try:
         for ctx in contexts:
             records.extend(enumerate_transitive_classes(ctx, node_budget, time_budget))
     except BudgetError:
-        row = DegreeReportRow(
-            degree=degree,
-            types=len(groups),
-            hgs_total=None,
-            sbracoids_total=None,
-            gal_hgs=None,
-            sbraces=None,
-            ac_hgs=None,
-            ac_sbracoids=None,
-            bc_hgs=None,
-            partial=True,
-        )
-        return DegreeCensus(row, contexts, [], [], [], [], [], [])
+        return DegreeCensus(unknown, contexts, [], [], [], [], [], [])
 
     classes = classify_degree(records)
     weight_of: dict[int, Fraction] = {}

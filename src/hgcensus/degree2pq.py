@@ -28,7 +28,7 @@ from .classify import stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
-from .perm import Perm, PermGroup, compose, inverse, is_transitive, perm_order
+from .perm import Perm, PermGroup, compose, is_transitive, perm_order
 from .table import GroupTable
 
 
@@ -280,22 +280,37 @@ def _psi_power_matching_inverse(gd: GroupData, key: str, r_index: int) -> Perm:
     raise ConsistencyError(f"{gd.group.name}: no power of {key} inverts the rotation")
 
 
+def _rows_in(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `rows` that are also rows of `members`."""
+
+    def keys(a: np.ndarray) -> np.ndarray:  # one byte-string key per row
+        a = np.ascontiguousarray(a, dtype=members.dtype)
+        return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+    known = np.sort(keys(members))
+    query = keys(rows)
+    pos = np.searchsorted(known, query).clip(max=len(known) - 1)
+    return known[pos] == query
+
+
 def _subgroup(ctx: HolomorphContext, gens: list[Perm]) -> PermGroup:
     g = PermGroup(gens, ctx.n)
-    if not g.elements <= ctx.hol.elements:
+    if not _rows_in(np.array(g.sorted_elements), ctx.perms).all():
         raise ConsistencyError("witness subgroup escapes the holomorph")
     return g
 
 
 def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
-    elems = sub.elements
-    gens = sub.generators
-    count = 0
-    for h in ctx.hol.sorted_elements:
-        hinv = inverse(h)
-        if all(compose(h, compose(g, hinv)) in elems for g in gens):
-            count += 1
-    return count
+    """Number of holomorph elements h with h g h^-1 in `sub` for every generator g."""
+    hol = ctx.perms
+    elems = np.array(sub.sorted_elements)
+    rows = np.arange(len(hol))[:, None]
+    conj = np.empty_like(hol)
+    ok = np.ones(len(hol), dtype=bool)
+    for g in sub.generators:
+        conj[rows, hol] = hol[:, list(g)]  # h g h^-1 sends h(x) to h(g(x))
+        ok &= _rows_in(conj, elems)
+    return int(ok.sum())
 
 
 def _assert_abstract_type(sub: PermGroup, model: CayleyGroup, what: str) -> None:

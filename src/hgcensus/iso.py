@@ -6,6 +6,18 @@ a precomputed breadth tree and every (element, generator) product is verified
 before descending, so dead branches die early.  An optional marked subset on
 each side must be preserved elementwise, which is how stabilizer-respecting
 isomorphism and marked automorphism counts share one engine.
+
+Counts never list the maps.  For the generator sequence g_1..g_k,
+|Aut(T, marked)| is the product over i of the orbit size of g_i under the
+automorphisms fixing g_1..g_{i-1} (orbit-stabilizer; Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, ch. 4).  Levels are done from k
+down to 1, each candidate image b of g_i costing one "first" search with
+g_1..g_{i-1} pinned to themselves and g_i to b.  Every automorphism found
+so far fixes g_1..g_{i-1}, so a found witness puts the whole orbit of b
+under them into the orbit of g_i and a failed search rules the whole orbit
+of b out; no other point of that orbit is searched.  Between different
+tables the isomorphisms form one coset of Aut(T2, marked2), so the count
+is 0 or that group's chain count.
 """
 
 from __future__ import annotations
@@ -162,30 +174,79 @@ class IsoSearch:
                 )
             self.probes.append(rows)
 
-    def run(self, mode: str = "count", limit: Optional[int] = None):
+    def run(self, mode: str = "count"):
         """mode "count" -> int; "first" -> map array or None; "all" -> list of maps."""
+        if mode == "count":
+            return self._count()
         if not self.feasible:
-            return 0 if mode == "count" else (None if mode == "first" else [])
+            return None if mode == "first" else []
         if self.m == 1:
             one = np.zeros(1, dtype=np.int64)
-            return 1 if mode == "count" else (one if mode == "first" else [one])
+            return one if mode == "first" else [one]
+        phi = np.full(self.plan.total, -1, dtype=np.int64)
+        phi[0] = 0
+        maps = self._descend(self.cands, 0, phi, [0] * len(self.cands), mode == "first")
+        if mode == "first":
+            return maps[0] if maps else None
+        return maps
+
+    def _count(self) -> int:
+        """Number of marked isomorphisms, by the orbit-stabilizer chain."""
+        if not self.feasible:
+            return 0
+        if self.m == 1:
+            return 1
+        same = self.T1 is self.T2 and (
+            self.mark1 is None or np.array_equal(self.mark1, self.mark2)
+        )
+        if not same:
+            # the isomorphisms are one coset of Aut(T2, marked2)
+            if self.run("first") is None:
+                return 0
+            marked = None if self.mark2 is None else np.flatnonzero(self.mark2)
+            return IsoSearch(self.T2, self.T2, marked, marked).run("count")
+        plan = self.plan
+        gens = plan.gens
+        found: list[np.ndarray] = []  # automorphisms fixing gens[:i] at level i
+        count = 1
+        for i in range(len(gens) - 1, -1, -1):
+            reach = np.zeros(self.m, dtype=bool)
+            dead = np.zeros(self.m, dtype=bool)
+            _close(reach, [gens[i]], found)
+            n_fixed = plan.levels[i].n_old
+            for b in self.cands[i].tolist():
+                if reach[b] or dead[b]:
+                    continue
+                # pin gens[:i] to themselves and gens[i] to b, search the rest
+                phi = np.full(plan.total, -1, dtype=np.int64)
+                phi[:n_fixed] = plan.elem_at[:n_fixed]
+                cands = self.cands[:i] + [np.array([b], dtype=np.int64)] + self.cands[i + 1 :]
+                witness = self._descend(cands, i, phi, gens[:i] + [0] * (len(gens) - i), True)
+                if witness:
+                    found.append(witness[0])
+                    _close(reach, np.flatnonzero(reach), found)
+                    _close(dead, np.flatnonzero(dead), found)
+                else:
+                    _close(dead, [b], found)
+            count *= int(reach.sum())
+        return count
+
+    def _descend(
+        self, cands, start: int, phi: np.ndarray, gen_img: list[int], first: bool
+    ) -> list[np.ndarray]:
+        """Complete maps extending levels < `start` of `phi`, as arrays over T1."""
         T2 = self.T2
         m2 = T2.order
         mul2 = T2._mul_flat
         plan = self.plan
         levels = plan.levels
         k = len(levels)
-        phi = np.full(plan.total, -1, dtype=np.int64)
-        phi[0] = 0
-        gen_img = [0] * k
         found: list[np.ndarray] = []
-        count = 0
 
         def descend(level: int) -> bool:
-            nonlocal count
             lv = levels[level]
             end = len(lv.elems)
-            for b in map(int, self.cands[level]):
+            for b in map(int, cands[level]):
                 ok = True
                 for j, o_left, o_right in self.probes[level]:
                     bj = gen_img[j]
@@ -198,7 +259,6 @@ class IsoSearch:
                 if not ok:
                     continue
                 gen_img[level] = b
-                imgs = np.array([gen_img[j] for j in range(level + 1)], dtype=np.int64)
                 for j, parents, targets in lv.build:
                     phi[targets] = mul2[phi[parents] * m2 + gen_img[j]]
                 good = True
@@ -217,31 +277,27 @@ class IsoSearch:
                         good = False
                 if good:
                     if level + 1 == k:
-                        count += 1
-                        if mode == "first":
-                            found.append(phi[:end].copy())
+                        out = np.full(self.m, -1, dtype=np.int64)
+                        out[plan.elem_at] = phi
+                        found.append(out)
+                        if first:
                             return True
-                        if mode == "all":
-                            found.append(phi[:end].copy())
-                        if limit is not None and count >= limit:
-                            return True
-                    else:
-                        if descend(level + 1):
-                            return True
-                del imgs
+                    elif descend(level + 1):
+                        return True
             return False
 
-        descend(0)
-        if mode == "count":
-            return count
-        maps = []
-        for phi_final in found:
-            out = np.full(self.m, -1, dtype=np.int64)
-            out[plan.elem_at] = phi_final
-            maps.append(out)
-        if mode == "first":
-            return maps[0] if maps else None
-        return maps
+        descend(start)
+        return found
+
+
+def _close(mask: np.ndarray, seeds, maps: list[np.ndarray]) -> None:
+    """Add the orbit of `seeds` under the group generated by `maps` to `mask`."""
+    frontier = np.asarray(seeds, dtype=np.int64)
+    mask[frontier] = True
+    while len(frontier) and maps:
+        images = np.unique(np.concatenate([mp[frontier] for mp in maps]))
+        frontier = images[~mask[images]]
+        mask[frontier] = True
 
 
 __all__ = [

@@ -18,11 +18,17 @@ from .perm import Perm
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
 
+# rows per block when locating inverses: keeps the m-wide boolean
+# temporary small next to the table itself
+_ROW_BLOCK = 128
+
 
 class GroupTable:
     """A finite group as index arithmetic: mul[a, b], inv[a], identity 0."""
 
-    __slots__ = ("order", "mul", "inv", "elem_order", "_mul_flat", "_classes", "_fingerprints")
+    __slots__ = (
+        "order", "mul", "inv", "elem_order", "_mul_flat", "_gens", "_classes", "_fingerprints"
+    )
 
     def __init__(self, mul: np.ndarray):
         m = mul.shape[0]
@@ -31,14 +37,15 @@ class GroupTable:
         self.order = m
         self.mul = mul
         self._mul_flat = mul.ravel()
-        inv = np.full(m, -1, dtype=mul.dtype)
-        for a in range(m):
-            hits = np.nonzero(mul[a] == 0)[0]
-            if len(hits) != 1:
+        inv = np.empty(m, dtype=mul.dtype)
+        for lo in range(0, m, _ROW_BLOCK):
+            rows, cols = np.nonzero(mul[lo : lo + _ROW_BLOCK] == 0)
+            if not np.array_equal(rows, np.arange(min(_ROW_BLOCK, m - lo))):
                 raise StructureError("table row lacks a unique inverse")
-            inv[a] = hits[0]
+            inv[lo : lo + len(cols)] = cols
         self.inv = inv
         self.elem_order = self._element_orders()
+        self._gens: Optional[list[int]] = None
         self._classes: Optional[list[np.ndarray]] = None
         self._fingerprints: Optional[np.ndarray] = None
 
@@ -158,17 +165,20 @@ class GroupTable:
     # -- basic per-element data -------------------------------------------
 
     def _element_orders(self) -> np.ndarray:
+        """Orders of all elements at once: one vectorized power step per round."""
         m = self.order
-        out = np.zeros(m, dtype=np.int32)
-        out[0] = 1
-        mul = self.mul
-        for a in range(1, m):
-            x = a
-            k = 1
-            while x != 0:
-                x = int(mul[x, a])
-                k += 1
-            out[a] = k
+        out = np.ones(m, dtype=np.int32)
+        todo = np.arange(1, m, dtype=np.int64)
+        power = todo.copy()
+        k = 1
+        while len(todo):
+            if k >= m:
+                raise StructureError("table element has no finite order")
+            power = self._mul_flat[power * m + todo].astype(np.int64)
+            k += 1
+            done = power == 0
+            out[todo[done]] = k
+            todo, power = todo[~done], power[~done]
         return out
 
     def prod(self, a: int, b: int) -> int:
@@ -270,26 +280,43 @@ class GroupTable:
             ok &= self.mul[rng, g] == self.mul[g, rng]
         return rng[ok]
 
+    def generators(self) -> list[int]:
+        """Greedy generating set of the whole group, computed once per table."""
+        if self._gens is None:
+            self._gens = self.small_generating_set(np.arange(self.order, dtype=np.int64))
+        return self._gens
+
     def center(self) -> np.ndarray:
-        return self.centralizer_of(self.small_generating_set(np.arange(self.order, dtype=np.int64)))
+        return self.centralizer_of(self.generators())
 
     def derived_subgroup(self) -> np.ndarray:
-        """Closure of all commutators [a, b] = a b a^-1 b^-1."""
-        m = self.order
-        mul = self.mul
-        inv = self.inv
-        comms = set()
-        rng = np.arange(m, dtype=np.int64)
-        for b in range(m):
-            ab = mul[rng, b].astype(np.int64)
-            ainv = inv[rng].astype(np.int64)
-            t = self._mul_flat[ab * m + ainv]
-            t = self._mul_flat[t.astype(np.int64) * m + int(inv[b])]
-            comms.update(t.tolist())
-        return self.closure_of(comms)
+        """Normal closure of the commutators [s, t] = s t s^-1 t^-1 of generators.
+
+        Grows a generating set from the commutators and adds every
+        conjugate of one of its generators by a group generator that is
+        not yet inside, until the set is stable.
+        """
+        mul, inv = self.mul, self.inv
+        gens = self.generators()
+        queue = [int(mul[mul[mul[s, t], inv[s]], inv[t]]) for s in gens for t in gens]
+        elems = np.array([0], dtype=np.int64)
+        member = np.zeros(self.order, dtype=bool)
+        member[0] = True
+        sub_gens: list[int] = []
+        while queue:
+            x = queue.pop()
+            if member[x]:
+                continue
+            elems = self.extend_subgroup(elems, sub_gens, x)
+            sub_gens.append(x)
+            member[elems] = True
+            queue.extend(self.conj(g, x) for g in gens)
+        return elems
 
     def is_abelian(self) -> bool:
-        return bool((self.mul == self.mul.T).all())
+        g = np.array(self.generators(), dtype=np.int64)
+        block = self.mul[np.ix_(g, g)]
+        return bool((block == block.T).all())
 
     def all_subgroups(self) -> list[np.ndarray]:
         """Every subgroup, by exhaustive one-element extensions.
@@ -322,7 +349,7 @@ class GroupTable:
         if self._classes is not None:
             return self._classes
         m = self.order
-        gens = self.small_generating_set(np.arange(m, dtype=np.int64))
+        gens = self.generators()
         assigned = np.zeros(m, dtype=bool)
         classes = []
         for x in range(m):

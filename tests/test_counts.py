@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hgcensus import build_degree_census
+from hgcensus import build_degree_census, counts
 from hgcensus.counts import (
     DegreeReportRow,
     bijective_correspondence,
@@ -181,3 +181,17 @@ def test_weights_align_with_records(census):
     # weights times conjugacy-class sizes reproduce the headline count
     total = sum(w * rec.class_size for w, rec in zip(c.weights, c.records))
     assert total == c.row.hgs_total
+
+
+def test_oversized_holomorph_stops_degree_16_before_any_holomorph(monkeypatch):
+    # |Hol(C2^4)| = 16 * 20160 exceeds the dense-table budget; the
+    # automorphism count alone must stop the degree
+    def refuse(group):
+        raise AssertionError(f"built the holomorph of {group.name}")
+
+    monkeypatch.setattr(counts, "build_holomorph", refuse)
+    c = build_degree_census(16)
+    assert c.row.types == 14
+    assert c.row.partial
+    assert c.row.cells()[1:] == (None,) * 7
+    assert c.contexts == [] and c.records == []

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from hgcensus.catalog import automorphism_group, catalog_orders, groups_of_order
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import closure, parse_cycles
 from hgcensus.table import GroupTable
@@ -95,3 +97,47 @@ def test_marked_maps_respect_the_marking():
     marked = set(cyc.tolist())
     for m in IsoSearch(T, T, marked1=cyc, marked2=cyc).run("all"):
         assert {int(m[i]) for i in cyc} == marked
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_chain_count_equals_listed_maps_on_every_class(census, degree):
+    # |Aut(G, G')| by the orbit-stabilizer chain against the full list
+    for cls in census(degree).classes:
+        T, mask = cls.members[0][1].table_with_stab()
+        idx = np.flatnonzero(mask)
+        search = IsoSearch(T, T, marked1=idx, marked2=idx)
+        assert search.run("count") == len(search.run("all")), cls.label
+
+
+def test_chain_count_equals_automorphism_group_order():
+    checked = 0
+    for n in catalog_orders():
+        if n > 16:
+            continue
+        for g in groups_of_order(n):
+            T = g.as_table()
+            assert IsoSearch(T, T).run("count") == automorphism_group(g).order, g.name
+            checked += 1
+    e16 = next(g for g in groups_of_order(16) if g.name == "C2xC2xC2xC2")
+    assert automorphism_group(e16).order == 20160  # |GL(4, 2)|
+    assert checked == sum(len(groups_of_order(n)) for n in catalog_orders() if n <= 16)
+
+
+def _relabeled(T: GroupTable, perm: np.ndarray) -> GroupTable:
+    """The same group with element x renamed perm[x] (perm fixes 0)."""
+    mul = np.empty_like(T.mul)
+    mul[np.ix_(perm, perm)] = perm[T.mul]
+    return GroupTable(mul)
+
+
+def test_count_between_isomorphic_tables_is_the_target_aut_order():
+    rng = np.random.default_rng(3)
+    for T in (S3, C6, _table_of(["(0 1 2 3)", "(4 5)"], 6)):
+        perm = np.concatenate([[0], 1 + rng.permutation(T.order - 1)])
+        T2 = _relabeled(T, perm)
+        assert not np.array_equal(T2.mul, T.mul)
+        assert IsoSearch(T, T2).run("count") == IsoSearch(T2, T2).run("count")
+        assert IsoSearch(T, T2).run("count") == len(IsoSearch(T, T2).run("all"))
+        sub = next(s for s in T.all_subgroups() if 1 < len(s) < T.order)
+        marked = IsoSearch(T, T2, marked1=sub, marked2=np.sort(perm[sub]))
+        assert marked.run("count") == len(marked.run("all")) > 0

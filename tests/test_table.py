@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.errors import BudgetError, StructureError
 from hgcensus.perm import closure, parse_cycles
 from hgcensus.table import GroupTable
@@ -126,3 +127,43 @@ def test_exponent():
     assert _table_of(["(0 1 2 3 4 5)"], 6).exponent() == 6
     assert _table_of(["(0 1 2)", "(0 1)"], 3).exponent() == 6
     assert _table_of(["(0 1)", "(2 3)"], 4).exponent() == 2
+
+
+def _derived_by_all_commutators(T: GroupTable) -> np.ndarray:
+    mul, inv = T.mul.astype(np.int64), T.inv.astype(np.int64)
+    comms = mul[mul[mul, inv[:, None]], inv[None, :]]  # a b a^-1 b^-1 for all a, b
+    return T.closure_of(np.unique(comms).tolist())
+
+
+def test_derived_subgroup_matches_all_commutators_on_catalog_groups():
+    for n in catalog_orders():
+        for g in groups_of_order(n):
+            T = g.as_table()
+            assert np.array_equal(T.derived_subgroup(), _derived_by_all_commutators(T)), g.name
+            assert T.is_abelian() == bool((T.mul == T.mul.T).all()), g.name
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_derived_subgroup_matches_all_commutators_on_records(census, degree):
+    for rec in census(degree).records:
+        T, _ = rec.table_with_stab()
+        assert np.array_equal(T.derived_subgroup(), _derived_by_all_commutators(T))
+        assert T.is_abelian() == bool((T.mul == T.mul.T).all())
+
+
+def test_element_orders_and_inverses_of_catalog_groups():
+    for n in catalog_orders():
+        for g in groups_of_order(n):
+            T = g.as_table()
+            assert (T.mul[np.arange(T.order), T.inv] == 0).all(), g.name
+            for a in range(1, T.order):
+                k, x = 1, a
+                while x != 0:
+                    x, k = int(T.mul[x, a]), k + 1
+                assert T.elem_order[a] == k, (g.name, a)
+
+
+def test_table_without_unique_inverses_is_rejected():
+    mul = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 1]], dtype=np.int16)
+    with pytest.raises(StructureError):
+        GroupTable(mul)
