@@ -28,29 +28,6 @@ def _small_generating_set(elems_sorted: Sequence[Perm]) -> list[Perm]:
     return [elems_sorted[i] for i in T.generators()] or [elems_sorted[0]]
 
 
-def _check_group_table(t: np.ndarray, what: str) -> None:
-    """Identity at 0, Latin rows/columns, associativity; raises on failure."""
-    n = t.shape[0]
-    if t.shape != (n, n):
-        raise StructureError(f"{what}: table is not square")
-    rng = np.arange(n)
-    if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
-        raise StructureError(f"{what}: index 0 is not an identity")
-    if not (np.array_equal(np.sort(t, axis=1), np.tile(rng, (n, 1)))
-            and np.array_equal(np.sort(t, axis=0), np.tile(rng[:, None], (1, n)))):
-        raise StructureError(f"{what}: rows/columns are not permutations")
-    if not np.array_equal(t[t], t[:, t]):
-        raise StructureError(f"{what}: multiplication is not associative")
-
-
-def _inverses(t: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    inv = np.empty(n, dtype=t.dtype)
-    rows, cols = np.nonzero(t == 0)
-    inv[rows] = cols
-    return inv
-
-
 @dataclass
 class SkewBracoid:
     """A group acting transitively on the carrier of another group.
@@ -85,7 +62,7 @@ class SkewBracoid:
         if len(set(a[:, 0].tolist())) != n:
             raise StructureError("bracoid: action is not transitive")
         t = self.target.table
-        tinv = _inverses(t)
+        tinv = self.target.as_table().inv
         for g in range(m):
             row = a[g]
             lhs = row[t]
@@ -112,10 +89,11 @@ class SkewBrace:
     circ: np.ndarray
 
     def validate(self) -> None:
-        _check_group_table(self.add, "brace additive table")
-        _check_group_table(self.circ, "brace circle table")
+        add = GroupTable(self.add)
+        add.validate("brace additive table")
+        GroupTable(self.circ).validate("brace circle table")
         t, c = self.add, self.circ
-        neg = _inverses(t)
+        neg = add.inv
         for x in range(self.order):
             # x o (y + z) == (x o y) - x + (x o z), grouped left to right
             lhs = c[x][t]
@@ -144,29 +122,24 @@ class YBESolution:
     def validate(self) -> None:
         n = self.order
         rng = np.arange(n)
-        for x in range(n):
-            if not (np.array_equal(np.sort(self.sigma[x]), rng)
-                    and np.array_equal(np.sort(self.rho[x]), rng)):
-                raise ConsistencyError(f"YBE map is degenerate at {x}")
-        r = self.r
-
-        def left(x: int, y: int, z: int) -> tuple[int, int, int]:
-            x, y = r[x, y]
-            y, z = r[y, z]
-            x, y = r[x, y]
-            return x, y, z
-
-        def right(x: int, y: int, z: int) -> tuple[int, int, int]:
-            y, z = r[y, z]
-            x, y = r[x, y]
-            y, z = r[y, z]
-            return x, y, z
-
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if left(x, y, z) != right(x, y, z):
-                        raise ConsistencyError(f"braid relation fails at {(x, y, z)}")
+        degenerate = (np.sort(self.sigma, axis=1) != rng).any(axis=1)
+        degenerate |= (np.sort(self.rho, axis=1) != rng).any(axis=1)
+        if degenerate.any():
+            raise ConsistencyError(f"YBE map is degenerate at {int(np.argmax(degenerate))}")
+        # (r x 1)(1 x r)(r x 1) against (1 x r)(r x 1)(1 x r) on every triple
+        s, f = self.r[..., 0], self.r[..., 1]
+        x, y, z = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
+        lx, ly, lz = s[x, y], f[x, y], z
+        ly, lz = s[ly, lz], f[ly, lz]
+        lx, ly = s[lx, ly], f[lx, ly]
+        rx, ry, rz = x, s[y, z], f[y, z]
+        rx, ry = s[rx, ry], f[rx, ry]
+        ry, rz = s[ry, rz], f[ry, rz]
+        bad = (lx != rx) | (ly != ry) | (lz != rz)
+        if bad.any():
+            raise ConsistencyError(
+                f"braid relation fails at {tuple(int(v) for v in np.argwhere(bad)[0])}"
+            )
 
     def to_json_dict(self) -> dict:
         n = self.order
@@ -295,8 +268,8 @@ def ybe_solution(b: SkewBrace) -> YBESolution:
     """
     n = b.order
     t, c = b.add, b.circ
-    neg = _inverses(t)
-    cinv = _inverses(c)
+    neg = GroupTable(t).inv
+    cinv = GroupTable(c).inv
     sigma = np.empty((n, n), dtype=np.int32)
     rho = np.empty((n, n), dtype=np.int32)
     r = np.empty((n, n, 2), dtype=np.int32)

@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import StructureError, UnsupportedOrderError
 from .iso import IsoSearch
-from .perm import Perm, PermGroup, closure, compose, parse_cycles
+from .perm import Perm, PermGroup, closure, parse_cycles
 from .table import GroupTable
 
-_ASSOC_CHECK_LIMIT = 30
 _SELFTEST_LIMIT = 12
 
 
@@ -63,15 +62,13 @@ class CayleyGroup:
     def from_perm_generators(
         cls, name: str, gens: Sequence[Perm], degree: int, structure: str = ""
     ) -> "CayleyGroup":
-        elems = closure(gens, degree)
-        index = {p: i for i, p in enumerate(elems)}
-        n = len(elems)
-        table = np.empty((n, n), dtype=np.int16)
-        for i, p in enumerate(elems):
-            for j, q in enumerate(elems):
-                table[i, j] = index[compose(p, q)]
-        dist = tuple(index[tuple(g)] for g in gens)
-        return cls(name, table, dist, structure)
+        elems = closure(gens, degree)  # sorted, identity first: from_perms' order
+        gt = GroupTable.from_perms(elems)
+        dist = tuple(elems.index(tuple(g)) for g in gens)
+        group = cls(name, gt.mul, dist, structure, checked=True)
+        group._gt = gt
+        group.validate()
+        return group
 
     @classmethod
     def from_elements(
@@ -103,24 +100,9 @@ class CayleyGroup:
     # -- contracts ------------------------------------------------------------
 
     def validate(self) -> None:
-        n = self.order
-        t = self.table
-        rng = np.arange(n)
-        if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
-            raise StructureError(f"{self.name}: element 0 is not an identity")
-        for i in range(n):
-            if sorted(t[i]) != list(rng) or sorted(t[:, i]) != list(rng):
-                raise StructureError(f"{self.name}: row/column {i} is not a permutation")
-        if n <= _ASSOC_CHECK_LIMIT:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-        else:
-            rng_state = np.random.default_rng(7)
-            triples = (tuple(x) for x in rng_state.integers(0, n, size=(4000, 3)))
-        for a, b, c in triples:
-            if t[t[a, b], c] != t[a, t[b, c]]:
-                raise StructureError(f"{self.name}: associativity fails at {(a, b, c)}")
-        gen_closure = self.as_table().closure_of(self.distinguished_generators)
-        if len(gen_closure) != n:
+        gt = self.as_table()
+        gt.validate(self.name)
+        if len(gt.closure_of(self.distinguished_generators)) != self.order:
             raise StructureError(f"{self.name}: distinguished generators do not generate")
 
     def as_table(self) -> GroupTable:

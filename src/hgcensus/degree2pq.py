@@ -270,8 +270,7 @@ def _verify_family(fam: Degree2pqFamily) -> None:
 def _psi_power_matching_inverse(gd: GroupData, key: str, r_index: int) -> Perm:
     """Power of the named rotation-scaling map sending r to its inverse."""
     base = gd.autos[key]
-    t = gd.group.table
-    r_inv = int(np.nonzero(t[r_index] == 0)[0][0])
+    r_inv = int(gd.group.as_table().inv[r_index])
     cur = base
     for _ in range(perm_order(base)):
         if cur[r_index] == r_inv:

@@ -4,8 +4,8 @@ The table holds the previously reported counts for degrees 2 through 99.
 A cell is None where no reference value is available.  Three cells are
 marked disputed: the printed number contradicts the rest of its own row
 (and in each case duplicates an adjacent cell), so ``diff`` reports both
-the reference and the computed value for them instead of failing.  See
-the project notes for the full analysis.
+the reference and the computed value for them instead of failing.  Each
+cell's analysis is the note stored with it in ``DISPUTED``.
 """
 
 from __future__ import annotations

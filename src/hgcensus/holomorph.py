@@ -54,7 +54,7 @@ class HolomorphContext:
         x*b = b * (b^-1 x b), so the right translation by b is the left
         translation by b after the inner automorphism of b^-1.
         """
-        inv = np.argmax(t == 0, axis=1)
+        inv = self.group.as_table().inv
         aut_pos = {row.tobytes(): k for k, row in enumerate(auts)}
         rows = []
         for b in range(self.n):
@@ -76,16 +76,16 @@ class HolomorphContext:
             )
         if not np.array_equal(perms[perms[:, 0] == 0], auts):
             raise ConsistencyError(f"{self.group.name}: point stabilizer is not the automorphism group")
+        # (a . alpha)(b . beta) = (a alpha(b)) . (alpha beta) on sampled pairs
         rng = np.random.default_rng(20260819)
-        for _ in range(_SPOT_CHECKS):
-            a, b = rng.integers(0, self.n, size=2)
-            alpha = auts[rng.integers(0, len(auts))]
-            beta = auts[rng.integers(0, len(auts))]
-            x = t[a][alpha]
-            y = t[b][beta]
-            c = t[a, alpha[b]]
-            if not np.array_equal(x[y], t[c][alpha[beta]]):
-                raise ConsistencyError(f"{self.group.name}: holomorph product law fails")
+        a, b = rng.integers(0, self.n, size=(2, _SPOT_CHECKS))
+        alpha, beta = auts[rng.integers(0, len(auts), size=(2, _SPOT_CHECKS))]
+        k = np.arange(_SPOT_CHECKS)[:, None]
+        x = t[a[:, None], alpha]
+        y = t[b[:, None], beta]
+        c = t[a, alpha[k[:, 0], b]]
+        if not np.array_equal(x[k, y], t[c[:, None], alpha[k, beta]]):
+            raise ConsistencyError(f"{self.group.name}: holomorph product law fails")
 
     @cached_property
     def hol(self) -> PermGroup:

@@ -135,10 +135,9 @@ class GroupTable:
             if row.min() < 0:
                 raise StructureError("elements not closed under composition")
             mul[i] = row
-        rng = np.random.default_rng(5)
-        for a, b in rng.integers(0, m, size=(200, 2)):
-            if not np.array_equal(arr[a][arr[b]], arr[mul[a, b]]):
-                raise StructureError("base-keyed product table disagrees with composition")
+        a, b = np.random.default_rng(5).integers(0, m, size=(200, 2)).T
+        if not np.array_equal(arr[a[:, None], arr[b]], arr[mul[a, b]]):
+            raise StructureError("base-keyed product table disagrees with composition")
         return mul
 
     def subtable(self, indices: Sequence[int]) -> tuple["GroupTable", np.ndarray]:
@@ -161,6 +160,31 @@ class GroupTable:
             raise StructureError("indices are not closed under multiplication")
         dtype = np.int16 if k < 2**15 else np.int32
         return GroupTable(local.astype(dtype, copy=False)), idx
+
+    # -- group laws ----------------------------------------------------------
+
+    def validate(self, what: str) -> None:
+        """Raise StructureError unless the table is a group with identity 0.
+
+        Associativity is Light's test: the elements a with (x a) y = x (a y)
+        for all x, y are closed under products, so checking it for a set of
+        generators covers every element the generators reach as left-normed
+        products ((g1 g2) g3)..., which is what `closure_of` walks (right
+        multiplication from 0).  Each generator costs one order^2 comparison.
+        """
+        t = self.mul
+        m = self.order
+        rng = np.arange(m)
+        if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
+            raise StructureError(f"{what}: index 0 is not an identity")
+        if not ((np.sort(t, axis=1) == rng).all() and (np.sort(t, axis=0) == rng[:, None]).all()):
+            raise StructureError(f"{what}: rows/columns are not permutations")
+        gens = self.generators()
+        if len(self.closure_of(gens)) != m:
+            raise StructureError(f"{what}: products of the generators miss elements")
+        for g in gens:
+            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
+                raise StructureError(f"{what}: multiplication is not associative at generator {g}")
 
     # -- basic per-element data -------------------------------------------
 

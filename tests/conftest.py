@@ -2,13 +2,20 @@
 
 Census construction dominates the suite's runtime, so results are cached
 per (degree, options) for the whole session and shared across modules.
+Property tests run under one deterministic hypothesis profile.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from hgcensus import build_degree_census
+
+# fixed examples and no per-example deadline: the suite stays deterministic
+# and does not flake on a loaded host
+settings.register_profile("hgcensus", deadline=None, derandomize=True)
+settings.load_profile("hgcensus")
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,10 @@ degrees 2 through 13.  The degree 12 case fails by design: the reference
 table prints 38 almost-classical records, while the almost-classical count
 per type provably equals the number of subgroup conjugacy classes of the
 base group's automorphism group, which sums to 46 at degree 12.  The
-engine's 46 is kept; notes/decisions.md holds the full analysis.  Every
-other criterion must pass.
+engine's 46 is kept; the README gives the full analysis, and
+test_almost_classical_record_count_equals_aut_subgroup_classes in
+tests/test_counts.py checks the bijection it rests on.  Every other
+criterion must pass.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def test_criterion_1_exact_row(census, degree):
             "discrepancy: per type, almost-classical records biject with "
             "subgroup conjugacy classes of the base group's automorphism "
             "group, and those class counts sum to 46 at degree 12, not the "
-            "printed 38 (analysis in notes/decisions.md)"
+            "printed 38 (analysis in the README; the bijection is checked by "
+            "test_almost_classical_record_count_equals_aut_subgroup_classes)"
         )
     assert got == want, f"degree {degree}: " + "; ".join(diffs) + note
 

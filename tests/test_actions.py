@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import re
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgcensus.actions import (
     SkewBrace,
+    SkewBracoid,
+    YBESolution,
     bracoid_from_subgroup,
     brace_from_regular,
     cocycle_decompose,
@@ -195,3 +202,99 @@ def test_realize_regular_subgroup_rejects_nonmorphism():
     phi[a], phi[b] = phi[b], phi[a]
     with pytest.raises(StructureError):
         realize_regular_subgroup(ctx.left, ctx, phi)
+
+
+# -- one-cell mutations: every validator must notice -----------------------
+
+
+@cache
+def _s3_right_brace() -> SkewBrace:
+    """S3 with its opposite multiplication as circle: add != circ."""
+    ctx = build_holomorph(groups_of_order(6)[1])
+    return brace_from_regular(ctx, ctx.right)
+
+
+@cache
+def _hol_s3_bracoid():
+    """Hol(S3), order 36, acting on the 6 points of S3."""
+    ctx = build_holomorph(groups_of_order(6)[1])
+    return bracoid_from_subgroup(ctx, ctx.hol)
+
+
+@given(st.sampled_from(["add", "circ"]), st.integers(0, 5), st.integers(0, 5), st.integers(1, 5))
+def test_brace_one_cell_mutation_is_rejected(which, i, j, shift):
+    b = _s3_right_brace()
+    tables = {"add": b.add.copy(), "circ": b.circ.copy()}
+    tables[which][i, j] = (tables[which][i, j] + shift) % 6
+    with pytest.raises((StructureError, ConsistencyError)):
+        SkewBrace(6, tables["add"], tables["circ"]).validate()
+
+
+@given(st.integers(0, 35), st.integers(0, 5), st.integers(1, 5))
+def test_bracoid_one_cell_mutation_is_rejected(g, mu, shift):
+    b = _hol_s3_bracoid()
+    action = b.action.copy()
+    action[g, mu] = (action[g, mu] + shift) % 6
+    with pytest.raises((StructureError, ConsistencyError)):
+        SkewBracoid(b.acting, b.target, action, b.reduced).validate()
+
+
+@given(st.integers(0, 1), st.integers(0, 5), st.integers(0, 5), st.integers(1, 5))
+def test_ybe_one_value_mutation_is_rejected(side, x, y, shift):
+    sol = ybe_solution(_s3_right_brace())
+    r, sigma, rho = sol.r.copy(), sol.sigma.copy(), sol.rho.copy()
+    r[x, y, side] = (r[x, y, side] + shift) % 6
+    if side == 0:
+        sigma[x, y] = r[x, y, 0]
+    else:
+        rho[y, x] = r[x, y, 1]
+    with pytest.raises((StructureError, ConsistencyError)):
+        YBESolution(6, r, sigma, rho).validate()
+
+
+def _first_braid_failure(r: np.ndarray):
+    """Triple-by-triple reference for YBESolution's braid check."""
+    n = r.shape[0]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                a, b = r[x, y]
+                b, c = r[b, z]
+                a, b = r[a, b]
+                u, w = r[y, z]
+                v, u = r[x, u]
+                u, w = r[u, w]
+                if (a, b, c) != (v, u, w):
+                    return x, y, z
+    return None
+
+
+def test_non_commuting_permutation_map_breaks_the_braid_relation():
+    # r(x, y) = (f(y), g(x)) is a solution iff f g = g f (Lyubashenko)
+    f, g = np.array([1, 0, 2]), np.array([0, 2, 1])
+    assert not np.array_equal(f[g], g[f])
+    r = np.stack(np.broadcast_arrays(f[None, :], g[:, None]), axis=-1)
+    sol = YBESolution(3, r, np.tile(f, (3, 1)), np.tile(g, (3, 1)))
+    first = _first_braid_failure(r)
+    assert first is not None
+    with pytest.raises(ConsistencyError, match=re.escape(f"braid relation fails at {first}")):
+        sol.validate()
+    commuting = np.stack(np.broadcast_arrays(f[None, :], f[:, None]), axis=-1)
+    assert _first_braid_failure(commuting) is None
+    YBESolution(3, commuting, np.tile(f, (3, 1)), np.tile(f, (3, 1))).validate()
+
+
+_PERM3 = st.permutations(range(3))
+
+
+@given(st.lists(_PERM3, min_size=3, max_size=3), st.lists(_PERM3, min_size=3, max_size=3))
+def test_braid_check_reports_the_first_failing_triple(sigma_rows, rho_rows):
+    sigma, rho = np.array(sigma_rows), np.array(rho_rows)
+    r = np.stack([sigma, rho.T], axis=-1)  # r(x, y) = (sigma_x(y), rho_y(x))
+    first = _first_braid_failure(r)
+    sol = YBESolution(3, r, sigma, rho)
+    if first is None:
+        sol.validate()
+    else:
+        with pytest.raises(ConsistencyError, match=re.escape(f"braid relation fails at {first}")):
+            sol.validate()

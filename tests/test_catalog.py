@@ -16,7 +16,7 @@ from hgcensus.catalog import (
     opposite_group,
     regular_representation,
 )
-from hgcensus.errors import UnsupportedOrderError
+from hgcensus.errors import StructureError, UnsupportedOrderError
 from hgcensus.expected import EXPECTED
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import is_transitive, point_stabilizer
@@ -145,3 +145,44 @@ def test_invariants_are_relabeling_invariant():
 def test_invariants_separate_most_order8_groups():
     invs = [invariants(g) for g in groups_of_order(8)]
     assert len({(i.abelian, i.exponent, i.center_order, i.order_multiset) for i in invs}) == 5
+
+
+def _latin_nonassociative(g: CayleyGroup) -> np.ndarray:
+    """g's table with one intercalate swapped: still Latin, identity kept.
+
+    For an involution h, rows x and x h and columns x and h x hold the
+    2x2 subsquare {x x, x h x}; swapping its two values breaks some product.
+    """
+    t = g.table
+    h = int(np.flatnonzero(g.as_table().elem_order == 2)[0])
+    x = 1 if h != 1 else 2
+    a, b, c, d = x, int(t[x, h]), x, int(t[h, x])
+    out = t.copy()
+    out[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
+    return out
+
+
+def test_cayley_group_rejects_tables_that_are_not_groups():
+    s3 = groups_of_order(6)[1]
+    t = s3.table
+    gens = s3.distinguished_generators
+    with pytest.raises(StructureError):
+        CayleyGroup("row0", t[[1, 0, 2, 3, 4, 5]], gens)
+    not_latin = t.copy()
+    not_latin[1, np.flatnonzero(t[1] != 0)[0]] = t[1, np.flatnonzero(t[1] != 0)[1]]
+    with pytest.raises(StructureError):
+        CayleyGroup("not_latin", not_latin, gens)
+    involution = int(np.flatnonzero(s3.as_table().elem_order == 2)[0])
+    with pytest.raises(StructureError, match="do not generate"):
+        CayleyGroup("short_gens", t, (involution,))
+
+
+def test_latin_nonassociative_order_42_table_is_rejected():
+    for g in groups_of_order(42):
+        bad = _latin_nonassociative(g)
+        rng = np.arange(42)
+        assert (np.sort(bad, axis=0) == rng[:, None]).all() and (np.sort(bad, axis=1) == rng).all()
+        assert np.array_equal(bad[0], rng) and np.array_equal(bad[:, 0], rng)
+        assert not np.array_equal(bad[bad], bad[:, bad])  # some (a b) c != a (b c)
+        with pytest.raises(StructureError, match="not associative"):
+            CayleyGroup(g.name + "_swapped", bad, g.distinguished_generators)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hgcensus.catalog import groups_of_order
-from hgcensus.errors import BudgetError
+from hgcensus.errors import BudgetError, ConsistencyError
 from hgcensus.holomorph import build_holomorph
 from hgcensus.perm import compose, is_transitive, point_stabilizer
 
@@ -93,3 +93,20 @@ def test_table_matches_composition():
     for i in (0, 1, 2, 7, 11):
         for j in (0, 3, 5, 10):
             assert perms[T.mul[i, j]] == compose(perms[i], perms[j])
+
+
+def test_product_law_spot_checks_reject_a_latin_non_group_table():
+    g = groups_of_order(6)[1]  # S3
+    ctx = build_holomorph(g)
+    t = g.table
+    auts = np.array(ctx.aut.sorted_elements, dtype=t.dtype)
+    ctx._verify(t, auts)
+    # swap the intercalate on rows x, x h and columns x, h x (h an
+    # involution): still Latin with identity 0, no longer a group
+    h = int(np.flatnonzero(g.as_table().elem_order == 2)[0])
+    x = 1 if h != 1 else 2
+    b, d = int(t[x, h]), int(t[h, x])
+    bad = t.copy()
+    bad[[x, x, b, b], [x, d, x, d]] = t[[x, x, b, b], [d, x, d, x]]
+    with pytest.raises(ConsistencyError, match="product law"):
+        ctx._verify(bad, auts)

@@ -167,3 +167,56 @@ def test_table_without_unique_inverses_is_rejected():
     mul = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 1]], dtype=np.int16)
     with pytest.raises(StructureError):
         GroupTable(mul)
+
+
+def _associative_by_all_triples(t: np.ndarray) -> bool:
+    return bool(np.array_equal(t[t], t[:, t]))  # (a b) c == a (b c), all a, b, c at once
+
+
+def _intercalates(t: np.ndarray):
+    """2x2 subsquares {u, v} off row and column 0, as (a, b, c, d)."""
+    n = t.shape[0]
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            for c in range(1, n):
+                d = int(np.argmax(t[b] == t[a, c]))
+                if d > c and t[a, d] == t[b, c]:
+                    yield a, b, c, d
+
+
+def _swap_intercalate(t: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+    out = t.copy()
+    out[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
+    return out
+
+
+def test_validate_accepts_every_catalog_group():
+    for n in catalog_orders():
+        for g in groups_of_order(n):
+            g.as_table().validate(g.name)
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_validate_accepts_every_record_table(census, degree):
+    for rec in census(degree).records:
+        T, _ = rec.table_with_stab()
+        T.validate(f"record of order {rec.order}")
+
+
+def test_light_test_agrees_with_all_triples_on_swapped_intercalates():
+    # a swap keeps the table Latin with identity 0; some swaps turn one
+    # group table into another (C4 <-> C2xC2), most break associativity
+    verdicts = set()
+    for n in (4, 6, 8, 9):
+        for g in groups_of_order(n):
+            for cells in _intercalates(g.table):
+                t = _swap_intercalate(g.table, *cells)
+                assoc = _associative_by_all_triples(t)
+                verdicts.add(assoc)
+                if assoc:
+                    GroupTable(t).validate("swapped")
+                else:
+                    with pytest.raises(StructureError):
+                        GroupTable(t).validate("swapped")
+    assert verdicts == {True, False}
+
