@@ -371,14 +371,20 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
 
 
 def _cyclic_by_affine_model(p: int, q: int) -> CayleyGroup:
-    """C_{2q} x (C_p : C_{p-1}) with the full affine twist."""
+    """C_{2q} x (C_p : C_{p-1}) with the full affine twist.
+
+    Acts on 2q + p points: a 2q-cycle on the first 2q, and on the last p,
+    read as Z_p, the translation v -> v + 1 and the scaling v -> g0 v.
+    """
     g0 = _element_of_order(p, p - 1)
-    vals = [(u, v, w) for u in range(2 * q) for v in range(p) for w in range(p - 1)]
-    return CayleyGroup.from_elements(
-        f"C{2 * q}x(C{p}:C{p - 1})", vals,
-        lambda a, b: ((a[0] + b[0]) % (2 * q), (a[1] + pow(g0, a[2], p) * b[1]) % p,
-                      (a[2] + b[2]) % (p - 1)),
-        (0, 0, 0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    c = list(range(2 * q))
+    gens = [
+        c[1:] + c[:1] + [2 * q + v for v in range(p)],
+        c + [2 * q + (v + 1) % p for v in range(p)],
+        c + [2 * q + g0 * v % p for v in range(p)],
+    ]
+    return CayleyGroup.from_perm_generators(
+        f"C{2 * q}x(C{p}:C{p - 1})", gens, 2 * q + p,
         structure=f"C{2 * q} x (C{p} : C{p - 1})",
     )
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext
-from .perm import PermGroup
+from .perm import PermGroup, orbit_labels
 from .table import GroupTable
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -36,6 +36,7 @@ class SubgroupClass:
     indices: np.ndarray  # sorted element indices of the canonical member
     gens: list[int]
     normalizer: np.ndarray
+    normalizer_gens: list[int]  # generate `normalizer`
     class_size: int
 
     @property
@@ -75,6 +76,7 @@ def subgroup_classes(
     deadline = time.monotonic() + time_budget
     spent = 0
 
+    rng = np.arange(m, dtype=np.int64)
     registry: dict[bytes, int] = {}
     classes: list[SubgroupClass] = []
     queue: deque[int] = deque()
@@ -85,26 +87,27 @@ def subgroup_classes(
             return None
         cid = len(classes)
         norm = T.normalizer_of(elems, gens)
-        best: Optional[tuple] = None
-        best_g = 0
-        seen = np.zeros(m, dtype=bool)
-        count = 0
-        for g in range(m):
-            if seen[g]:
-                continue
-            seen[T.mul[g, norm]] = True  # conjugate depends only on the coset g*norm
-            conj = np.sort(T.conj_many(g, elems))
-            registry[_digest(conj)] = cid
-            count += 1
-            tup = tuple(conj.tolist())
-            if best is None or tup < best:
-                best, best_g = tup, g
-        canonical = np.array(best, dtype=np.int64)
-        canon_gens = [int(T.conj(best_g, x)) for x in gens]
-        canon_norm = np.sort(T.conj_many(best_g, norm))
-        if count * len(norm) != m:
+        norm_gens = T.small_generating_set(norm)
+        # a conjugate g H g^-1 depends only on the coset gN; the cosets are
+        # the orbits of right multiplication by N, each led by its least element
+        lab = orbit_labels(T.mul[:, norm_gens].T)
+        reps = np.flatnonzero(lab == rng)
+        if len(reps) * len(norm) != m:
             raise ConsistencyError("conjugate count does not match normalizer index")
-        classes.append(SubgroupClass(canonical, canon_gens, canon_norm, count))
+        conjs = np.sort(T.conj_many(reps[:, None], elems), axis=1)
+        for row in conjs:
+            registry[_digest(row)] = cid
+        best = np.lexsort(conjs.T[::-1])[0]  # distinct cosets give distinct rows
+        g = int(reps[best])
+        classes.append(
+            SubgroupClass(
+                conjs[best].astype(np.int64),
+                [T.conj(g, x) for x in gens],
+                np.sort(T.conj_many(g, norm)),
+                [T.conj(g, x) for x in norm_gens],
+                len(reps),
+            )
+        )
         return cid
 
     trivial = register(np.array([0], dtype=np.int64), [])
@@ -116,30 +119,14 @@ def subgroup_classes(
         elems, gens = cls.indices, cls.gens
         if cls.order == m:
             continue
-        maps = []
-        for h in gens:
-            maps.append(T.mul[h, :].astype(np.int64))
-            maps.append(T.mul[:, h].astype(np.int64))
-        rng = np.arange(m, dtype=np.int64)
-        for ng in T.small_generating_set(cls.normalizer):
-            conj_map = T._mul_flat[T.mul[ng, rng].astype(np.int64) * m + int(T.inv[ng])]
-            maps.append(conj_map.astype(np.int64))
-        processed = np.zeros(m, dtype=bool)
-        processed[elems] = True
-        for x0 in range(m):
-            if processed[x0]:
-                continue
-            orbit = [x0]
-            processed[x0] = True
-            qi = 0
-            while qi < len(orbit):
-                y = orbit[qi]
-                qi += 1
-                for mp in maps:
-                    z = int(mp[y])
-                    if not processed[z]:
-                        processed[z] = True
-                        orbit.append(z)
+        # left and right multiplication by H and conjugation by N_G(H) preserve
+        # H and send <H, x> to a conjugate of it: one extension per orbit
+        h = np.array(gens, dtype=np.int64)
+        ng = np.array(cls.normalizer_gens, dtype=np.int64)
+        lab = orbit_labels(np.concatenate([T.mul[h], T.mul[:, h].T, T.conj_many(ng[:, None], rng)]))
+        in_h = np.zeros(m, dtype=bool)
+        in_h[elems] = True
+        for x0 in np.flatnonzero((lab == rng) & ~in_h).tolist():
             spent += 1
             if spent > node_budget:
                 raise SearchBudgetError("subgroup closure budget exhausted", spent=spent, budget=node_budget)

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .perm import orbit_labels
 from .table import GroupTable
 
 
@@ -92,21 +93,6 @@ class _SourcePlan:
         self.elem_at = np.array(elems, dtype=np.int64)
 
 
-def _greedy_generators(T: GroupTable, rank) -> list[int]:
-    """Generating sequence favoring rare fingerprints (small image buckets)."""
-    m = T.order
-    by_pref = sorted(range(1, m), key=lambda x: (rank(x), -int(T.elem_order[x]), x))
-    gens: list[int] = []
-    cur = np.array([0], dtype=np.int64)
-    in_cur = {0}
-    while len(in_cur) < m:
-        pick = next(x for x in by_pref if x not in in_cur)
-        cur = T.extend_subgroup(cur, gens, pick)
-        gens.append(pick)
-        in_cur = set(cur.tolist())
-    return gens
-
-
 class IsoSearch:
     """Shared state for iso/aut searches from T1 into T2."""
 
@@ -145,7 +131,12 @@ class IsoSearch:
         self.buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
         self.keys1 = [hash(k) for k in keys1]
         if gens is None:
-            gens = _greedy_generators(T1, lambda x: len(self.buckets.get(self.keys1[x], ())))
+            # favor rare fingerprints (small image buckets), then high orders
+            by_pref = sorted(
+                range(1, self.m),
+                key=lambda x: (len(self.buckets.get(self.keys1[x], ())), -int(T1.elem_order[x]), x),
+            )
+            gens = T1.small_generating_set(np.array([0] + by_pref, dtype=np.int64))
         self.plan = _SourcePlan(T1, gens)
         self.cands = []
         for g in gens:
@@ -210,12 +201,11 @@ class IsoSearch:
         found: list[np.ndarray] = []  # automorphisms fixing gens[:i] at level i
         count = 1
         for i in range(len(gens) - 1, -1, -1):
-            reach = np.zeros(self.m, dtype=bool)
-            dead = np.zeros(self.m, dtype=bool)
-            _close(reach, [gens[i]], found)
+            lab = orbit_labels(np.array(found, dtype=np.int64).reshape(-1, self.m))
+            dead = np.zeros(self.m, dtype=bool)  # labels of orbits with no witness
             n_fixed = plan.levels[i].n_old
             for b in self.cands[i].tolist():
-                if reach[b] or dead[b]:
+                if lab[b] == lab[gens[i]] or dead[lab[b]]:
                     continue
                 # pin gens[:i] to themselves and gens[i] to b, search the rest
                 phi = np.full(plan.total, -1, dtype=np.int64)
@@ -224,11 +214,13 @@ class IsoSearch:
                 witness = self._descend(cands, i, phi, gens[:i] + [0] * (len(gens) - i), True)
                 if witness:
                     found.append(witness[0])
-                    _close(reach, np.flatnonzero(reach), found)
-                    _close(dead, np.flatnonzero(dead), found)
+                    old_dead = np.flatnonzero(dead)
+                    lab = orbit_labels(np.array(found, dtype=np.int64))
+                    dead = np.zeros(self.m, dtype=bool)
+                    dead[lab[old_dead]] = True
                 else:
-                    _close(dead, [b], found)
-            count *= int(reach.sum())
+                    dead[lab[b]] = True
+            count *= int((lab == lab[gens[i]]).sum())
         return count
 
     def _descend(
@@ -288,16 +280,6 @@ class IsoSearch:
 
         descend(start)
         return found
-
-
-def _close(mask: np.ndarray, seeds, maps: list[np.ndarray]) -> None:
-    """Add the orbit of `seeds` under the group generated by `maps` to `mask`."""
-    frontier = np.asarray(seeds, dtype=np.int64)
-    mask[frontier] = True
-    while len(frontier) and maps:
-        images = np.unique(np.concatenate([mp[frontier] for mp in maps]))
-        frontier = images[~mask[images]]
-        mask[frontier] = True
 
 
 __all__ = [

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, StructureError
-from .perm import Perm
+from .perm import Perm, orbit_labels
 
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
@@ -212,10 +212,10 @@ class GroupTable:
         """a x a^-1."""
         return int(self.mul[self.mul[a, x], self.inv[a]])
 
-    def conj_many(self, a: int, xs: np.ndarray) -> np.ndarray:
-        """a xs a^-1 elementwise."""
-        m = self.order
-        return self._mul_flat[self.mul[a, xs].astype(np.int64) * m + int(self.inv[a])]
+    def conj_many(self, a, xs: np.ndarray) -> np.ndarray:
+        """a xs a^-1 elementwise; `a` broadcasts against `xs`, so a column
+        of elements gives one row of conjugates per element."""
+        return self.mul[self.mul[a, xs], self.inv[a]]
 
     def exponent(self) -> int:
         out = 1
@@ -270,7 +270,12 @@ class GroupTable:
         return np.array(sorted(known), dtype=np.int64)
 
     def small_generating_set(self, elems: np.ndarray) -> list[int]:
-        """Greedy generators for the subgroup on sorted `elems`."""
+        """Greedy generators for the subgroup on `elems`.
+
+        `elems` lists the subgroup's elements in preference order: each one
+        not yet generated becomes the next generator.  Sorted order gives
+        the default set.
+        """
         gens: list[int] = []
         cur = np.array([0], dtype=np.int64)
         cur_set = {0}
@@ -370,29 +375,14 @@ class GroupTable:
     # -- conjugacy classes and fingerprints ---------------------------------
 
     def conjugacy_classes(self) -> list[np.ndarray]:
+        """Classes ordered by least element, each sorted: orbits under conjugation."""
         if self._classes is not None:
             return self._classes
-        m = self.order
-        gens = self.generators()
-        assigned = np.zeros(m, dtype=bool)
-        classes = []
-        for x in range(m):
-            if assigned[x]:
-                continue
-            orb = [x]
-            assigned[x] = True
-            qi = 0
-            while qi < len(orb):
-                cur = orb[qi]
-                qi += 1
-                for g in gens:
-                    y = self.conj(g, cur)
-                    if not assigned[y]:
-                        assigned[y] = True
-                        orb.append(y)
-            classes.append(np.array(sorted(orb), dtype=np.int64))
-        self._classes = classes
-        return classes
+        g = np.array(self.generators(), dtype=np.int64)
+        lab = orbit_labels(self.conj_many(g[:, None], np.arange(self.order)))
+        by_class = np.argsort(lab, kind="stable")
+        self._classes = np.split(by_class, np.flatnonzero(np.diff(lab[by_class])) + 1)
+        return self._classes
 
     def class_fingerprints(self) -> list:
         """Canonical fingerprint key per conjugacy class.

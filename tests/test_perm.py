@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from collections import deque
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgcensus.errors import ClosureBudgetError, StructureError
 from hgcensus.perm import (
@@ -15,6 +20,7 @@ from hgcensus.perm import (
     inverse,
     is_transitive,
     orbit,
+    orbit_labels,
     parse_cycles,
     perm_order,
     point_stabilizer,
@@ -114,3 +120,38 @@ def test_point_stabilizer_fixes_its_point():
     stab = point_stabilizer(g, 0)
     assert all(p[0] == 0 for p in stab.elements)
     assert g.order == len(orbit(g, 0)) * stab.order
+
+
+def _labels_by_search(maps: np.ndarray) -> list[int]:
+    """Least orbit point per point, by breadth-first search from each point."""
+    m = maps.shape[1]
+    out = []
+    for x in range(m):
+        seen, frontier = {x}, deque([x])
+        while frontier:
+            y = frontier.popleft()
+            for row in maps:
+                if int(row[y]) not in seen:
+                    seen.add(int(row[y]))
+                    frontier.append(int(row[y]))
+        out.append(min(seen))
+    return out
+
+
+@given(st.integers(1, 60).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=0, max_size=4).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, m))))
+def test_orbit_labels_match_breadth_first_search(maps):
+    lab = orbit_labels(maps)
+    assert lab.dtype == np.int64
+    assert lab.tolist() == _labels_by_search(maps)
+
+
+def test_orbit_labels_fixed_cases():
+    assert orbit_labels(np.zeros((0, 7), dtype=np.int64)).tolist() == list(range(7))
+    assert orbit_labels(np.tile(np.arange(5), (3, 1))).tolist() == list(range(5))
+    # one 6000-cycle through a random relabelling of the points
+    order = np.random.default_rng(3).permutation(6000)
+    cycle = np.empty(6000, dtype=np.int64)
+    cycle[order] = np.roll(order, -1)
+    assert not orbit_labels(cycle[None, :]).any()

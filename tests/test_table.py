@@ -7,7 +7,7 @@ import pytest
 
 from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.errors import BudgetError, StructureError
-from hgcensus.perm import closure, parse_cycles
+from hgcensus.perm import closure, compose, parse_cycles
 from hgcensus.table import GroupTable
 
 
@@ -46,12 +46,20 @@ def test_from_perms_budget_is_enforced():
         GroupTable.from_perms(elems, table_budget=100)
 
 
-def test_greedy_base_lookup_agrees_with_hashing():
-    # same group tabled with and without a separating base
+def test_base_keyed_and_hashed_tables_match_composition():
+    def by_composition(elems):
+        index = {p: i for i, p in enumerate(elems)}
+        return np.array([[index[compose(p, q)] for q in elems] for p in elems])
+
+    # a separating base, found greedily or given
     elems = closure([parse_cycles("(0 1 2 3 4 5 6)", 7), parse_cycles("(1 2 4)(3 6 5)", 7)], 7)
-    plain = GroupTable.from_perms(elems)
-    based = GroupTable.from_perms(elems, base=[0, 1])
-    assert np.array_equal(plain.mul, based.mul)
+    assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
+    assert np.array_equal(GroupTable.from_perms(elems, base=[0, 1]).mul, by_composition(elems))
+    # C2^5, generator i swapping points 8i and 8i+1: a separating base needs
+    # 5 points and 40^5 base keys exceed the key budget, so products are hashed
+    elems = closure([parse_cycles(f"({8 * i} {8 * i + 1})", 40) for i in range(5)], 40)
+    assert GroupTable._greedy_base(np.array(elems)) is None
+    assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
 
 
 def test_subtable_relabels_consistently():
@@ -106,12 +114,34 @@ def test_all_subgroups_counts_known_lattices():
     assert len(q8.all_subgroups()) == 6
 
 
+def _classes_by_all_conjugates(T: GroupTable) -> list[list[int]]:
+    mul, inv = T.mul.astype(np.int64), T.inv.astype(np.int64)
+    conj = mul[mul, inv[:, None]]  # conj[a, x] = a x a^-1
+    classes = {tuple(np.unique(conj[:, x]).tolist()) for x in range(T.order)}
+    return [list(c) for c in sorted(classes)]
+
+
 def test_conjugacy_classes_partition_s3():
     T = _table_of(["(0 1 2)", "(0 1)"], 3)
     classes = T.conjugacy_classes()
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 2, 3]
     assert sum(sizes) == T.order
+    assert [c.tolist() for c in classes] == _classes_by_all_conjugates(T)
+
+
+def test_conjugacy_classes_match_all_conjugates_on_catalog_groups():
+    for n in catalog_orders():
+        for g in groups_of_order(n):
+            T = g.as_table()
+            assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T), g.name
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_conjugacy_classes_match_all_conjugates_on_records(census, degree):
+    for rec in census(degree).records:
+        T, _ = rec.table_with_stab()
+        assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T)
 
 
 def test_normalizer_and_centralizer():
