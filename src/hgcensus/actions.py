@@ -6,6 +6,10 @@ splits it into its translation and automorphism parts, transports regular
 actions onto the carrier of N (a skew brace), derives the set-theoretic
 Yang-Baxter map of a brace, and realizes N as a regular subgroup of the
 symmetric group on the points of an external acting group.
+
+Every action, homomorphism and compatibility law here is checked on the
+generators of a table that has passed Light's test (`_acts`), and a skew
+brace is validated as the regular bracoid of its circle group.
 """
 
 from __future__ import annotations
@@ -18,14 +22,21 @@ import numpy as np
 from .catalog import CayleyGroup
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext
-from .perm import Perm, PermGroup, compose, inverse, is_transitive
+from .perm import Perm, PermGroup, compose, inverse, is_transitive, rows_in
 from .table import GroupTable
 
 
-def _small_generating_set(elems_sorted: Sequence[Perm]) -> list[Perm]:
-    """Small generating subset; keeps law checks near-linear in the order."""
-    T = GroupTable.from_perms(elems_sorted)
-    return [elems_sorted[i] for i in T.generators()] or [elems_sorted[0]]
+def _acts(T: GroupTable, rows: np.ndarray, what: str) -> bool:
+    """Whether rows[g h] = rows[g] o rows[h] for every pair of T's elements.
+
+    `rows[g]` is the map assigned to T's element g and rows[0] must be the
+    identity map.  After T passes `GroupTable.validate` (Light's test) it
+    is associative and `generators()` generate it; the elements g with
+    rows[g h] = rows[g] o rows[h] for every h are then closed under
+    products, so checking the generators covers every element.
+    """
+    T.validate(what)
+    return all(np.array_equal(rows[T.mul[g]], rows[g][rows]) for g in T.generators())
 
 
 @dataclass
@@ -39,7 +50,7 @@ class SkewBracoid:
     """
 
     acting: GroupTable
-    target: CayleyGroup
+    target: GroupTable
     action: np.ndarray
     reduced: bool
 
@@ -48,27 +59,34 @@ class SkewBracoid:
         return self.target.order
 
     def validate(self) -> None:
-        m = self.acting.order
+        """Check the action law, transitivity and compatibility.
+
+        Both laws are checked on the acting table's generators only, after
+        that table has passed Light's test (see `_acts`).  For compatibility
+        fix g, let c = a[g](e) and psi = c^-1 a[g]: g satisfies
+        g(mu nu) = g(mu) g(e)^-1 g(nu) exactly when psi is an automorphism
+        of the target, that is, when a[g] lies in its holomorph.  The
+        passing elements are the preimage of the holomorph under the
+        homomorphism g -> a[g], a subgroup, so generators again suffice.
+        """
+        T, a = self.acting, self.action
         n = self.target.order
-        a = self.action
-        if a.shape != (m, n):
+        if a.shape != (T.order, n):
             raise StructureError("bracoid: action table shape mismatch")
-        rng = np.arange(n)
-        if not np.array_equal(a[0], rng):
+        if not np.array_equal(a[0], np.arange(n)):
             raise StructureError("bracoid: acting identity does not fix points")
-        for g in range(m):
-            if not np.array_equal(a[self.acting.mul[g]], a[g][a]):
-                raise StructureError("bracoid: action is not a group action")
-        if len(set(a[:, 0].tolist())) != n:
+        if not _acts(T, a, "bracoid acting group"):
+            raise StructureError("bracoid: action is not a group action")
+        if len(np.unique(a[:, 0])) != n:
             raise StructureError("bracoid: action is not transitive")
-        t = self.target.table
-        tinv = self.target.as_table().inv
-        for g in range(m):
-            row = a[g]
-            lhs = row[t]
-            rhs = t[np.ix_(t[row, tinv[row[0]]], row)]
-            if not np.array_equal(lhs, rhs):
-                raise ConsistencyError(f"bracoid: compatibility law fails for acting element {g}")
+        t, tinv = self.target.mul, self.target.inv
+        gens = np.array(T.generators(), dtype=np.int64)
+        row = a[gens]
+        left = t[row, tinv[row[:, 0]][:, None]]  # g(mu) g(e)^-1
+        bad = (row[:, t] != t[left[:, :, None], row[:, None, :]]).any(axis=(1, 2))
+        if bad.any():
+            g = int(gens[np.argmax(bad)])
+            raise ConsistencyError(f"bracoid: compatibility law fails for acting element {g}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,17 +107,10 @@ class SkewBrace:
     circ: np.ndarray
 
     def validate(self) -> None:
+        """A brace is the regular bracoid of its circle group on the additive one."""
         add = GroupTable(self.add)
         add.validate("brace additive table")
-        GroupTable(self.circ).validate("brace circle table")
-        t, c = self.add, self.circ
-        neg = add.inv
-        for x in range(self.order):
-            # x o (y + z) == (x o y) - x + (x o z), grouped left to right
-            lhs = c[x][t]
-            rhs = t[np.ix_(t[c[x], neg[x]], c[x])]
-            if not np.array_equal(lhs, rhs):
-                raise ConsistencyError(f"brace: compatibility fails at element {x}")
+        SkewBracoid(GroupTable(self.circ), add, self.circ, True).validate()
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,20 +187,17 @@ def bracoid_from_subgroup(
         g, images = delta
         if len(images) != g.order:
             raise StructureError("delta must assign an image to every element")
-        images = [tuple(p) for p in images]
-        if images[0] != tuple(range(M.degree)):
-            raise StructureError("delta must send the identity to the identity")
-        t = g.table
-        for s in g.distinguished_generators:
-            for j in range(g.order):
-                if images[int(t[s, j])] != compose(images[s], images[j]):
-                    raise StructureError("delta is not a homomorphism")
-        if set(images) != set(M.elements):
-            raise StructureError("delta is not a surjection onto the subgroup")
-        acting = g.as_table()
         action = np.array(images, dtype=np.int32)
-        reduced = len(set(images)) == g.order
-    b = SkewBracoid(acting, ctx.group, action, reduced)
+        if action.shape != (g.order, M.degree) or not np.array_equal(action[0], np.arange(M.degree)):
+            raise StructureError("delta must send the identity to the identity")
+        acting = g.as_table()
+        if not _acts(acting, action, "delta's source group"):
+            raise StructureError("delta is not a homomorphism")
+        image = np.unique(action, axis=0)
+        if not np.array_equal(image, np.array(M.sorted_elements, dtype=np.int32)):
+            raise StructureError("delta is not a surjection onto the subgroup")
+        reduced = len(image) == g.order
+    b = SkewBracoid(acting, ctx.group.as_table(), action, reduced)
     b.validate()
     return b
 
@@ -199,36 +207,29 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
 
     Returns (pi, gamma) over M's sorted elements: pi[i] is the point the
     element sends the identity to, gamma[i] the image row of its stabilizer
-    part.  Verifies gamma lands in the automorphism group, the twisted
-    product law on generator pairs, and exact recomposition of the action.
+    part.  Verifies gamma lands in the automorphism group, that the gamma
+    rows multiply like M (on generators, see `_acts`), the twisted product
+    law for generators against every element, and exact recomposition of
+    the action.
     """
-    if not M.elements <= ctx.hol.elements:
+    if M.degree != ctx.n:
         raise StructureError("subgroup does not live in this holomorph")
-    perms = M.sorted_elements
-    m = len(perms)
-    n = ctx.n
-    aut_set = ctx.aut.elements
-    pi = np.fromiter((p[0] for p in perms), dtype=np.int32, count=m)
-    parts = []
-    for p in perms:
-        alpha = ctx.project_to_stabilizer(p)
-        if alpha not in aut_set:
-            raise ConsistencyError("stabilizer part is not an automorphism")
-        parts.append(alpha)
-    gamma = np.array(parts, dtype=np.int32)
-
-    pos = {p: i for i, p in enumerate(perms)}
+    P = np.array(M.sorted_elements, dtype=np.int32)
+    if not rows_in(P, ctx.perms).all():
+        raise StructureError("subgroup does not live in this holomorph")
     t = ctx.group.table
-    gens = list(M.generators) if len(M.generators) <= 16 else _small_generating_set(perms)
-    for s in gens:
-        i = pos[s]
-        for j, k in enumerate(perms):
-            prod = pos[compose(s, k)]
-            if parts[prod] != compose(parts[i], parts[j]):
-                raise ConsistencyError("automorphism parts do not multiply")
-            if pi[prod] != t[pi[i], parts[i][pi[j]]]:
-                raise ConsistencyError("translation parts violate the twisted product law")
-    if not np.array_equal(t[pi[:, None], gamma], np.array(perms, dtype=np.int32)):
+    pi = P[:, 0].copy()
+    gamma = t[ctx.group.as_table().inv[pi][:, None], P].astype(np.int32)
+    if not rows_in(gamma, ctx.perms[ctx.perms[:, 0] == 0]).all():
+        raise ConsistencyError("stabilizer part is not an automorphism")
+    T = GroupTable.from_perms(P)
+    if not _acts(T, gamma, "subgroup table"):
+        raise ConsistencyError("automorphism parts do not multiply")
+    gens = np.array(T.generators(), dtype=np.int64)
+    # pi(s k) = pi(s) gamma_s(pi(k)) for each generator s and every element k
+    if (pi[T.mul[gens]] != t[pi[gens][:, None], gamma[gens][:, pi]]).any():
+        raise ConsistencyError("translation parts violate the twisted product law")
+    if not np.array_equal(t[pi[:, None], gamma], P):
         raise ConsistencyError("decomposition does not recompose to the action")
     return pi, gamma
 
@@ -241,12 +242,11 @@ def brace_from_regular(ctx: HolomorphContext, M: PermGroup) -> SkewBrace:
     second.
     """
     n = ctx.n
-    perms = M.sorted_elements
-    if len(perms) != n or len({p[0] for p in perms}) != n:
+    rows = np.array(M.sorted_elements, dtype=np.int32)
+    if rows.shape != (n, n) or len(np.unique(rows[:, 0])) != n:
         raise StructureError("brace transport requires a regular subgroup")
     circ = np.empty((n, n), dtype=np.int32)
-    for p in perms:
-        circ[p[0]] = p
+    circ[rows[:, 0]] = rows
     b = SkewBrace(n, ctx.group.table.astype(np.int32), circ)
     b.validate()
     return b
@@ -267,20 +267,13 @@ def ybe_solution(b: SkewBrace) -> YBESolution:
     right.  The braid relation and non-degeneracy are checked on all triples.
     """
     n = b.order
-    t, c = b.add, b.circ
+    t, c = b.add.astype(np.int32, copy=False), b.circ.astype(np.int32, copy=False)
     neg = GroupTable(t).inv
     cinv = GroupTable(c).inv
-    sigma = np.empty((n, n), dtype=np.int32)
-    rho = np.empty((n, n), dtype=np.int32)
-    r = np.empty((n, n, 2), dtype=np.int32)
-    for x in range(n):
-        u = t[neg[x], c[x]]
-        sigma[x] = u
-        r[x, :, 0] = u
-        r[x, :, 1] = c[c[cinv[u], x], np.arange(n)]
-    for y in range(n):
-        rho[y] = r[:, y, 1]
-    sol = YBESolution(n, r, sigma, rho)
+    x = np.arange(n)
+    sigma = t[neg[:, None], c]
+    tau = c[c[cinv[sigma], x[:, None]], x[None, :]]
+    sol = YBESolution(n, np.stack([sigma, tau], axis=-1), sigma, tau.T)
     sol.validate()
     return sol
 
@@ -297,22 +290,16 @@ def realize_regular_subgroup(
     of N via evaluation at the basepoint; conjugating N's left translations
     through that bijection gives a regular subgroup normalized by G.
     """
-    dom = list(phi.keys())
+    dom = sorted(phi)
     if not dom:
         raise StructureError("empty isomorphism")
     deg = len(dom[0])
-    g_elems = frozenset(dom)
     if len({phi[p] for p in dom}) != len(dom) or {phi[p] for p in dom} != set(M.elements):
         raise StructureError("map is not a bijection onto the subgroup")
-    ident = tuple(range(deg))
-    if ident not in g_elems or phi[ident] != tuple(range(M.degree)):
+    if dom[0] != tuple(range(deg)) or phi[dom[0]] != tuple(range(M.degree)):
         raise StructureError("map does not preserve the identity")
-    # homomorphism on generator pairs extends to all pairs by induction on words
-    for s in _small_generating_set(sorted(dom)):
-        for p in dom:
-            q = compose(s, p)
-            if q not in g_elems or phi[q] != compose(phi[s], phi[p]):
-                raise StructureError("map is not a homomorphism")
+    if not _acts(GroupTable.from_perms(dom), np.array([phi[p] for p in dom]), "acting group"):
+        raise StructureError("map is not a homomorphism")
     for p in dom:
         if (p[0] == 0) != (phi[p][0] == 0):
             raise StructureError("map does not respect point stabilizers")

@@ -513,6 +513,7 @@ def cmd_catalog_list(order: int, out=None) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged: build it once per process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hgcensus",

@@ -73,7 +73,7 @@ def subgroup_classes(
     closures are attempted or `time_budget` seconds elapse.
     """
     m = T.order
-    deadline = time.monotonic() + time_budget
+    start = time.monotonic()
     spent = 0
 
     rng = np.arange(m, dtype=np.int64)
@@ -130,8 +130,8 @@ def subgroup_classes(
             spent += 1
             if spent > node_budget:
                 raise SearchBudgetError("subgroup closure budget exhausted", spent=spent, budget=node_budget)
-            if spent % 256 == 0 and time.monotonic() > deadline:
-                raise SearchBudgetError("subgroup search time budget exhausted", spent=spent, budget=node_budget)
+            if spent % 256 == 0 and (elapsed := time.monotonic() - start) > time_budget:
+                raise SearchBudgetError("subgroup search time budget exhausted", spent=elapsed, budget=time_budget)
             grown = T.extend_subgroup(elems, gens, x0)
             new_id = register(grown, gens + [x0])
             if new_id is not None:

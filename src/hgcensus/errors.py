@@ -25,7 +25,7 @@ class UnsupportedOrderError(LookupError):
 class BudgetError(RuntimeError):
     """Base class for resource-budget overruns.  Never silently truncates."""
 
-    def __init__(self, message: str, *, spent: int, budget: int):
+    def __init__(self, message: str, *, spent: int | float, budget: int | float):
         self.spent = spent
         self.budget = budget
         super().__init__(f"{message} (spent {spent}, budget {budget})")

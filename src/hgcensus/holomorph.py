@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import CayleyGroup, automorphism_group, regular_representation
 from .errors import ConsistencyError
-from .perm import Perm, PermGroup, compose, inverse
+from .perm import Perm, PermGroup
 from .table import DEFAULT_TABLE_BUDGET, GroupTable
 
 _SPOT_CHECKS = 100
@@ -104,12 +104,12 @@ class HolomorphContext:
 
     # -- dense table ----------------------------------------------------------
 
-    def table(self, table_budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
+    def table(self) -> GroupTable:
         """Multiplication table of the holomorph over the rows of `perms`."""
         if self._table is None:
             # images of 0 and the generator points determine a holomorph element
             base = [0] + [g for g in self.group.distinguished_generators if g != 0]
-            self._table = GroupTable.from_perms(self.perms, table_budget, base=base)
+            self._table = GroupTable.from_perms(self.perms, DEFAULT_TABLE_BUDGET, base=base)
         return self._table
 
     # -- element operations ----------------------------------------------------
@@ -117,10 +117,6 @@ class HolomorphContext:
     def embed_element(self, a: int) -> Perm:
         """Left translation by group element a."""
         return tuple(int(v) for v in self.group.table[a])
-
-    def project_to_stabilizer(self, x: Perm) -> Perm:
-        """Automorphism part of x under the translation/stabilizer factorization."""
-        return compose(inverse(self.embed_element(x[0])), x)
 
     def __repr__(self) -> str:
         return f"HolomorphContext({self.group.name}, order={len(self.perms)})"

@@ -232,6 +232,19 @@ def orbit_labels(maps: np.ndarray) -> np.ndarray:
             lab = up
 
 
+def rows_in(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `rows` that are also rows of `members`."""
+
+    def keys(a: np.ndarray) -> np.ndarray:  # one byte-string key per row
+        a = np.ascontiguousarray(a, dtype=members.dtype)
+        return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+    known = np.sort(keys(members))
+    query = keys(rows)
+    pos = np.searchsorted(known, query).clip(max=len(known) - 1)
+    return known[pos] == query
+
+
 def orbit(g: PermGroup, x: int) -> frozenset[int]:
     """Orbit of the point x under g."""
     if not 0 <= x < g.degree:

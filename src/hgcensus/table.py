@@ -18,8 +18,8 @@ from .perm import Perm, orbit_labels
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
 
-# rows per block when locating inverses: keeps the m-wide boolean
-# temporary small next to the table itself
+# rows per block when locating inverses and validating: keeps the m-wide
+# temporaries small next to the table itself
 _ROW_BLOCK = 128
 
 
@@ -171,20 +171,27 @@ class GroupTable:
         generators covers every element the generators reach as left-normed
         products ((g1 g2) g3)..., which is what `closure_of` walks (right
         multiplication from 0).  Each generator costs one order^2 comparison.
+        The Latin and associativity comparisons run over blocks of
+        `_ROW_BLOCK` rows (and columns), so no temporary exceeds
+        block * order cells.
         """
         t = self.mul
         m = self.order
         rng = np.arange(m)
         if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
             raise StructureError(f"{what}: index 0 is not an identity")
-        if not ((np.sort(t, axis=1) == rng).all() and (np.sort(t, axis=0) == rng[:, None]).all()):
-            raise StructureError(f"{what}: rows/columns are not permutations")
+        blocks = [(lo, lo + _ROW_BLOCK) for lo in range(0, m, _ROW_BLOCK)]
+        for lo, hi in blocks:
+            if not ((np.sort(t[lo:hi], axis=1) == rng).all()
+                    and (np.sort(t[:, lo:hi], axis=0) == rng[:, None]).all()):
+                raise StructureError(f"{what}: rows/columns are not permutations")
         gens = self.generators()
         if len(self.closure_of(gens)) != m:
             raise StructureError(f"{what}: products of the generators miss elements")
         for g in gens:
-            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
-                raise StructureError(f"{what}: multiplication is not associative at generator {g}")
+            for lo, hi in blocks:
+                if not np.array_equal(t[t[lo:hi, g]], t[lo:hi][:, t[g]]):
+                    raise StructureError(f"{what}: multiplication is not associative at generator {g}")
 
     # -- basic per-element data -------------------------------------------
 

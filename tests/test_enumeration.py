@@ -93,15 +93,17 @@ def test_records_are_sorted_and_deterministic():
 
 
 def test_node_budget_is_enforced():
-    T = _ctx_of(8, "C2xC2xC2").table(table_budget=2000)
+    T = _ctx_of(8, "C2xC2xC2").table()
     with pytest.raises(SearchBudgetError):
         subgroup_classes(T, node_budget=50)
 
 
 def test_time_budget_is_enforced():
-    T = _ctx_of(8, "C2xC2xC2").table(table_budget=2000)
-    with pytest.raises(SearchBudgetError):
+    T = _ctx_of(8, "C2xC2xC2").table()
+    with pytest.raises(SearchBudgetError) as exc:
         subgroup_classes(T, time_budget=0.0)
+    assert exc.value.budget == 0.0  # seconds, not the node budget
+    assert isinstance(exc.value.spent, float)
 
 
 def test_table_with_stab_marks_the_point_stabilizer():

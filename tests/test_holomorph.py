@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hgcensus.actions import cocycle_decompose
 from hgcensus.catalog import groups_of_order
 from hgcensus.errors import BudgetError, ConsistencyError
 from hgcensus.holomorph import build_holomorph
@@ -58,10 +59,10 @@ def test_contains_both_translation_actions():
 def test_every_element_factors_as_translation_times_automorphism():
     g = groups_of_order(12)[1]
     ctx = build_holomorph(g)
-    for x in ctx.hol.sorted_elements:
-        alpha = ctx.project_to_stabilizer(x)
+    pi, gamma = cocycle_decompose(ctx, ctx.hol)
+    for x, a, alpha in zip(ctx.hol.sorted_elements, pi.tolist(), map(tuple, gamma.tolist())):
         assert alpha in ctx.aut.elements
-        assert compose(ctx.embed_element(x[0]), alpha) == x
+        assert compose(ctx.embed_element(a), alpha) == x
 
 
 def test_index_round_trip_and_translation_index_sets():

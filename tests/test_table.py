@@ -7,6 +7,7 @@ import pytest
 
 from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.errors import BudgetError, StructureError
+from hgcensus.holomorph import build_holomorph
 from hgcensus.perm import closure, compose, parse_cycles
 from hgcensus.table import GroupTable
 
@@ -218,6 +219,23 @@ def _swap_intercalate(t: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarr
     out = t.copy()
     out[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
     return out
+
+
+def test_validate_covers_the_last_row_and_column_block():
+    # Hol(Q8) has order 192, so validation runs over two blocks of rows
+    # and of columns; both defects sit in the second block only
+    q8 = next(g for g in groups_of_order(8) if g.name == "Q8")
+    t = build_holomorph(q8).table().mul
+    m = len(t)
+    assert m == 192
+    bad = t.copy()
+    bad[m - 1, [128, 129]] = t[m - 1, [129, 128]]  # the row stays a permutation
+    with pytest.raises(StructureError, match="not permutations"):
+        GroupTable(bad).validate("Hol(Q8)")
+    swapped = _swap_intercalate(t, 189, 191, 1, 3)
+    assert not _associative_by_all_triples(swapped)
+    with pytest.raises(StructureError, match="not associative"):
+        GroupTable(swapped).validate("Hol(Q8)")
 
 
 def test_validate_accepts_every_catalog_group():
