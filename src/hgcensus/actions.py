@@ -8,8 +8,8 @@ Yang-Baxter map of a brace, and realizes N as a regular subgroup of the
 symmetric group on the points of an external acting group.
 
 Every action, homomorphism and compatibility law here is checked on the
-generators of a table that has passed Light's test (`_acts`), and a skew
-brace is validated as the regular bracoid of its circle group.
+generators of a table that has passed Light's test (`GroupTable.acts`),
+and a skew brace is validated as the regular bracoid of its circle group.
 """
 
 from __future__ import annotations
@@ -20,23 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import CayleyGroup
+from .classify import is_stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext
-from .perm import Perm, PermGroup, compose, inverse, is_transitive, rows_in
+from .perm import Perm, PermGroup, is_transitive, rows_in
 from .table import GroupTable
-
-
-def _acts(T: GroupTable, rows: np.ndarray, what: str) -> bool:
-    """Whether rows[g h] = rows[g] o rows[h] for every pair of T's elements.
-
-    `rows[g]` is the map assigned to T's element g and rows[0] must be the
-    identity map.  After T passes `GroupTable.validate` (Light's test) it
-    is associative and `generators()` generate it; the elements g with
-    rows[g h] = rows[g] o rows[h] for every h are then closed under
-    products, so checking the generators covers every element.
-    """
-    T.validate(what)
-    return all(np.array_equal(rows[T.mul[g]], rows[g][rows]) for g in T.generators())
 
 
 @dataclass
@@ -62,8 +50,8 @@ class SkewBracoid:
         """Check the action law, transitivity and compatibility.
 
         Both laws are checked on the acting table's generators only, after
-        that table has passed Light's test (see `_acts`).  For compatibility
-        fix g, let c = a[g](e) and psi = c^-1 a[g]: g satisfies
+        that table has passed Light's test (see `GroupTable.acts`).  For
+        compatibility fix g, let c = a[g](e) and psi = c^-1 a[g]: g satisfies
         g(mu nu) = g(mu) g(e)^-1 g(nu) exactly when psi is an automorphism
         of the target, that is, when a[g] lies in its holomorph.  The
         passing elements are the preimage of the holomorph under the
@@ -75,7 +63,7 @@ class SkewBracoid:
             raise StructureError("bracoid: action table shape mismatch")
         if not np.array_equal(a[0], np.arange(n)):
             raise StructureError("bracoid: acting identity does not fix points")
-        if not _acts(T, a, "bracoid acting group"):
+        if not T.acts(a, "bracoid acting group"):
             raise StructureError("bracoid: action is not a group action")
         if len(np.unique(a[:, 0])) != n:
             raise StructureError("bracoid: action is not transitive")
@@ -191,7 +179,7 @@ def bracoid_from_subgroup(
         if action.shape != (g.order, M.degree) or not np.array_equal(action[0], np.arange(M.degree)):
             raise StructureError("delta must send the identity to the identity")
         acting = g.as_table()
-        if not _acts(acting, action, "delta's source group"):
+        if not acting.acts(action, "delta's source group"):
             raise StructureError("delta is not a homomorphism")
         image = np.unique(action, axis=0)
         if not np.array_equal(image, np.array(M.sorted_elements, dtype=np.int32)):
@@ -208,9 +196,9 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
     Returns (pi, gamma) over M's sorted elements: pi[i] is the point the
     element sends the identity to, gamma[i] the image row of its stabilizer
     part.  Verifies gamma lands in the automorphism group, that the gamma
-    rows multiply like M (on generators, see `_acts`), the twisted product
-    law for generators against every element, and exact recomposition of
-    the action.
+    rows multiply like M (on generators, see `GroupTable.acts`), the
+    twisted product law for generators against every element, and exact
+    recomposition of the action.
     """
     if M.degree != ctx.n:
         raise StructureError("subgroup does not live in this holomorph")
@@ -223,7 +211,7 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
     if not rows_in(gamma, ctx.perms[ctx.perms[:, 0] == 0]).all():
         raise ConsistencyError("stabilizer part is not an automorphism")
     T = GroupTable.from_perms(P)
-    if not _acts(T, gamma, "subgroup table"):
+    if not T.acts(gamma, "subgroup table"):
         raise ConsistencyError("automorphism parts do not multiply")
     gens = np.array(T.generators(), dtype=np.int64)
     # pi(s k) = pi(s) gamma_s(pi(k)) for each generator s and every element k
@@ -279,56 +267,44 @@ def ybe_solution(b: SkewBrace) -> YBESolution:
 
 
 def realize_regular_subgroup(
+    G: PermGroup,
     M: PermGroup,
     ctx: HolomorphContext,
-    phi: dict[Perm, Perm],
+    phi: np.ndarray,
 ) -> PermGroup:
     """Regular image of N on the points of an external acting group.
 
-    `phi` maps each element of a transitive group G (basepoint 0) onto M,
-    respecting point stabilizers.  Points of G correspond to carrier points
-    of N via evaluation at the basepoint; conjugating N's left translations
-    through that bijection gives a regular subgroup normalized by G.
+    `phi` is an index map over sorted elements: G's element i goes to M's
+    element phi[i].  It must be an isomorphism of the transitive group G
+    (basepoint 0) onto M respecting point stabilizers.  Points of G
+    correspond to carrier points of N via evaluation at the basepoint;
+    conjugating N's left translations through that bijection gives a
+    regular subgroup normalized by G.  Normalization is checked on G's
+    generators, since the elements that normalize a group form a subgroup.
     """
-    dom = sorted(phi)
-    if not dom:
-        raise StructureError("empty isomorphism")
-    deg = len(dom[0])
-    if len({phi[p] for p in dom}) != len(dom) or {phi[p] for p in dom} != set(M.elements):
-        raise StructureError("map is not a bijection onto the subgroup")
-    if dom[0] != tuple(range(deg)) or phi[dom[0]] != tuple(range(M.degree)):
-        raise StructureError("map does not preserve the identity")
-    if not _acts(GroupTable.from_perms(dom), np.array([phi[p] for p in dom]), "acting group"):
-        raise StructureError("map is not a homomorphism")
-    for p in dom:
-        if (p[0] == 0) != (phi[p][0] == 0):
-            raise StructureError("map does not respect point stabilizers")
-
+    P = np.array(G.sorted_elements, dtype=np.int64)
+    Q = np.array(M.sorted_elements, dtype=np.int64)
+    if not is_stab_respecting_iso(phi, GroupTable.from_perms(G.sorted_elements), P, Q):
+        raise StructureError("map is not a stabilizer-respecting isomorphism onto the subgroup")
     n = ctx.n
-    if deg * sum(1 for p in dom if p[0] == 0) != len(dom) or deg != n:
+    if P.shape[1] != n or n * int((P[:, 0] == 0).sum()) != len(P):
         raise StructureError("coset space size does not match the carrier")
-    bar = [-1] * n
-    for p in dom:
-        v = phi[p][0]
-        if bar[p[0]] == -1:
-            bar[p[0]] = v
-        elif bar[p[0]] != v:
-            raise StructureError("point correspondence is not well defined")
-    bar_perm = tuple(bar)
-    if sorted(bar_perm) != list(range(n)):
+    bar = np.full(n, -1, dtype=np.int64)
+    bar[P[:, 0]] = Q[phi, 0]
+    if not np.array_equal(bar[P[:, 0]], Q[phi, 0]):
+        raise StructureError("point correspondence is not well defined")
+    if not np.array_equal(np.sort(bar), np.arange(n)):
         raise StructureError("point correspondence is not a bijection")
-    bar_inv = inverse(bar_perm)
 
-    alphas = [compose(bar_inv, compose(ctx.embed_element(a), bar_perm)) for a in range(n)]
-    alpha_set = frozenset(alphas)
-    if len(alpha_set) != n or len({p[0] for p in alphas}) != n:
+    alphas = np.argsort(bar)[ctx.group.table[:, bar]]  # bar^-1 . lambda_a . bar
+    if len(np.unique(alphas[:, 0])) != n:
         raise ConsistencyError("realized image is not regular")
-    for g in dom:
-        for a in ctx.group.distinguished_generators:
-            if compose(g, compose(alphas[a], inverse(g))) not in alpha_set:
-                raise ConsistencyError("realized image is not normalized by the acting group")
-    gens = [alphas[a] for a in ctx.group.distinguished_generators] or [alphas[0]]
-    return PermGroup(gens, n, _elements=alpha_set)
+    for g in np.array(G.generators, dtype=np.int64):
+        if not rows_in(g[alphas[:, np.argsort(g)]], alphas).all():
+            raise ConsistencyError("realized image is not normalized by the acting group")
+    rows = alphas.tolist()
+    gens = [rows[a] for a in ctx.group.distinguished_generators] or [rows[0]]
+    return PermGroup(gens, n, _elements=frozenset(map(tuple, rows)))
 
 
 __all__ = [

@@ -1,7 +1,8 @@
 """Catalog of finite groups by multiplication table.
 
-Groups are loaded from a line-oriented data file of generator permutations
-(see catalog_data.txt) or built directly from structure formulas.  Element 0
+Every group is built from permutation generators by
+`CayleyGroup.from_perm_generators`: those of a line-oriented data file (see
+catalog_data.txt) or those of a faithful action written in code.  Element 0
 is always the identity; distinguished generators are element indices known to
 generate the whole group.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import shlex
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,33 +70,6 @@ class CayleyGroup:
         group._gt = gt
         group.validate()
         return group
-
-    @classmethod
-    def from_elements(
-        cls,
-        name: str,
-        elements: Sequence,
-        mult: Callable,
-        identity,
-        generators: Sequence,
-        structure: str = "",
-    ) -> "CayleyGroup":
-        """Build from abstract carrier values and a multiplication callable."""
-        rest = sorted(e for e in elements if e != identity)
-        ordered = [identity] + rest
-        index = {e: i for i, e in enumerate(ordered)}
-        n = len(ordered)
-        table = np.empty((n, n), dtype=np.int16)
-        for i, a in enumerate(ordered):
-            for j, b in enumerate(ordered):
-                c = mult(a, b)
-                if c not in index:
-                    raise StructureError(f"{name}: product {c!r} not in carrier")
-                table[i, j] = index[c]
-        g = cls(name, table, tuple(index[x] for x in generators), structure)
-        g.element_values = list(ordered)
-        g.value_index = index
-        return g
 
     # -- contracts ------------------------------------------------------------
 

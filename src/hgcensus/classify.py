@@ -19,7 +19,7 @@ from .catalog import GroupInvariants, invariants
 from .enumeration import TransitiveClassRecord
 from .errors import ConsistencyError
 from .iso import IsoSearch
-from .perm import Perm, PermGroup
+from .perm import PermGroup
 from .table import GroupTable
 
 
@@ -50,10 +50,11 @@ class EquivalenceClass:
         return [rec for _, rec in self.members]
 
 
-def stab_respecting_iso(g1: PermGroup, g2: PermGroup) -> Optional[dict[Perm, Perm]]:
+def stab_respecting_iso(g1: PermGroup, g2: PermGroup) -> Optional[np.ndarray]:
     """Isomorphism g1 -> g2 carrying point-0 stabilizer onto point-0
-    stabilizer, or None.  The stabilizer constraint prunes the search
-    rather than filtering afterwards."""
+    stabilizer, or None.  The result is an index map over the sorted
+    elements: g1's element i goes to g2's element phi[i].  The stabilizer
+    constraint prunes the search rather than filtering afterwards."""
     if g1.order != g2.order:
         return None
     e1 = g1.sorted_elements
@@ -63,10 +64,24 @@ def stab_respecting_iso(g1: PermGroup, g2: PermGroup) -> Optional[dict[Perm, Per
     if len(s1) != len(s2):
         return None
     search = IsoSearch(GroupTable.from_perms(e1), GroupTable.from_perms(e2), marked1=s1, marked2=s2)
-    img = search.run("first")
-    if img is None:
-        return None
-    return {e1[i]: e2[int(img[i])] for i in range(len(e1))}
+    return search.run("first")
+
+
+def is_stab_respecting_iso(
+    phi: np.ndarray, T1: GroupTable, rows1: np.ndarray, rows2: np.ndarray
+) -> bool:
+    """Whether the index map phi is an isomorphism that carries the point-0
+    stabilizer onto the point-0 stabilizer.
+
+    `rows1` and `rows2` hold two permutation groups' sorted elements, `T1`
+    is the table of `rows1`, and phi[i] indexes the image of rows1[i] in
+    rows2.  phi must be a bijection matching stabilizer to stabilizer, and
+    the homomorphism law is `T1.acts` on the image rows.
+    """
+    if len(phi) != len(rows1) or not np.array_equal(np.sort(phi), np.arange(len(rows2))):
+        return False
+    image = rows2[phi]
+    return np.array_equal(rows1[:, 0] == 0, image[:, 0] == 0) and T1.acts(image, "source group")
 
 
 def _bucket_key(T: GroupTable, mask: np.ndarray, inv: GroupInvariants):
@@ -143,5 +158,6 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
 __all__ = [
     "EquivalenceClass",
     "stab_respecting_iso",
+    "is_stab_respecting_iso",
     "classify_degree",
 ]

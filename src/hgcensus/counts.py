@@ -164,7 +164,7 @@ def _minimal_block(gens: list[list[int]], n: int, seed: frozenset[int], extra: i
     return frozenset(x for x in range(n) if find(x) == root)
 
 
-def intermediate_field_count(record: TransitiveClassRecord, block_budget: int = DEFAULT_BLOCK_BUDGET) -> int:
+def intermediate_field_count(record: TransitiveClassRecord) -> int:
     """Number of subgroups of the record's group containing its stabilizer.
 
     Equals the number of invariant blocks through point 0: the block of
@@ -189,11 +189,11 @@ def intermediate_field_count(record: TransitiveClassRecord, block_budget: int = 
                 continue
             joined = _minimal_block(gens, n, b, next(iter(a - b)))
             if joined not in blocks:
-                if len(blocks) >= block_budget:
+                if len(blocks) >= DEFAULT_BLOCK_BUDGET:
                     raise SearchBudgetError(
                         "block lattice walk exceeded budget",
                         spent=len(blocks),
-                        budget=block_budget,
+                        budget=DEFAULT_BLOCK_BUDGET,
                     )
                 blocks.add(joined)
                 frontier.append(joined)
@@ -219,12 +219,9 @@ def hopf_subalgebra_count(record: TransitiveClassRecord) -> int:
     return int(ok.sum())
 
 
-def bijective_correspondence(
-    record: TransitiveClassRecord,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-) -> tuple[bool, int, int]:
+def bijective_correspondence(record: TransitiveClassRecord) -> tuple[bool, int, int]:
     """(counts match?, intermediate field count, Hopf subalgebra count)."""
-    fields = intermediate_field_count(record, block_budget)
+    fields = intermediate_field_count(record)
     hopfs = hopf_subalgebra_count(record)
     return (fields == hopfs, fields, hopfs)
 
@@ -264,7 +261,6 @@ def build_degree_census(
     time_budget: float = DEFAULT_TIME_BUDGET,
     skip_ac: bool = False,
     skip_bc: bool = False,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
 ) -> DegreeCensus:
     """Run the full pipeline for one degree.
 
@@ -318,7 +314,7 @@ def build_degree_census(
     else:
         try:
             for i, rec in enumerate(records):
-                ok, fields, hopfs = bijective_correspondence(rec, block_budget=block_budget)
+                ok, fields, hopfs = bijective_correspondence(rec)
                 bc_flags[i] = ok
                 bc_counts[i] = (fields, hopfs)
             bc_hgs = _as_int(

@@ -1,10 +1,15 @@
 """Groups of order 2pq, their holomorphs, and verified witness subgroups.
 
 For distinct odd primes p > q there are four groups of order 2pq, six when
-p is 1 mod q.  Each is built from coordinates with an explicit product rule,
-its automorphism group is generated by a handful of named maps, and the
+p is 1 mod q.  Each is built from a small faithful permutation action, its
+automorphism group is generated by a handful of named maps, and the
 witness subgroups showing which abstract groups act transitively on which
 carriers are constructed generator-by-generator and checked.
+
+A named automorphism is given by the images of the distinguished
+generators x, r, s.  One word walk expands it to an index array over the
+group's elements, accepted only if that array is a row of the verified
+Aut(N); maps compose and take powers by array indexing.
 
 Named automorphism keys, by what the map does:
   scale_x        multiplies the direct cyclic factor (identity elsewhere)
@@ -19,16 +24,16 @@ Named automorphism keys, by what the map does:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .catalog import CayleyGroup, invariants
-from .classify import stab_respecting_iso
+from .classify import is_stab_respecting_iso, stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
-from .perm import Perm, PermGroup, compose, is_transitive, perm_order, rows_in
+from .perm import PermGroup, is_transitive, rows_in
 from .table import GroupTable
 
 
@@ -70,6 +75,18 @@ def _crt(rp: int, p: int, rq: int, q: int) -> int:
     raise StructureError("no CRT solution")
 
 
+def _affine(head: list[int], m: int, a: int, c: int) -> list[int]:
+    """`head`, then v -> a v + c on Z_m written on the points after it."""
+    return head + [len(head) + (a * v + c) % m for v in range(m)]
+
+
+def _map_power(a: np.ndarray, e: int) -> np.ndarray:
+    out = np.arange(len(a))
+    for _ in range(e):
+        out = out[a]
+    return out
+
+
 @dataclass
 class GroupData:
     """One order-2pq group with its context and named maps."""
@@ -77,11 +94,41 @@ class GroupData:
     group: CayleyGroup
     ctx: HolomorphContext
     gen_index: dict[str, int]
-    autos: dict[str, Perm]
+    autos: dict[str, np.ndarray]
 
-    def embed(self, key: str) -> Perm:
+    def embed(self, key: str) -> np.ndarray:
         """Left translation by the named generator."""
-        return self.ctx.embed_element(self.gen_index[key])
+        return self.group.table[self.gen_index[key]]
+
+    def power(self, key: str, e: int) -> int:
+        """Index of the named generator's e-th power."""
+        out = 0
+        for _ in range(e):
+            out = int(self.group.table[out, self.gen_index[key]])
+        return out
+
+    def auto(self, **images: int) -> np.ndarray:
+        """The automorphism sending the named generators to the given
+        elements and fixing the others, as an index array.
+
+        One word walk over the generators expands the images; the array is
+        accepted only if it is a row of Aut(N).
+        """
+        t = self.group.table
+        pairs = [(g, images.get(k, g)) for k, g in self.gen_index.items()]
+        phi = np.full(self.group.order, -1, dtype=np.int64)
+        phi[0] = 0
+        walk = [0]
+        for a in walk:
+            for g, b in pairs:
+                ag = int(t[a, g])
+                if phi[ag] < 0:
+                    phi[ag] = t[phi[a], b]
+                    walk.append(ag)
+        perms = self.ctx.perms
+        if not rows_in(phi[None, :], perms[perms[:, 0] == 0])[0]:
+            raise StructureError(f"{self.group.name}: {images} extends to no automorphism")
+        return phi
 
 
 @dataclass
@@ -105,26 +152,11 @@ class WitnessReport:
     abstract: str
 
 
-def _auto_perm(g: CayleyGroup, value_map: Callable) -> Perm:
-    """Permutation of carrier indices induced by a map on carrier values."""
-    idx = g.value_index
-    images = [idx[value_map(v)] for v in g.element_values]
-    if sorted(images) != list(range(g.order)):
-        raise StructureError("map on carrier values is not a bijection")
-    arr = np.array(images)
-    t = g.table
-    if not np.array_equal(arr[t], t[np.ix_(arr, arr)]):
-        raise StructureError("map on carrier values is not multiplicative")
-    return tuple(images)
-
-
-def _geom_sum(ratio: int, e: int, mod: int) -> int:
-    """1 + ratio + ... + ratio^(e-1) mod mod."""
-    total, cur = 0, 1
-    for _ in range(e):
-        total = (total + cur) % mod
-        cur = cur * ratio % mod
-    return total
+def _member(name: str, structure: str, gens: dict[str, list[int]]) -> GroupData:
+    """A family group from permutation generators in their x/r/s roles."""
+    perms = list(gens.values())
+    g = CayleyGroup.from_perm_generators(name, perms, len(perms[0]), structure=structure)
+    return GroupData(g, build_holomorph(g), dict(zip(gens, g.distinguished_generators)), {})
 
 
 def build_family(p: int, q: int) -> Degree2pqFamily:
@@ -134,106 +166,66 @@ def build_family(p: int, q: int) -> Degree2pqFamily:
     n = 2 * p * q
     members: list[GroupData] = []
 
-    # cyclic: carrier Z_{2pq}
-    c = CayleyGroup.from_elements(
-        f"C{n}", list(range(n)), lambda a, b: (a + b) % n, 0, [1],
-        structure=f"C{n}",
-    )
+    def shift_refl(g: GroupData) -> np.ndarray:  # s -> r s
+        return g.auto(s=int(g.group.table[g.gen_index["r"], g.gen_index["s"]]))
+
+    # cyclic: one 2pq-cycle
+    c = _member(f"C{n}", f"C{n}", {"x": _affine([], n, 1, 1)})
     ap = _crt(_element_of_order(p, p - 1), p, 1, 2 * q)
     aq = _crt(_element_of_order(q, q - 1), q, 1, 2 * p)
-    autos1 = {
-        "scale_p_part": _auto_perm(c, lambda v: v * ap % n),
-        "scale_q_part": _auto_perm(c, lambda v: v * aq % n),
+    c.autos = {
+        "scale_p_part": c.auto(x=c.power("x", ap)),
+        "scale_q_part": c.auto(x=c.power("x", aq)),
     }
-    members.append(GroupData(c, build_holomorph(c), {"x": c.value_index[1]}, autos1))
+    members.append(c)
 
-    # direct product of C_p and the dihedral group on q points
-    def dp_mul(cyc_mod: int, dih_mod: int):
-        def mul(a, b):
-            return (
-                (a[0] + b[0]) % cyc_mod,
-                (a[1] + (-b[1] if a[2] else b[1])) % dih_mod,
-                (a[2] + b[2]) % 2,
-            )
-        return mul
-
-    for cyc, dih, tag in ((p, q, 2), (q, p, 3)):
-        vals = [(x, j, e) for x in range(cyc) for j in range(dih) for e in range(2)]
-        g = CayleyGroup.from_elements(
-            f"C{cyc}xD{dih}", vals, dp_mul(cyc, dih), (0, 0, 0),
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-            structure=f"C{cyc} x D{dih}",
-        )
-        a = _element_of_order(cyc, cyc - 1)
-        b = _element_of_order(dih, dih - 1)
-        autos = {
-            "scale_x": _auto_perm(g, lambda v, a=a, m=cyc: (v[0] * a % m, v[1], v[2])),
-            "shift_refl": _auto_perm(g, lambda v, m=dih: (v[0], (v[1] + v[2]) % m, v[2])),
-            "scale_rot": _auto_perm(g, lambda v, b=b, m=dih: (v[0], v[1] * b % m, v[2])),
+    # direct product of a cyclic group and a dihedral group: a cycle on the
+    # first points, rotation and reflection of Z_dih on the rest
+    for cyc, dih in ((p, q), (q, p)):
+        fixed = list(range(cyc))
+        g = _member(f"C{cyc}xD{dih}", f"C{cyc} x D{dih}", {
+            "x": _affine(_affine([], cyc, 1, 1), dih, 1, 0),
+            "r": _affine(fixed, dih, 1, 1),
+            "s": _affine(fixed, dih, -1, 0),
+        })
+        g.autos = {
+            "scale_x": g.auto(x=g.power("x", _element_of_order(cyc, cyc - 1))),
+            "shift_refl": shift_refl(g),
+            "scale_rot": g.auto(r=g.power("r", _element_of_order(dih, dih - 1))),
         }
-        gi = {"x": g.value_index[(1, 0, 0)], "r": g.value_index[(0, 1, 0)],
-              "s": g.value_index[(0, 0, 1)]}
-        members.append(GroupData(g, build_holomorph(g), gi, autos))
+        members.append(g)
 
     # dihedral on pq points
     m = p * q
-    vals4 = [(j, e) for j in range(m) for e in range(2)]
-    d = CayleyGroup.from_elements(
-        f"D{m}", vals4,
-        lambda a, b: ((a[0] + (-b[0] if a[1] else b[0])) % m, (a[1] + b[1]) % 2),
-        (0, 0), [(1, 0), (0, 1)],
-        structure=f"D{m}",
-    )
-    bp = _crt(_element_of_order(p, p - 1), p, 1, q)
-    bq = _crt(1, p, _element_of_order(q, q - 1), q)
-    autos4 = {
-        "shift_refl": _auto_perm(d, lambda v: ((v[0] + v[1]) % m, v[1])),
-        "scale_rot_p": _auto_perm(d, lambda v: (v[0] * bp % m, v[1])),
-        "scale_rot_q": _auto_perm(d, lambda v: (v[0] * bq % m, v[1])),
+    d = _member(f"D{m}", f"D{m}", {"r": _affine([], m, 1, 1), "s": _affine([], m, -1, 0)})
+    d.autos = {
+        "shift_refl": shift_refl(d),
+        "scale_rot_p": d.auto(r=d.power("r", _crt(_element_of_order(p, p - 1), p, 1, q))),
+        "scale_rot_q": d.auto(r=d.power("r", _crt(1, p, _element_of_order(q, q - 1), q))),
     }
-    gi4 = {"r": d.value_index[(1, 0)], "s": d.value_index[(0, 1)]}
-    members.append(GroupData(d, build_holomorph(d), gi4, autos4))
+    members.append(d)
 
     k = None
     if (p - 1) % q == 0:
-        for cand in range(2, p):
-            if _mult_order(cand, p) == q:
-                k = cand
-                break
+        k = next(cand for cand in range(2, p) if _mult_order(cand, p) == q)
         b5 = _element_of_order(p, p - 1)
-
-        vals5 = [(x, j, e) for x in range(2) for j in range(p) for e in range(q)]
-        g5 = CayleyGroup.from_elements(
-            f"C2x(C{p}:C{q})", vals5,
-            lambda a, b: ((a[0] + b[0]) % 2, (a[1] + pow(k, a[2], p) * b[1]) % p,
-                          (a[2] + b[2]) % q),
-            (0, 0, 0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-            structure=f"C2 x (C{p} : C{q})",
-        )
-        autos5 = {
-            "shift_refl": _auto_perm(
-                g5, lambda v: (v[0], (v[1] + _geom_sum(k, v[2], p)) % p, v[2])),
-            "scale_rot": _auto_perm(g5, lambda v: (v[0], v[1] * b5 % p, v[2])),
-        }
-        gi5 = {"x": g5.value_index[(1, 0, 0)], "r": g5.value_index[(0, 1, 0)],
-               "s": g5.value_index[(0, 0, 1)]}
-        members.append(GroupData(g5, build_holomorph(g5), gi5, autos5))
-
-        kk = (-k) % p
-        vals6 = [(j, e) for j in range(p) for e in range(2 * q)]
-        g6 = CayleyGroup.from_elements(
-            f"C{p}:C{2 * q}", vals6,
-            lambda a, b: ((a[0] + pow(kk, a[1], p) * b[0]) % p, (a[1] + b[1]) % (2 * q)),
-            (0, 0), [(1, 0), (0, 1)],
-            structure=f"C{p} : C{2 * q}",
-        )
-        autos6 = {
-            "shift_refl": _auto_perm(
-                g6, lambda v: ((v[0] + _geom_sum(kk, v[1], p)) % p, v[1])),
-            "scale_rot": _auto_perm(g6, lambda v: (v[0] * b5 % p, v[1])),
-        }
-        gi6 = {"r": g6.value_index[(1, 0)], "s": g6.value_index[(0, 1)]}
-        members.append(GroupData(g6, build_holomorph(g6), gi6, autos6))
+        # C2 x (C_p : C_q): a transposition, then v -> v + 1 and v -> k v on Z_p
+        g5 = _member(f"C2x(C{p}:C{q})", f"C2 x (C{p} : C{q})", {
+            "x": _affine([1, 0], p, 1, 0),
+            "r": _affine([0, 1], p, 1, 1),
+            "s": _affine([0, 1], p, k, 0),
+        })
+        # C_p : C_2q: v -> v + 1 and v -> -k v on Z_p
+        g6 = _member(f"C{p}:C{2 * q}", f"C{p} : C{2 * q}", {
+            "r": _affine([], p, 1, 1),
+            "s": _affine([], p, -k, 0),
+        })
+        for g in (g5, g6):
+            g.autos = {
+                "shift_refl": shift_refl(g),
+                "scale_rot": g.auto(r=g.power("r", b5)),
+            }
+            members.append(g)
 
     fam = Degree2pqFamily(p, q, k, members)
     _verify_family(fam)
@@ -258,29 +250,26 @@ def _verify_family(fam: Degree2pqFamily) -> None:
                 f"{gd.group.name}: automorphism group has order {gd.ctx.aut.order}, "
                 f"expected {expected_aut[i]}"
             )
-        aut_set = gd.ctx.aut.elements
-        for name, a in gd.autos.items():
-            if a not in aut_set:
-                raise ConsistencyError(f"{gd.group.name}: {name} is not an automorphism")
-        gen_group = PermGroup(list(gd.autos.values()), fam.order)
+        gen_group = PermGroup([a.tolist() for a in gd.autos.values()], fam.order)
         if gen_group.order != gd.ctx.aut.order:
             raise ConsistencyError(f"{gd.group.name}: named maps do not generate Aut")
 
 
-def _psi_power_matching_inverse(gd: GroupData, key: str, r_index: int) -> Perm:
+def _power_inverting_r(gd: GroupData, key: str) -> np.ndarray:
     """Power of the named rotation-scaling map sending r to its inverse."""
     base = gd.autos[key]
-    r_inv = int(gd.group.as_table().inv[r_index])
+    r = gd.gen_index["r"]
+    r_inv = int(gd.group.as_table().inv[r])
     cur = base
-    for _ in range(perm_order(base)):
-        if cur[r_index] == r_inv:
-            return cur
-        cur = compose(cur, base)
-    raise ConsistencyError(f"{gd.group.name}: no power of {key} inverts the rotation")
+    while cur[r] != r_inv:
+        cur = cur[base]
+        if np.array_equal(cur, base):
+            raise ConsistencyError(f"{gd.group.name}: no power of {key} inverts the rotation")
+    return cur
 
 
-def _subgroup(ctx: HolomorphContext, gens: list[Perm]) -> PermGroup:
-    g = PermGroup(gens, ctx.n)
+def _subgroup(ctx: HolomorphContext, gens: list[np.ndarray]) -> PermGroup:
+    g = PermGroup([a.tolist() for a in gens], ctx.n)
     if not rows_in(np.array(g.sorted_elements), ctx.perms).all():
         raise ConsistencyError("witness subgroup escapes the holomorph")
     return g
@@ -299,8 +288,7 @@ def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
     return int(ok.sum())
 
 
-def _assert_abstract_type(sub: PermGroup, model: CayleyGroup, what: str) -> None:
-    t1 = GroupTable.from_perms(sub.sorted_elements)
+def _assert_abstract_type(t1: GroupTable, model: CayleyGroup, what: str) -> None:
     t2 = model.as_table()
     if invariants(t1) != invariants(t2) or IsoSearch(t1, t2).run("first") is None:
         raise ConsistencyError(f"{what} is not isomorphic to {model.name}")
@@ -324,31 +312,25 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
     out: dict[str, WitnessReport] = {}
 
     for name, gd in (("M2", n2), ("M3", n3)):
-        psi_inv = _psi_power_matching_inverse(gd, "scale_rot", gd.gen_index["r"])
-        sub = _subgroup(gd.ctx, [gd.embed("x"), gd.embed("r"),
-                                 compose(gd.embed("s"), psi_inv)])
+        psi_inv = _power_inverting_r(gd, "scale_rot")
+        sub = _subgroup(gd.ctx, [gd.embed("x"), gd.embed("r"), gd.embed("s")[psi_inv]])
         _assert_regular(sub, fam.order, name)
-        _assert_abstract_type(sub, n1.group, name)
+        _assert_abstract_type(GroupTable.from_perms(sub.sorted_elements), n1.group, name)
         norm = _hol_normalizer_order(gd.ctx, sub)
         if norm != full:
             raise ConsistencyError(f"{name}: normalizer order {norm}, expected {full}")
         out[name] = WitnessReport(name, gd.group.name, sub, norm, n1.group.name)
 
-    t4 = n4.group.table
-    r4 = n4.gen_index["r"]
     m = p * q
-
-    def psi4(unit: int) -> Perm:
-        return _auto_perm(n4.group, lambda v: (v[0] * unit % m, v[1]))
-
     for name, unit, model in (
         ("M4", m - 1, n1.group),
         ("J2", _crt(-1, p, 1, q), n2.group),
         ("J3", _crt(1, p, -1, q), n3.group),
     ):
-        sub = _subgroup(n4.ctx, [n4.embed("r"), compose(n4.embed("s"), psi4(unit))])
+        psi4 = n4.auto(r=n4.power("r", unit))
+        sub = _subgroup(n4.ctx, [n4.embed("r"), n4.embed("s")[psi4]])
         _assert_regular(sub, fam.order, name)
-        _assert_abstract_type(sub, model, name)
+        _assert_abstract_type(GroupTable.from_perms(sub.sorted_elements), model, name)
         norm = _hol_normalizer_order(n4.ctx, sub)
         expected = {"M4": full, "J2": q * full, "J3": p * full}[name]
         if norm != expected:
@@ -363,27 +345,16 @@ def _cyclic_by_affine_model(p: int, q: int) -> CayleyGroup:
     Acts on 2q + p points: a 2q-cycle on the first 2q, and on the last p,
     read as Z_p, the translation v -> v + 1 and the scaling v -> g0 v.
     """
-    g0 = _element_of_order(p, p - 1)
     c = list(range(2 * q))
     gens = [
-        c[1:] + c[:1] + [2 * q + v for v in range(p)],
-        c + [2 * q + (v + 1) % p for v in range(p)],
-        c + [2 * q + g0 * v % p for v in range(p)],
+        _affine(_affine([], 2 * q, 1, 1), p, 1, 0),
+        _affine(c, p, 1, 1),
+        _affine(c, p, _element_of_order(p, p - 1), 0),
     ]
     return CayleyGroup.from_perm_generators(
         f"C{2 * q}x(C{p}:C{p - 1})", gens, 2 * q + p,
         structure=f"C{2 * q} x (C{p} : C{p - 1})",
     )
-
-
-def _check_iso_map(phi: dict[Perm, Perm], g1: PermGroup, g2: PermGroup) -> bool:
-    if set(phi) != set(g1.elements) or set(phi.values()) != set(g2.elements):
-        return False
-    for s in g1.generators:
-        for x in g1.elements:
-            if phi[compose(s, x)] != compose(phi[s], phi[x]):
-                return False
-    return all((x[0] == 0) == (phi[x][0] == 0) for x in phi)
 
 
 def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
@@ -396,80 +367,72 @@ def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
     p, q = fam.p, fam.q
     target = 2 * p * q * (p - 1)
     model = _cyclic_by_affine_model(p, q)
-    subs: list[tuple[str, PermGroup, Perm]] = []
+    subs: list[tuple[str, PermGroup, np.ndarray]] = []
 
     n1 = fam.members[0]
     subs.append(("M1", _subgroup(n1.ctx, [n1.embed("x"), n1.autos["scale_p_part"]]),
                  n1.autos["scale_p_part"]))
 
     n2 = fam.members[1]
-    psi_inv2 = _psi_power_matching_inverse(n2, "scale_rot", n2.gen_index["r"])
-    subs.append(("M2", _subgroup(n2.ctx, [n2.embed("x"), n2.embed("r"),
-                                          compose(n2.embed("s"), psi_inv2),
+    psi_inv2 = _power_inverting_r(n2, "scale_rot")
+    subs.append(("M2", _subgroup(n2.ctx, [n2.embed("x"), n2.embed("r"), n2.embed("s")[psi_inv2],
                                           n2.autos["scale_x"]]),
                  n2.autos["scale_x"]))
 
     n3 = fam.members[2]
-    phi3 = n3.autos["shift_refl"]
-    phi3_pow = phi3
-    for _ in range(p - 3):
-        phi3_pow = compose(phi3_pow, phi3)  # p-2 shifts realize the -2 twist
-    subs.append(("M3", _subgroup(n3.ctx, [n3.embed("x"),
-                                          compose(n3.embed("r"), phi3_pow),
-                                          n3.embed("s"), n3.autos["scale_rot"]]),
+    phi3 = _map_power(n3.autos["shift_refl"], p - 2)  # p-2 shifts realize the -2 twist
+    subs.append(("M3", _subgroup(n3.ctx, [n3.embed("x"), n3.embed("r")[phi3], n3.embed("s"),
+                                          n3.autos["scale_rot"]]),
                  n3.autos["scale_rot"]))
 
     n4 = fam.members[3]
-    phi4 = n4.autos["shift_refl"]
-    phi4_pow = phi4
-    for _ in range(p * q - 3):
-        phi4_pow = compose(phi4_pow, phi4)
-    subs.append(("M4", _subgroup(n4.ctx, [compose(n4.embed("r"), phi4_pow),
-                                          n4.embed("s"), n4.autos["scale_rot_p"]]),
+    phi4 = _map_power(n4.autos["shift_refl"], p * q - 2)
+    subs.append(("M4", _subgroup(n4.ctx, [n4.embed("r")[phi4], n4.embed("s"),
+                                          n4.autos["scale_rot_p"]]),
                  n4.autos["scale_rot_p"]))
 
     if fam.k is not None:
         kinv = pow(fam.k, -1, p)
         n5 = fam.members[4]
-        psi_k5 = _auto_perm(n5.group, lambda v: (v[0], v[1] * kinv % p, v[2]))
-        subs.append(("M5", _subgroup(n5.ctx, [n5.embed("x"), n5.embed("s"),
-                                              compose(n5.embed("r"), psi_k5),
+        psi_k5 = n5.auto(r=n5.power("r", kinv))
+        subs.append(("M5", _subgroup(n5.ctx, [n5.embed("x"), n5.embed("s"), n5.embed("r")[psi_k5],
                                               n5.autos["scale_rot"]]),
                      n5.autos["scale_rot"]))
         n6 = fam.members[5]
-        psi_k6 = _auto_perm(n6.group, lambda v: (v[0] * kinv % p, v[1]))
-        subs.append(("M6", _subgroup(n6.ctx, [n6.embed("s"),
-                                              compose(n6.embed("r"), psi_k6),
+        psi_k6 = n6.auto(r=n6.power("r", kinv))
+        subs.append(("M6", _subgroup(n6.ctx, [n6.embed("s"), n6.embed("r")[psi_k6],
                                               n6.autos["scale_rot"]]),
                      n6.autos["scale_rot"]))
 
     reports = []
+    rows = [np.array(sub.sorted_elements) for _, sub, _ in subs]
+    tables = [GroupTable.from_perms(sub.sorted_elements) for _, sub, _ in subs]
     for i, (name, sub, stab_gen) in enumerate(subs):
         host = fam.members[i].group.name
         if sub.order != target:
             raise ConsistencyError(f"{name}: order {sub.order}, expected {target}")
         if not is_transitive(sub):
             raise ConsistencyError(f"{name} is not transitive")
-        stab = frozenset(g for g in sub.elements if g[0] == 0)
-        if stab != PermGroup([stab_gen], fam.order).elements:
+        powers = [np.arange(fam.order)]
+        while not np.array_equal(powers[-1][stab_gen], powers[0]):
+            powers.append(powers[-1][stab_gen])
+        if not np.array_equal(rows[i][rows[i][:, 0] == 0], np.unique(powers, axis=0)):
             raise ConsistencyError(f"{name}: stabilizer is not the named scaling map")
-        _assert_abstract_type(sub, model, name)
+        _assert_abstract_type(tables[i], model, name)
         reports.append(WitnessReport(name, host, sub, None, model.name))
 
     # chain the expensive searches, then compose and re-verify every pair
-    maps: dict[tuple[int, int], dict[Perm, Perm]] = {}
+    steps = []
     for i in range(len(subs) - 1):
         phi = stab_respecting_iso(subs[i][1], subs[i + 1][1])
         if phi is None:
             raise ConsistencyError(f"{subs[i][0]} and {subs[i + 1][0]} are not matched")
-        maps[(i, i + 1)] = phi
+        steps.append(phi)
     for i in range(len(subs)):
+        phi = np.arange(target)
         for j in range(i + 1, len(subs)):
-            phi: dict[Perm, Perm] = {g: g for g in subs[i][1].elements}
-            for step in range(i, j):
-                nxt = maps[(step, step + 1)]
-                phi = {g: nxt[v] for g, v in phi.items()}
-            if not _check_iso_map(phi, subs[i][1], subs[j][1]):
+            phi = steps[j - 1][phi]
+            if not is_stab_respecting_iso(phi, tables[i], rows[i], rows[j]):
                 raise ConsistencyError(
                     f"{subs[i][0]} -> {subs[j][0]} composition is not a matched isomorphism"
                 )

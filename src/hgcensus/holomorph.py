@@ -9,7 +9,8 @@ closure; consistency of the factorization is spot-checked at build time.
 Inside the engine the holomorph is one integer image matrix `perms`: row i
 holds the point images of element i, rows in lexicographic order.  Table
 indices, subgroup classes and records all refer to these row numbers;
-permutation tuples are built only on request, through the `hol` view.
+permutation tuples are built only on request, through the `hol`, `left`
+and `right` views.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .catalog import CayleyGroup, automorphism_group, regular_representation
 from .errors import ConsistencyError
 from .perm import Perm, PermGroup
-from .table import DEFAULT_TABLE_BUDGET, GroupTable
+from .table import GroupTable
 
 _SPOT_CHECKS = 100
 
@@ -33,8 +34,6 @@ class HolomorphContext:
     def __init__(self, group: CayleyGroup):
         self.group = group
         self.n = group.order
-        self.left = regular_representation(group, "left")
-        self.right = regular_representation(group, "right")
         self.aut = automorphism_group(group)
         t = np.asarray(group.table)
         auts = np.array(self.aut.sorted_elements, dtype=t.dtype)
@@ -88,6 +87,16 @@ class HolomorphContext:
             raise ConsistencyError(f"{self.group.name}: holomorph product law fails")
 
     @cached_property
+    def left(self) -> PermGroup:
+        """Left translations x -> a*x as a tuple-level group, built on first use."""
+        return regular_representation(self.group, "left")
+
+    @cached_property
+    def right(self) -> PermGroup:
+        """Right translations x -> x*a as a tuple-level group, built on first use."""
+        return regular_representation(self.group, "right")
+
+    @cached_property
     def hol(self) -> PermGroup:
         """The holomorph as a tuple-level permutation group, built on first use."""
         gens = list(self.left.generators) + list(self.aut.generators)
@@ -109,7 +118,7 @@ class HolomorphContext:
         if self._table is None:
             # images of 0 and the generator points determine a holomorph element
             base = [0] + [g for g in self.group.distinguished_generators if g != 0]
-            self._table = GroupTable.from_perms(self.perms, DEFAULT_TABLE_BUDGET, base=base)
+            self._table = GroupTable.from_perms(self.perms, base=base)
         return self._table
 
     # -- element operations ----------------------------------------------------

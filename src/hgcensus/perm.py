@@ -146,18 +146,16 @@ def closure(
 class PermGroup:
     """A permutation group given by generators, with materialized elements."""
 
-    __slots__ = ("degree", "generators", "_elements", "_sorted", "_budget")
+    __slots__ = ("degree", "generators", "_elements", "_sorted")
 
     def __init__(
         self,
         generators: Iterable[Perm],
         degree: int,
-        budget: int = DEFAULT_ELEMENT_BUDGET,
         _elements: Optional[frozenset[Perm]] = None,
     ):
         self.degree = degree
         self.generators = tuple(tuple(g) for g in generators)
-        self._budget = budget
         self._elements: Optional[frozenset[Perm]] = _elements
         self._sorted: Optional[list[Perm]] = None
 
@@ -170,7 +168,7 @@ class PermGroup:
     @property
     def elements(self) -> frozenset[Perm]:
         if self._elements is None:
-            self._elements = frozenset(closure(self.generators, self.degree, self._budget))
+            self._elements = frozenset(closure(self.generators, self.degree))
         return self._elements
 
     @property

@@ -52,23 +52,19 @@ class GroupTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_perms(
-        cls,
-        elems: Sequence[Perm],
-        table_budget: int = DEFAULT_TABLE_BUDGET,
-        base: Optional[Sequence[int]] = None,
-    ) -> "GroupTable":
+    def from_perms(cls, elems: Sequence[Perm], base: Optional[Sequence[int]] = None) -> "GroupTable":
         """Table for a set of permutations closed under composition.
 
         `elems` must be sorted with the identity first; indices follow it.
+        More than `DEFAULT_TABLE_BUDGET` elements raise BudgetError.
         `base` is an optional list of points whose images separate the
         elements; when given (and actually separating) products are located
         by base-image keys instead of whole-tuple hashing, which is much
         faster for large element sets.
         """
         m = len(elems)
-        if m > table_budget:
-            raise BudgetError("group too large to table densely", spent=m, budget=table_budget)
+        if m > DEFAULT_TABLE_BUDGET:
+            raise BudgetError("group too large to table densely", spent=m, budget=DEFAULT_TABLE_BUDGET)
         n = len(elems[0])
         if list(elems[0]) != list(range(n)):
             raise StructureError("element 0 must be the identity")
@@ -192,6 +188,19 @@ class GroupTable:
             for lo, hi in blocks:
                 if not np.array_equal(t[t[lo:hi, g]], t[lo:hi][:, t[g]]):
                     raise StructureError(f"{what}: multiplication is not associative at generator {g}")
+
+    def acts(self, rows: np.ndarray, what: str) -> bool:
+        """Whether rows[g h] = rows[g] o rows[h] for every pair of elements.
+
+        `rows[g]` is the permutation assigned to element g, and rows[0]
+        must be the identity.  After the table passes `validate` (Light's
+        test) it is associative and `generators()` generate it; the
+        elements g with rows[g h] = rows[g] o rows[h] for every h are then
+        closed under products, so checking the generators covers every
+        element.
+        """
+        self.validate(what)
+        return all(np.array_equal(rows[self.mul[g]], rows[g][rows]) for g in self.generators())
 
     # -- basic per-element data -------------------------------------------
 

@@ -49,7 +49,7 @@ def test_reduced_bracoid_from_each_record(census):
 
 def test_nonreduced_bracoid_through_a_covering_map():
     ctx = _c2_context()
-    g4 = CayleyGroup.from_elements("C4m", list(range(4)), lambda a, b: (a + b) % 4, 0, [1])
+    g4 = CayleyGroup.from_perm_generators("C4m", [(1, 2, 3, 0)], 4)  # element i = rotation by i
     e, s = identity(2), (1, 0)
     images = [e, s, e, s]
     b = bracoid_from_subgroup(ctx, ctx.left, delta=(g4, images))
@@ -60,7 +60,7 @@ def test_nonreduced_bracoid_through_a_covering_map():
 
 def test_bracoid_covering_map_rejections():
     ctx = _c2_context()
-    g4 = CayleyGroup.from_elements("C4m", list(range(4)), lambda a, b: (a + b) % 4, 0, [1])
+    g4 = CayleyGroup.from_perm_generators("C4m", [(1, 2, 3, 0)], 4)
     e, s = identity(2), (1, 0)
     with pytest.raises(StructureError):
         bracoid_from_subgroup(ctx, ctx.left, delta=(g4, [e, s, e]))  # short
@@ -164,8 +164,8 @@ def test_ybe_solutions_from_all_degree6_braces(census):
 def test_realize_regular_subgroup_identity_map(census):
     for rec in census(6).records:
         if rec.regular and rec.rep.elements == rec.ctx.left.elements:
-            phi = {p: p for p in rec.rep.sorted_elements}
-            out = realize_regular_subgroup(rec.rep, rec.ctx, phi)
+            phi = np.arange(rec.order)
+            out = realize_regular_subgroup(rec.rep, rec.rep, rec.ctx, phi)
             assert out.elements == rec.ctx.left.elements
 
 
@@ -184,7 +184,7 @@ def test_realize_regular_subgroup_across_types(census):
     )
     phi = stab_respecting_iso(ra.rep, rb.rep)
     assert phi is not None
-    realized = realize_regular_subgroup(rb.rep, rb.ctx, phi)
+    realized = realize_regular_subgroup(ra.rep, rb.rep, rb.ctx, phi)
     n = rb.ctx.n
     assert realized.order == n
     assert len({p[0] for p in realized.elements}) == n
@@ -196,12 +196,10 @@ def test_realize_regular_subgroup_across_types(census):
 def test_realize_regular_subgroup_rejects_nonmorphism():
     g = groups_of_order(4)[0]
     ctx = build_holomorph(g)
-    perms = ctx.left.sorted_elements
-    phi = {p: p for p in perms}
-    a, b = perms[1], perms[2]
-    phi[a], phi[b] = phi[b], phi[a]
+    phi = np.arange(g.order)
+    phi[[1, 2]] = phi[[2, 1]]
     with pytest.raises(StructureError):
-        realize_regular_subgroup(ctx.left, ctx, phi)
+        realize_regular_subgroup(ctx.left, ctx.left, ctx, phi)
 
 
 # -- one-cell mutations: every validator must notice -----------------------

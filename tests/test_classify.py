@@ -24,12 +24,12 @@ def test_iso_found_between_relabelings_of_one_action():
     s3b = PermGroup([parse_cycles("(0 2 1)", 3), parse_cycles("(0 2)", 3)], 3)
     phi = stab_respecting_iso(s3a, s3b)
     assert phi is not None
-    stab_b = {p for p in s3b.elements if p[0] == 0}
-    for x in s3a.elements:
-        for y in s3a.elements:
-            assert phi[compose(x, y)] == compose(phi[x], phi[y])
-        if x[0] == 0:
-            assert phi[x] in stab_b
+    ea, eb = s3a.sorted_elements, s3b.sorted_elements
+    assert sorted(phi.tolist()) == list(range(len(eb)))
+    for i, x in enumerate(ea):
+        for j, y in enumerate(ea):
+            assert eb[phi[ea.index(compose(x, y))]] == compose(eb[phi[i]], eb[phi[j]])
+        assert (x[0] == 0) == (eb[phi[i]][0] == 0)
 
 
 def test_iso_refused_between_different_abstract_types():

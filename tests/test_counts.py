@@ -167,9 +167,25 @@ def test_census_never_builds_tuple_views():
     c = build_degree_census(8)
     assert c.records
     for ctx in c.contexts:
-        assert "hol" not in vars(ctx), ctx.group.name
+        for view in ("hol", "left", "right"):
+            assert view not in vars(ctx), (ctx.group.name, view)
     for rec in c.records:
         assert "rep" not in vars(rec) and "stabilizer" not in vars(rec)
+
+
+def test_block_budget_stop_blanks_only_the_bc_column(census, monkeypatch):
+    # unknown, never wrong: a BC walk out of budget leaves every other cell
+    full = census(8)
+    # one below the largest block lattice: earlier records finish their
+    # walk, the first record with the largest lattice stops it
+    monkeypatch.setattr(counts, "DEFAULT_BLOCK_BUDGET", max(f for f, _ in full.bc_counts) - 1)
+    c = build_degree_census(8)
+    assert c.row.bc_hgs is None and c.row.partial
+    assert c.bc_flags == [None] * len(c.records)
+    assert c.bc_counts == [None] * len(c.records)
+    assert c.row.cells()[:-1] == full.row.cells()[:-1]
+    assert full.row.bc_hgs is not None and not full.row.partial
+    assert c.ac_flags == full.ac_flags and c.weights == full.weights
 
 
 def test_weights_align_with_records(census):

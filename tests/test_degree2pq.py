@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from hgcensus import degree2pq
 from hgcensus.catalog import automorphism_group, groups_of_order
+from hgcensus.classify import stab_respecting_iso
 from hgcensus.degree2pq import build_family, witness_M_series, witness_four_types
-from hgcensus.errors import StructureError
+from hgcensus.errors import ConsistencyError, StructureError
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import is_transitive, point_stabilizer
 from hgcensus.table import GroupTable
@@ -122,3 +125,36 @@ def test_degree30_census_types_match_family(census):
         assert any(
             IsoSearch(gd.group.as_table(), t).run("count") > 0 for t in catalog_tables
         )
+
+
+def test_named_maps_are_generator_images():
+    fam = build_family(5, 3)
+    gd = fam.members[1]  # C5xD3
+    r, s = gd.gen_index["r"], gd.gen_index["s"]
+    assert np.array_equal(gd.auto(s=int(gd.group.table[r, s])), gd.autos["shift_refl"])
+
+
+def test_generator_images_without_an_automorphism_are_refused():
+    fam = build_family(5, 3)
+    gd = fam.members[1]  # C5xD3: an involution cannot go to a rotation
+    with pytest.raises(StructureError):
+        gd.auto(s=gd.gen_index["r"])
+    with pytest.raises(StructureError):
+        gd.auto(x=0)
+    cyc = fam.members[0]
+    with pytest.raises(StructureError):
+        cyc.auto(x=cyc.power("x", 5))  # x^5 has order 6, not 30
+
+
+def test_chain_check_refuses_a_map_with_two_images_swapped(monkeypatch):
+    fam = build_family(5, 3)
+
+    def swapped(g1, g2):
+        phi = stab_respecting_iso(g1, g2).copy()
+        moved = np.flatnonzero([p[0] != 0 for p in g1.sorted_elements])[-2:]
+        phi[moved] = phi[moved[::-1]]
+        return phi
+
+    monkeypatch.setattr(degree2pq, "stab_respecting_iso", swapped)
+    with pytest.raises(ConsistencyError, match="composition is not a matched isomorphism"):
+        witness_M_series(fam)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hgcensus import table
 from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.errors import BudgetError, StructureError
 from hgcensus.holomorph import build_holomorph
@@ -41,10 +42,11 @@ def test_from_perms_rejects_unsorted_or_nonclosed():
         GroupTable.from_perms(elems[:2])
 
 
-def test_from_perms_budget_is_enforced():
+def test_from_perms_budget_is_enforced(monkeypatch):
     elems = closure([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)], 5)
+    monkeypatch.setattr(table, "DEFAULT_TABLE_BUDGET", 100)
     with pytest.raises(BudgetError):
-        GroupTable.from_perms(elems, table_budget=100)
+        GroupTable.from_perms(elems)
 
 
 def test_base_keyed_and_hashed_tables_match_composition():
