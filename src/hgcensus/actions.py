@@ -23,7 +23,7 @@ from .catalog import CayleyGroup
 from .classify import is_stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext
-from .perm import Perm, PermGroup, is_transitive, rows_in
+from .perm import PermGroup, is_transitive, row_index
 from .table import GroupTable
 
 
@@ -155,7 +155,7 @@ class YBESolution:
 def bracoid_from_subgroup(
     ctx: HolomorphContext,
     M: PermGroup,
-    delta: Optional[tuple[CayleyGroup, Sequence[Perm]]] = None,
+    delta: Optional[tuple[CayleyGroup, Sequence[Sequence[int]]]] = None,
 ) -> SkewBracoid:
     """Evaluation action of a transitive holomorph subgroup, as a bracoid.
 
@@ -167,9 +167,8 @@ def bracoid_from_subgroup(
     if not is_transitive(M):
         raise StructureError("bracoid requires a transitive subgroup")
     if delta is None:
-        perms = M.sorted_elements
-        acting = GroupTable.from_perms(perms)
-        action = np.array(perms, dtype=np.int32)
+        acting = M.table()
+        action = M.elements.astype(np.int32)
         reduced = True
     else:
         g, images = delta
@@ -182,7 +181,7 @@ def bracoid_from_subgroup(
         if not acting.acts(action, "delta's source group"):
             raise StructureError("delta is not a homomorphism")
         image = np.unique(action, axis=0)
-        if not np.array_equal(image, np.array(M.sorted_elements, dtype=np.int32)):
+        if not np.array_equal(image, M.elements):
             raise StructureError("delta is not a surjection onto the subgroup")
         reduced = len(image) == g.order
     b = SkewBracoid(acting, ctx.group.as_table(), action, reduced)
@@ -202,15 +201,15 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
     """
     if M.degree != ctx.n:
         raise StructureError("subgroup does not live in this holomorph")
-    P = np.array(M.sorted_elements, dtype=np.int32)
-    if not rows_in(P, ctx.perms).all():
+    P = M.elements.astype(np.int32)
+    if (row_index(P, ctx.perms) < 0).any():
         raise StructureError("subgroup does not live in this holomorph")
     t = ctx.group.table
     pi = P[:, 0].copy()
     gamma = t[ctx.group.as_table().inv[pi][:, None], P].astype(np.int32)
-    if not rows_in(gamma, ctx.perms[ctx.perms[:, 0] == 0]).all():
+    if (row_index(gamma, ctx.aut.elements) < 0).any():
         raise ConsistencyError("stabilizer part is not an automorphism")
-    T = GroupTable.from_perms(P)
+    T = M.table()
     if not T.acts(gamma, "subgroup table"):
         raise ConsistencyError("automorphism parts do not multiply")
     gens = np.array(T.generators(), dtype=np.int64)
@@ -230,7 +229,7 @@ def brace_from_regular(ctx: HolomorphContext, M: PermGroup) -> SkewBrace:
     second.
     """
     n = ctx.n
-    rows = np.array(M.sorted_elements, dtype=np.int32)
+    rows = M.elements.astype(np.int32)
     if rows.shape != (n, n) or len(np.unique(rows[:, 0])) != n:
         raise StructureError("brace transport requires a regular subgroup")
     circ = np.empty((n, n), dtype=np.int32)
@@ -282,9 +281,8 @@ def realize_regular_subgroup(
     regular subgroup normalized by G.  Normalization is checked on G's
     generators, since the elements that normalize a group form a subgroup.
     """
-    P = np.array(G.sorted_elements, dtype=np.int64)
-    Q = np.array(M.sorted_elements, dtype=np.int64)
-    if not is_stab_respecting_iso(phi, GroupTable.from_perms(G.sorted_elements), P, Q):
+    P, Q = G.elements, M.elements
+    if not is_stab_respecting_iso(phi, G.table(), P, Q):
         raise StructureError("map is not a stabilizer-respecting isomorphism onto the subgroup")
     n = ctx.n
     if P.shape[1] != n or n * int((P[:, 0] == 0).sum()) != len(P):
@@ -299,12 +297,11 @@ def realize_regular_subgroup(
     alphas = np.argsort(bar)[ctx.group.table[:, bar]]  # bar^-1 . lambda_a . bar
     if len(np.unique(alphas[:, 0])) != n:
         raise ConsistencyError("realized image is not regular")
-    for g in np.array(G.generators, dtype=np.int64):
-        if not rows_in(g[alphas[:, np.argsort(g)]], alphas).all():
+    for g in G.generators:
+        if (row_index(g[alphas[:, np.argsort(g)]], alphas) < 0).any():
             raise ConsistencyError("realized image is not normalized by the acting group")
-    rows = alphas.tolist()
-    gens = [rows[a] for a in ctx.group.distinguished_generators] or [rows[0]]
-    return PermGroup(gens, n, _elements=frozenset(map(tuple, rows)))
+    gens = alphas[list(ctx.group.distinguished_generators)]
+    return PermGroup(gens, n, elements=alphas[np.lexsort(alphas.T[::-1])])
 
 
 __all__ = [

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StructureError, UnsupportedOrderError
 from .iso import IsoSearch
-from .perm import Perm, PermGroup, closure, parse_cycles
+from .perm import PermGroup, parse_cycles, row_index
 from .table import GroupTable
 
 _SELFTEST_LIMIT = 12
@@ -61,11 +61,11 @@ class CayleyGroup:
 
     @classmethod
     def from_perm_generators(
-        cls, name: str, gens: Sequence[Perm], degree: int, structure: str = ""
+        cls, name: str, gens: Sequence[Sequence[int]], degree: int, structure: str = ""
     ) -> "CayleyGroup":
-        elems = closure(gens, degree)  # sorted, identity first: from_perms' order
-        gt = GroupTable.from_perms(elems)
-        dist = tuple(elems.index(tuple(g)) for g in gens)
+        perms = PermGroup(gens, degree)
+        gt = perms.table()  # indices follow the sorted elements, identity first
+        dist = tuple(row_index(perms.generators, perms.elements).tolist())
         group = cls(name, gt.mul, dist, structure, checked=True)
         group._gt = gt
         group.validate()
@@ -104,16 +104,17 @@ def invariants(g: CayleyGroup | GroupTable) -> GroupInvariants:
 
 
 def regular_representation(g: CayleyGroup, side: str = "left") -> PermGroup:
-    """Left action a: x -> a*x, or right action a: x -> x*a, on 0..n-1."""
-    t = g.table
+    """Left action a: x -> a*x, or right action a: x -> x*a, on 0..n-1.
+
+    Row a of either action sends 0 to a, so the rows come sorted.
+    """
     if side == "left":
-        perms = [tuple(int(v) for v in t[a]) for a in range(g.order)]
+        perms = g.table
     elif side == "right":
-        perms = [tuple(int(v) for v in t[:, a]) for a in range(g.order)]
+        perms = g.table.T
     else:
         raise StructureError(f"side must be 'left' or 'right', got {side!r}")
-    gens = [perms[i] for i in g.distinguished_generators]
-    return PermGroup(gens, g.order, _elements=frozenset(perms))
+    return PermGroup(perms[list(g.distinguished_generators)], g.order, elements=perms)
 
 
 def opposite_group(g: CayleyGroup) -> CayleyGroup:
@@ -131,15 +132,13 @@ def automorphism_group(g: CayleyGroup) -> PermGroup:
 
     Backtracking over images of the distinguished generators; candidate
     images are pruned by conjugacy-fingerprint and partial-product checks.
+    Every element but the identity is listed as a generator.
     """
     if g._aut is None:
         gt = g.as_table()
-        if g.order == 1:
-            return PermGroup([(0,)], 1)
-        search = IsoSearch(gt, gt, gens=list(g.distinguished_generators))
-        maps = search.run("all")
-        perms = [tuple(int(v) for v in arr) for arr in maps]
-        g._aut = PermGroup.from_elements(perms, g.order)
+        maps = np.array(IsoSearch(gt, gt, gens=list(g.distinguished_generators)).run("all"))
+        maps = maps[np.lexsort(maps.T[::-1])]
+        g._aut = PermGroup(maps[1:], g.order, elements=maps)
     return g._aut
 
 

@@ -57,14 +57,11 @@ def stab_respecting_iso(g1: PermGroup, g2: PermGroup) -> Optional[np.ndarray]:
     constraint prunes the search rather than filtering afterwards."""
     if g1.order != g2.order:
         return None
-    e1 = g1.sorted_elements
-    e2 = g2.sorted_elements
-    s1 = np.flatnonzero([p[0] == 0 for p in e1])
-    s2 = np.flatnonzero([p[0] == 0 for p in e2])
+    s1 = np.flatnonzero(g1.elements[:, 0] == 0)
+    s2 = np.flatnonzero(g2.elements[:, 0] == 0)
     if len(s1) != len(s2):
         return None
-    search = IsoSearch(GroupTable.from_perms(e1), GroupTable.from_perms(e2), marked1=s1, marked2=s2)
-    return search.run("first")
+    return IsoSearch(g1.table(), g2.table(), marked1=s1, marked2=s2).run("first")
 
 
 def is_stab_respecting_iso(

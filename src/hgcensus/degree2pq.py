@@ -33,7 +33,7 @@ from .classify import is_stab_respecting_iso, stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
-from .perm import PermGroup, is_transitive, rows_in
+from .perm import PermGroup, is_transitive, row_index
 from .table import GroupTable
 
 
@@ -125,8 +125,7 @@ class GroupData:
                 if phi[ag] < 0:
                     phi[ag] = t[phi[a], b]
                     walk.append(ag)
-        perms = self.ctx.perms
-        if not rows_in(phi[None, :], perms[perms[:, 0] == 0])[0]:
+        if row_index(phi[None, :], self.ctx.aut.elements)[0] < 0:
             raise StructureError(f"{self.group.name}: {images} extends to no automorphism")
         return phi
 
@@ -250,7 +249,7 @@ def _verify_family(fam: Degree2pqFamily) -> None:
                 f"{gd.group.name}: automorphism group has order {gd.ctx.aut.order}, "
                 f"expected {expected_aut[i]}"
             )
-        gen_group = PermGroup([a.tolist() for a in gd.autos.values()], fam.order)
+        gen_group = PermGroup(list(gd.autos.values()), fam.order)
         if gen_group.order != gd.ctx.aut.order:
             raise ConsistencyError(f"{gd.group.name}: named maps do not generate Aut")
 
@@ -269,8 +268,8 @@ def _power_inverting_r(gd: GroupData, key: str) -> np.ndarray:
 
 
 def _subgroup(ctx: HolomorphContext, gens: list[np.ndarray]) -> PermGroup:
-    g = PermGroup([a.tolist() for a in gens], ctx.n)
-    if not rows_in(np.array(g.sorted_elements), ctx.perms).all():
+    g = PermGroup(gens, ctx.n)
+    if (row_index(g.elements, ctx.perms) < 0).any():
         raise ConsistencyError("witness subgroup escapes the holomorph")
     return g
 
@@ -278,13 +277,12 @@ def _subgroup(ctx: HolomorphContext, gens: list[np.ndarray]) -> PermGroup:
 def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
     """Number of holomorph elements h with h g h^-1 in `sub` for every generator g."""
     hol = ctx.perms
-    elems = np.array(sub.sorted_elements)
     rows = np.arange(len(hol))[:, None]
     conj = np.empty_like(hol)
     ok = np.ones(len(hol), dtype=bool)
     for g in sub.generators:
-        conj[rows, hol] = hol[:, list(g)]  # h g h^-1 sends h(x) to h(g(x))
-        ok &= rows_in(conj, elems)
+        conj[rows, hol] = hol[:, g]  # h g h^-1 sends h(x) to h(g(x))
+        ok &= row_index(conj, sub.elements) >= 0
     return int(ok.sum())
 
 
@@ -295,7 +293,7 @@ def _assert_abstract_type(t1: GroupTable, model: CayleyGroup, what: str) -> None
 
 
 def _assert_regular(sub: PermGroup, n: int, what: str) -> None:
-    if sub.order != n or len({g[0] for g in sub.elements}) != n:
+    if sub.order != n or len(np.unique(sub.elements[:, 0])) != n:
         raise ConsistencyError(f"{what} is not regular")
 
 
@@ -315,7 +313,7 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
         psi_inv = _power_inverting_r(gd, "scale_rot")
         sub = _subgroup(gd.ctx, [gd.embed("x"), gd.embed("r"), gd.embed("s")[psi_inv]])
         _assert_regular(sub, fam.order, name)
-        _assert_abstract_type(GroupTable.from_perms(sub.sorted_elements), n1.group, name)
+        _assert_abstract_type(sub.table(), n1.group, name)
         norm = _hol_normalizer_order(gd.ctx, sub)
         if norm != full:
             raise ConsistencyError(f"{name}: normalizer order {norm}, expected {full}")
@@ -330,7 +328,7 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
         psi4 = n4.auto(r=n4.power("r", unit))
         sub = _subgroup(n4.ctx, [n4.embed("r"), n4.embed("s")[psi4]])
         _assert_regular(sub, fam.order, name)
-        _assert_abstract_type(GroupTable.from_perms(sub.sorted_elements), model, name)
+        _assert_abstract_type(sub.table(), model, name)
         norm = _hol_normalizer_order(n4.ctx, sub)
         expected = {"M4": full, "J2": q * full, "J3": p * full}[name]
         if norm != expected:
@@ -405,10 +403,7 @@ def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
                      n6.autos["scale_rot"]))
 
     reports = []
-    rows = [np.array(sub.sorted_elements) for _, sub, _ in subs]
-    tables = [GroupTable.from_perms(sub.sorted_elements) for _, sub, _ in subs]
-    for i, (name, sub, stab_gen) in enumerate(subs):
-        host = fam.members[i].group.name
+    for (name, sub, stab_gen), gd in zip(subs, fam.members):
         if sub.order != target:
             raise ConsistencyError(f"{name}: order {sub.order}, expected {target}")
         if not is_transitive(sub):
@@ -416,10 +411,10 @@ def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
         powers = [np.arange(fam.order)]
         while not np.array_equal(powers[-1][stab_gen], powers[0]):
             powers.append(powers[-1][stab_gen])
-        if not np.array_equal(rows[i][rows[i][:, 0] == 0], np.unique(powers, axis=0)):
+        if not np.array_equal(sub.elements[sub.elements[:, 0] == 0], np.unique(powers, axis=0)):
             raise ConsistencyError(f"{name}: stabilizer is not the named scaling map")
-        _assert_abstract_type(tables[i], model, name)
-        reports.append(WitnessReport(name, host, sub, None, model.name))
+        _assert_abstract_type(sub.table(), model, name)
+        reports.append(WitnessReport(name, gd.group.name, sub, None, model.name))
 
     # chain the expensive searches, then compose and re-verify every pair
     steps = []
@@ -428,11 +423,11 @@ def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
         if phi is None:
             raise ConsistencyError(f"{subs[i][0]} and {subs[i + 1][0]} are not matched")
         steps.append(phi)
-    for i in range(len(subs)):
+    for i, (_, sub, _) in enumerate(subs):
         phi = np.arange(target)
         for j in range(i + 1, len(subs)):
             phi = steps[j - 1][phi]
-            if not is_stab_respecting_iso(phi, tables[i], rows[i], rows[j]):
+            if not is_stab_respecting_iso(phi, sub.table(), sub.elements, subs[j][1].elements):
                 raise ConsistencyError(
                     f"{subs[i][0]} -> {subs[j][0]} composition is not a matched isomorphism"
                 )

@@ -146,7 +146,7 @@ class TransitiveClassRecord:
     """A conjugacy class of transitive subgroups of a holomorph.
 
     The class is held by row indices into `ctx.perms`; `rep` and
-    `stabilizer` are tuple-level views built on first use.
+    `stabilizer` are groups on slices of those rows, built on first use.
     """
 
     ctx: HolomorphContext
@@ -168,14 +168,13 @@ class TransitiveClassRecord:
     @cached_property
     def rep(self) -> PermGroup:
         perms = self.ctx.perms
-        gens = [tuple(perms[g].tolist()) for g in self.gens or [0]]
-        elems = frozenset(map(tuple, perms[self.indices].tolist()))
-        return PermGroup(gens, self.ctx.n, _elements=elems)
+        return PermGroup(perms[self.gens], self.ctx.n, elements=perms[self.indices])
 
     @cached_property
     def stabilizer(self) -> PermGroup:
-        rows = self.ctx.perms[self.indices]
-        return PermGroup.from_elements(map(tuple, rows[rows[:, 0] == 0].tolist()), self.ctx.n)
+        rows = self.rep.elements
+        stab = rows[rows[:, 0] == 0]
+        return PermGroup(stab[1:], self.ctx.n, elements=stab)
 
     @cached_property
     def _table_with_stab(self) -> tuple[GroupTable, np.ndarray]:

@@ -8,9 +8,9 @@ closure; consistency of the factorization is spot-checked at build time.
 
 Inside the engine the holomorph is one integer image matrix `perms`: row i
 holds the point images of element i, rows in lexicographic order.  Table
-indices, subgroup classes and records all refer to these row numbers;
-permutation tuples are built only on request, through the `hol`, `left`
-and `right` views.
+indices, subgroup classes and records all refer to these row numbers.  The
+`hol` group holds `perms` itself as its elements; `left` and `right` hold
+the translation rows of N's table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import CayleyGroup, automorphism_group, regular_representation
 from .errors import ConsistencyError
-from .perm import Perm, PermGroup
+from .perm import PermGroup, row_index
 from .table import GroupTable
 
 _SPOT_CHECKS = 100
@@ -36,7 +36,7 @@ class HolomorphContext:
         self.n = group.order
         self.aut = automorphism_group(group)
         t = np.asarray(group.table)
-        auts = np.array(self.aut.sorted_elements, dtype=t.dtype)
+        auts = self.aut.elements.astype(t.dtype, copy=False)
         # raw row a*|A| + k is the translation by a after automorphism k
         raw = t[:, auts].reshape(self.n * len(auts), self.n)
         order = np.lexsort(raw.T[::-1])
@@ -54,14 +54,11 @@ class HolomorphContext:
         translation by b after the inner automorphism of b^-1.
         """
         inv = self.group.as_table().inv
-        aut_pos = {row.tobytes(): k for k, row in enumerate(auts)}
-        rows = []
-        for b in range(self.n):
-            k = aut_pos.get(t[t[inv[b]], b].tobytes())
-            if k is None:
-                raise ConsistencyError(f"{self.group.name}: right translation not in holomorph")
-            rows.append(rank[b * len(auts) + k])
-        rows = np.array(rows, dtype=np.int64)
+        b = np.arange(self.n)
+        k = row_index(t[t[inv], b[:, None]], auts)  # row b: x -> b^-1 x b
+        if (k < 0).any():
+            raise ConsistencyError(f"{self.group.name}: right translation not in holomorph")
+        rows = rank[b * len(auts) + k]
         if not np.array_equal(self.perms[rows], t.T):
             raise ConsistencyError(f"{self.group.name}: right translation rows do not act as x -> x*b")
         return np.sort(rows)
@@ -88,19 +85,19 @@ class HolomorphContext:
 
     @cached_property
     def left(self) -> PermGroup:
-        """Left translations x -> a*x as a tuple-level group, built on first use."""
+        """Left translations x -> a*x."""
         return regular_representation(self.group, "left")
 
     @cached_property
     def right(self) -> PermGroup:
-        """Right translations x -> x*a as a tuple-level group, built on first use."""
+        """Right translations x -> x*a."""
         return regular_representation(self.group, "right")
 
     @cached_property
     def hol(self) -> PermGroup:
-        """The holomorph as a tuple-level permutation group, built on first use."""
-        gens = list(self.left.generators) + list(self.aut.generators)
-        return PermGroup(gens, self.n, _elements=frozenset(map(tuple, self.perms.tolist())))
+        """The holomorph as a permutation group whose elements are `perms`."""
+        gens = np.concatenate([self.left.generators, self.aut.generators])
+        return PermGroup(gens, self.n, elements=self.perms)
 
     @cached_property
     def base_subgroups(self) -> np.ndarray:
@@ -120,12 +117,6 @@ class HolomorphContext:
             base = [0] + [g for g in self.group.distinguished_generators if g != 0]
             self._table = GroupTable.from_perms(self.perms, base=base)
         return self._table
-
-    # -- element operations ----------------------------------------------------
-
-    def embed_element(self, a: int) -> Perm:
-        """Left translation by group element a."""
-        return tuple(int(v) for v in self.group.table[a])
 
     def __repr__(self) -> str:
         return f"HolomorphContext({self.group.name}, order={len(self.perms)})"

@@ -1,67 +1,33 @@
 """Finite permutations and permutation groups with 0-based points.
 
-A permutation on n points is a tuple of images: p[x] is the image of x.
-Composition follows (p * q)(x) = p(q(x)), i.e. q acts first.  All groups
-materialize their full element set; closure is guarded by an element budget
-and raises instead of truncating.
+A permutation on n points is a row of images: p[x] is the image of x.
+Composition follows (p * q)(x) = p(q(x)), i.e. q acts first.  Groups hold
+their elements as an integer array of lex-sorted rows; tuples appear only
+where cycle notation is parsed and printed, and inside `closure`'s
+breadth-first search.  Closure is guarded by an element budget and raises
+instead of truncating.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ClosureBudgetError, StructureError
+
+if TYPE_CHECKING:
+    from .table import GroupTable
 
 Perm = tuple[int, ...]
 
 DEFAULT_ELEMENT_BUDGET = 500_000
 
 
-def identity(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """Composite p after q: (p . q)(x) = p(q(x))."""
     return tuple(p[i] for i in q)
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def conjugate(a: Perm, p: Perm) -> Perm:
-    """a . p . a^-1, the relabeling of p along a."""
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[a[i]] = a[j]
-    return tuple(out)
-
-
-def perm_order(p: Perm) -> int:
-    """Multiplicative order, via lcm of cycle lengths."""
-    from math import lcm
-
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def is_perm(images: Sequence[int]) -> bool:
@@ -111,20 +77,21 @@ def format_cycles(p: Perm) -> str:
 
 
 def closure(
-    generators: Iterable[Perm],
+    generators: Iterable[Sequence[int]],
     degree: int,
     budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> list[Perm]:
-    """All products of the generators, as a lexicographically sorted list.
+) -> np.ndarray:
+    """All products of the generators, as lexicographically sorted image rows.
 
-    Breadth-first word saturation; the output is independent of generator
-    order.  Raises ClosureBudgetError once more than `budget` elements exist.
+    Breadth-first word saturation over tuples; the (order, degree) result
+    starts with the identity and is independent of generator order.  Raises
+    ClosureBudgetError once more than `budget` elements exist.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
         if len(g) != degree or not is_perm(g):
             raise StructureError(f"not a permutation of degree {degree}: {g}")
-    e = identity(degree)
+    e = tuple(range(degree))
     seen = {e}
     frontier = deque([e])
     while frontier:
@@ -140,65 +107,49 @@ def closure(
                     )
                 seen.add(nxt)
                 frontier.append(nxt)
-    return sorted(seen)
+    return np.array(sorted(seen), dtype=np.int64).reshape(len(seen), degree)
 
 
 class PermGroup:
-    """A permutation group given by generators, with materialized elements."""
+    """A permutation group held as image rows.
 
-    __slots__ = ("degree", "generators", "_elements", "_sorted")
+    `generators` is a (k, degree) array.  `elements` is the lex-sorted
+    (order, degree) array of every element's images, identity first: the
+    layout of `HolomorphContext.perms`.  Elements passed in are taken as
+    given; otherwise `closure` computes them on first use.
+    """
+
+    __slots__ = ("degree", "generators", "_elements", "_table")
 
     def __init__(
         self,
-        generators: Iterable[Perm],
+        generators: Iterable[Sequence[int]],
         degree: int,
-        _elements: Optional[frozenset[Perm]] = None,
+        elements: Optional[np.ndarray] = None,
     ):
         self.degree = degree
-        self.generators = tuple(tuple(g) for g in generators)
-        self._elements: Optional[frozenset[Perm]] = _elements
-        self._sorted: Optional[list[Perm]] = None
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Perm], degree: int) -> "PermGroup":
-        elems = frozenset(tuple(p) for p in elements)
-        gens = tuple(sorted(elems - {identity(degree)})) or (identity(degree),)
-        return cls(gens, degree, _elements=elems)
+        gens = np.asarray(generators)
+        self.generators = gens.reshape(-1, degree) if gens.size == 0 else gens
+        self._elements = elements
+        self._table: Optional[GroupTable] = None
 
     @property
-    def elements(self) -> frozenset[Perm]:
+    def elements(self) -> np.ndarray:
         if self._elements is None:
-            self._elements = frozenset(closure(self.generators, self.degree))
+            self._elements = closure(self.generators.tolist(), self.degree)
         return self._elements
-
-    @property
-    def sorted_elements(self) -> list[Perm]:
-        if self._sorted is None:
-            self._sorted = sorted(self.elements)
-        return self._sorted
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return tuple(p) in self.elements
+    def table(self) -> GroupTable:
+        """Multiplication table over `elements`, built on first use."""
+        if self._table is None:
+            from .table import GroupTable  # table imports perm
 
-    def __le__(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.elements <= other.elements
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.sorted_elements)
+            self._table = GroupTable.from_perms(self.elements)
+        return self._table
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -230,35 +181,21 @@ def orbit_labels(maps: np.ndarray) -> np.ndarray:
             lab = up
 
 
-def rows_in(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `rows` that are also rows of `members`."""
+def row_index(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Position of each row of `rows` among the rows of `members`, -1 where absent."""
+    dtype = np.result_type(rows, members)
 
     def keys(a: np.ndarray) -> np.ndarray:  # one byte-string key per row
-        a = np.ascontiguousarray(a, dtype=members.dtype)
+        a = np.ascontiguousarray(a, dtype=dtype)
         return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
-    known = np.sort(keys(members))
+    known = keys(members)
+    order = np.argsort(known)
     query = keys(rows)
-    pos = np.searchsorted(known, query).clip(max=len(known) - 1)
-    return known[pos] == query
-
-
-def orbit(g: PermGroup, x: int) -> frozenset[int]:
-    """Orbit of the point x under g."""
-    if not 0 <= x < g.degree:
-        raise StructureError(f"point {x} out of range for degree {g.degree}")
-    lab = orbit_labels(np.array(g.generators, dtype=np.int64).reshape(-1, g.degree))
-    return frozenset(np.flatnonzero(lab == lab[x]).tolist())
+    pos = order[np.searchsorted(known[order], query).clip(max=len(known) - 1)]
+    return np.where(known[pos] == query, pos, -1)
 
 
 def is_transitive(g: PermGroup) -> bool:
-    return len(orbit(g, 0)) == g.degree
-
-
-def point_stabilizer(g: PermGroup, x: int) -> PermGroup:
-    """Subgroup fixing the point x, by filtering the element set."""
-    stab = [p for p in g.sorted_elements if p[x] == x]
-    sub = PermGroup.from_elements(stab, g.degree)
-    if sub.order * len(orbit(g, x)) != g.order:
-        raise StructureError("orbit-stabilizer mismatch; input not a group?")
-    return sub
+    """Whether the generators' orbit of point 0 is every point."""
+    return not orbit_labels(g.generators).any()

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, StructureError
-from .perm import Perm, orbit_labels
+from .perm import orbit_labels, row_index
 
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
@@ -27,7 +27,8 @@ class GroupTable:
     """A finite group as index arithmetic: mul[a, b], inv[a], identity 0."""
 
     __slots__ = (
-        "order", "mul", "inv", "elem_order", "_mul_flat", "_gens", "_classes", "_fingerprints"
+        "order", "mul", "inv", "elem_order", "_mul_flat", "_gens", "_classes", "_fingerprints",
+        "_valid",
     )
 
     def __init__(self, mul: np.ndarray):
@@ -48,18 +49,20 @@ class GroupTable:
         self._gens: Optional[list[int]] = None
         self._classes: Optional[list[np.ndarray]] = None
         self._fingerprints: Optional[np.ndarray] = None
+        self._valid = False
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_perms(cls, elems: Sequence[Perm], base: Optional[Sequence[int]] = None) -> "GroupTable":
+    def from_perms(cls, elems: np.ndarray, base: Optional[Sequence[int]] = None) -> "GroupTable":
         """Table for a set of permutations closed under composition.
 
-        `elems` must be sorted with the identity first; indices follow it.
+        `elems` holds one image row per element, sorted with the identity
+        first; indices follow it.
         More than `DEFAULT_TABLE_BUDGET` elements raise BudgetError.
         `base` is an optional list of points whose images separate the
         elements; when given (and actually separating) products are located
-        by base-image keys instead of whole-tuple hashing, which is much
+        by base-image keys instead of whole-row lookup, which is much
         faster for large element sets.
         """
         m = len(elems)
@@ -76,17 +79,16 @@ class GroupTable:
             mul = cls._mul_via_base(arr, list(base), dtype)
             if mul is not None:
                 return cls(mul)
-        lookup = {bytes(np.asarray(p, dtype=np.int32).data): i for i, p in enumerate(elems)}
-        if len(lookup) != m:
+        if not np.array_equal(row_index(arr, arr), np.arange(m)):
             raise StructureError("duplicate elements")
         mul = np.empty((m, m), dtype=dtype)
-        for i in range(m):
-            rows = arr[i][arr]  # (p_i . p_j)(x) = p_i[p_j[x]]
-            for j in range(m):
-                idx = lookup.get(bytes(rows[j].data))
-                if idx is None:
-                    raise StructureError("elements not closed under composition")
-                mul[i, j] = idx
+        step = max(1, 2**20 // (m * n))  # rows of products per lookup
+        for lo in range(0, m, step):
+            prod = arr[lo : lo + step][:, arr]  # (p_i . p_j)(x) = p_i[p_j[x]]
+            idx = row_index(prod.reshape(-1, n), arr)
+            if idx.min() < 0:
+                raise StructureError("elements not closed under composition")
+            mul[lo : lo + step] = idx.reshape(-1, m)
         return cls(mul)
 
     @staticmethod
@@ -163,14 +165,17 @@ class GroupTable:
         """Raise StructureError unless the table is a group with identity 0.
 
         Associativity is Light's test: the elements a with (x a) y = x (a y)
-        for all x, y are closed under products, so checking it for a set of
-        generators covers every element the generators reach as left-normed
-        products ((g1 g2) g3)..., which is what `closure_of` walks (right
-        multiplication from 0).  Each generator costs one order^2 comparison.
-        The Latin and associativity comparisons run over blocks of
-        `_ROW_BLOCK` rows (and columns), so no temporary exceeds
-        block * order cells.
+        for all x, y are closed under products in any bracketing, so
+        checking it for a set of generators covers every product of them,
+        in particular every product `closure_of`'s coset fill forms.  Each
+        generator costs one order^2 comparison.  The Latin and
+        associativity comparisons run over blocks of `_ROW_BLOCK` rows (and
+        columns), so no temporary exceeds block * order cells.  Success is
+        recorded on the instance, and tables are never changed in place, so
+        later calls return at once.
         """
+        if self._valid:
+            return
         t = self.mul
         m = self.order
         rng = np.arange(m)
@@ -188,6 +193,7 @@ class GroupTable:
             for lo, hi in blocks:
                 if not np.array_equal(t[t[lo:hi, g]], t[lo:hi][:, t[g]]):
                     raise StructureError(f"{what}: multiplication is not associative at generator {g}")
+        self._valid = True
 
     def acts(self, rows: np.ndarray, what: str) -> bool:
         """Whether rows[g h] = rows[g] o rows[h] for every pair of elements.
@@ -243,24 +249,7 @@ class GroupTable:
 
     def closure_of(self, seeds: Iterable[int]) -> np.ndarray:
         """Sorted indices of the subgroup generated by `seeds`."""
-        mul = self.mul
-        seen = {0}
-        frontier = [0]
-        gens = sorted(set(int(s) for s in seeds))
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        qi = 0
-        while qi < len(frontier):
-            cur = frontier[qi]
-            qi += 1
-            for g in gens:
-                nxt = int(mul[cur, g])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return np.array(sorted(seen), dtype=np.int64)
+        return self._fold(seeds)[0]
 
     def extend_subgroup(self, elems: np.ndarray, gens: Sequence[int], new: int) -> np.ndarray:
         """Sorted indices of <H, new> given H's sorted `elems` and `gens`.
@@ -292,17 +281,24 @@ class GroupTable:
         not yet generated becomes the next generator.  Sorted order gives
         the default set.
         """
+        return self._fold(elems.tolist(), stop=len(elems))[1]
+
+    def _fold(self, seeds: Iterable[int], stop: int = 0) -> tuple[np.ndarray, list[int]]:
+        """`extend_subgroup` folded over the seeds: the sorted subgroup they
+        generate and the seeds that enlarged it, ending early once the
+        subgroup has `stop` elements."""
+        elems = np.array([0], dtype=np.int64)
         gens: list[int] = []
-        cur = np.array([0], dtype=np.int64)
-        cur_set = {0}
-        for x in elems.tolist():
-            if x not in cur_set:
-                cur = self.extend_subgroup(cur, gens, x)
-                gens.append(int(x))
-                cur_set = set(cur.tolist())
-            if len(cur_set) == len(elems):
+        member = np.zeros(self.order, dtype=bool)
+        member[0] = True
+        for x in seeds:
+            if len(elems) == stop:
                 break
-        return gens
+            if not member[x]:
+                elems = self.extend_subgroup(elems, gens, int(x))
+                gens.append(int(x))
+                member[elems] = True
+        return elems, gens
 
     def normalizer_of(self, elems: np.ndarray, gens: Sequence[int]) -> np.ndarray:
         """Indices a with a H a^-1 = H, vectorized over the whole group."""

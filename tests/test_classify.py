@@ -24,7 +24,8 @@ def test_iso_found_between_relabelings_of_one_action():
     s3b = PermGroup([parse_cycles("(0 2 1)", 3), parse_cycles("(0 2)", 3)], 3)
     phi = stab_respecting_iso(s3a, s3b)
     assert phi is not None
-    ea, eb = s3a.sorted_elements, s3b.sorted_elements
+    ea = [tuple(p) for p in s3a.elements.tolist()]
+    eb = [tuple(p) for p in s3b.elements.tolist()]
     assert sorted(phi.tolist()) == list(range(len(eb)))
     for i, x in enumerate(ea):
         for j, y in enumerate(ea):

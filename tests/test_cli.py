@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hgcensus import __version__
 from hgcensus.cli import SCHEMA_VERSION, main, parse_degrees
 from hgcensus.errors import StructureError
+from hgcensus.perm import PermGroup, format_cycles, parse_cycles
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -199,6 +201,20 @@ def test_diff_without_cache_points_to_enumerate(tmp_path, capsys):
     rc, _, err = _run(capsys, "diff", "--degrees", "9", "--cache-dir", str(tmp_path))
     assert rc == 2
     assert "enumerate" in err
+
+
+def test_artifact_generators_rebuild_every_record(census):
+    # the printed generators, parsed back and closed by the tuple search,
+    # give the rows the enumeration found by coset fill in the dense table
+    checked = 0
+    for n in range(2, 13):
+        for rec in census(n).records:
+            perms = rec.ctx.perms
+            text = [format_cycles(perms[g].tolist()) for g in rec.gens]
+            group = PermGroup([parse_cycles(s, n) for s in text], n)
+            assert np.array_equal(group.elements, perms[rec.indices]), (n, rec.type_name)
+            checked += 1
+    assert checked == sum(len(census(n).records) for n in range(2, 13))
 
 
 def test_actions_sweep_writes_brace_and_solution_per_regular_member(tmp_path, capsys):

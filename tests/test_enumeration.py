@@ -75,6 +75,7 @@ def test_transitive_records_at_degree_4():
             assert r.order % 4 == 0
             assert r.regular == (r.order == 4)
             assert r.stabilizer.order * 4 == r.order
+            assert (r.stabilizer.elements[:, 0] == 0).all()
         total += len(recs)
     assert total == EXPECTED[4].sbracoids_total
 

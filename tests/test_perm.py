@@ -1,4 +1,4 @@
-"""Permutation primitives: composition order, cycle I/O, closure, orbits."""
+"""Permutation primitives: composition order, cycle I/O, closure, orbits, row lookup."""
 
 from __future__ import annotations
 
@@ -14,23 +14,20 @@ from hgcensus.perm import (
     PermGroup,
     closure,
     compose,
-    conjugate,
     format_cycles,
-    identity,
-    inverse,
     is_transitive,
-    orbit,
     orbit_labels,
     parse_cycles,
-    perm_order,
-    point_stabilizer,
+    row_index,
 )
 
 
 def test_identity_fixes_everything():
-    e = identity(5)
+    e = parse_cycles("()", 5)
     assert e == (0, 1, 2, 3, 4)
-    assert perm_order(e) == 1
+    g = PermGroup([e], 5)
+    assert g.order == 1
+    assert g.elements.tolist() == [list(range(5))]
 
 
 def test_compose_applies_right_factor_first():
@@ -42,27 +39,35 @@ def test_compose_applies_right_factor_first():
     pq = compose(p, q)
     assert pq[0] == 1
     assert pq != qp
+    # on image rows the same composite is indexing: (q . p)[x] = q[p[x]]
+    assert np.array(q)[np.array(p)].tolist() == list(qp)
 
 
 def test_inverse_undoes():
-    p = parse_cycles("(0 1 2 3)(4 5)", 6)
-    assert compose(p, inverse(p)) == identity(6)
-    assert compose(inverse(p), p) == identity(6)
+    # argsort inverts an image row; the group holds the inverse of each element
+    g = PermGroup([parse_cycles("(0 1 2 3)(4 5)", 6)], 6)
+    inverses = np.argsort(g.elements, axis=1)
+    assert (g.elements[np.arange(g.order)[:, None], inverses] == np.arange(6)).all()
+    assert (row_index(inverses, g.elements) >= 0).all()
 
 
 def test_conjugate_relabels_cycle_structure():
-    a = parse_cycles("(0 1 2)", 4)
-    p = parse_cycles("(0 1)", 4)
-    c = conjugate(a, p)
-    # a p a^-1 swaps the images of 0 and 1 under a, namely 1 and 2
-    assert c == parse_cycles("(1 2)", 4)
-    assert perm_order(c) == perm_order(p)
+    # a p a^-1 on rows: the image of a[x] is a[p[x]]
+    a = np.array(parse_cycles("(0 1 2)", 4))
+    p = np.array(parse_cycles("(0 1)", 4))
+    c = np.empty_like(p)
+    c[a] = a[p]
+    # it swaps the images of 0 and 1 under a, namely 1 and 2
+    assert tuple(c.tolist()) == parse_cycles("(1 2)", 4)
+    assert PermGroup([c], 4).order == PermGroup([p], 4).order
 
 
 def test_perm_order_is_lcm_of_cycle_lengths():
-    assert perm_order(parse_cycles("(0 1 2)(3 4)", 5)) == 6
-    assert perm_order(parse_cycles("(0 1 2 3 4 5)", 6)) == 6
-    assert perm_order(identity(1)) == 1
+    # the cyclic group a permutation generates has its order as size
+    assert PermGroup([parse_cycles("(0 1 2)(3 4)", 5)], 5).order == 6
+    assert PermGroup([parse_cycles("(0 1 2 3 4 5)", 6)], 6).order == 6
+    assert PermGroup([parse_cycles("(0 1 2 3)(4 5)", 6)], 6).order == 4
+    assert PermGroup([parse_cycles("()", 1)], 1).order == 1
 
 
 def test_parse_format_roundtrip():
@@ -73,7 +78,7 @@ def test_parse_format_roundtrip():
     ]:
         p = parse_cycles(text, degree)
         assert parse_cycles(format_cycles(p), degree) == p
-    assert format_cycles(identity(3)) == "()"
+    assert format_cycles((0, 1, 2)) == "()"
 
 
 def test_parse_cycles_rejects_bad_input():
@@ -86,8 +91,10 @@ def test_parse_cycles_rejects_bad_input():
 def test_closure_symmetric_group():
     gens = [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)]
     elems = closure(gens, 4)
-    assert len(elems) == 24
-    assert elems == sorted(elems)
+    assert elems.shape == (24, 4)
+    assert np.array_equal(np.lexsort(elems.T[::-1]), np.arange(24))
+    assert len(np.unique(elems, axis=0)) == 24
+    assert elems[0].tolist() == [0, 1, 2, 3]
 
 
 def test_closure_respects_budget():
@@ -99,27 +106,42 @@ def test_closure_respects_budget():
 def test_permgroup_basic_properties():
     g = PermGroup([parse_cycles("(0 1 2 3)", 4)], 4)
     assert g.order == 4
+    assert g.generators.shape == (1, 4)
     assert is_transitive(g)
     h = PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4)], 4)
     assert h.order == 4
     assert not is_transitive(h)
+    # given elements are kept as they are
+    rows = g.elements
+    assert PermGroup(g.generators, 4, elements=rows).elements is rows
+    assert g.table() is g.table() and g.table().order == 4
 
 
 def test_orbit_and_stabilizer_sizes_multiply():
     # S3 acting on 3 points: orbit 3, stabilizer 2
     g = PermGroup([parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)], 3)
     assert g.order == 6
-    assert orbit(g, 0) == frozenset({0, 1, 2})
-    stab = point_stabilizer(g, 0)
-    assert stab.order == 2
-    assert len(orbit(g, 0)) * stab.order == g.order
+    assert is_transitive(g)
+    stab = g.elements[g.elements[:, 0] == 0]
+    assert len(stab) == 2
+    assert len(np.unique(g.elements[:, 0])) * len(stab) == g.order
 
 
 def test_point_stabilizer_fixes_its_point():
     g = PermGroup([parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(1 2 4 3)", 5)], 5)
-    stab = point_stabilizer(g, 0)
-    assert all(p[0] == 0 for p in stab.elements)
-    assert g.order == len(orbit(g, 0)) * stab.order
+    stab = g.elements[g.elements[:, 0] == 0]
+    assert PermGroup(stab, 5).order == len(stab)  # a subgroup
+    assert g.order == len(np.unique(g.elements[:, 0])) * len(stab)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=12).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, m))))
+def test_row_index_finds_each_row_or_minus_one(rows):
+    members = np.unique(rows[: len(rows) // 2 + 1], axis=0)
+    want = [next((i for i, m in enumerate(members.tolist()) if m == r), -1) for r in rows.tolist()]
+    assert row_index(rows, members).tolist() == want
+    assert row_index(rows.astype(np.int16), members).tolist() == want
 
 
 def _labels_by_search(maps: np.ndarray) -> list[int]:

@@ -51,17 +51,19 @@ def test_from_perms_budget_is_enforced(monkeypatch):
 
 def test_base_keyed_and_hashed_tables_match_composition():
     def by_composition(elems):
-        index = {p: i for i, p in enumerate(elems)}
-        return np.array([[index[compose(p, q)] for q in elems] for p in elems])
+        perms = [tuple(p) for p in elems.tolist()]
+        index = {p: i for i, p in enumerate(perms)}
+        return np.array([[index[compose(p, q)] for q in perms] for p in perms])
 
     # a separating base, found greedily or given
     elems = closure([parse_cycles("(0 1 2 3 4 5 6)", 7), parse_cycles("(1 2 4)(3 6 5)", 7)], 7)
     assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
     assert np.array_equal(GroupTable.from_perms(elems, base=[0, 1]).mul, by_composition(elems))
     # C2^5, generator i swapping points 8i and 8i+1: a separating base needs
-    # 5 points and 40^5 base keys exceed the key budget, so products are hashed
+    # 5 points and 40^5 base keys exceed the key budget, so products are
+    # located by whole-row lookup
     elems = closure([parse_cycles(f"({8 * i} {8 * i + 1})", 40) for i in range(5)], 40)
-    assert GroupTable._greedy_base(np.array(elems)) is None
+    assert GroupTable._greedy_base(elems) is None
     assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
 
 
