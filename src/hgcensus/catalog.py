@@ -131,7 +131,8 @@ def automorphism_group(g: CayleyGroup) -> PermGroup:
     """All automorphisms, as permutations of the element indices.
 
     Backtracking over images of the distinguished generators; candidate
-    images are pruned by conjugacy-fingerprint and partial-product checks.
+    images are pruned by element colours (`GroupTable.colours`) and
+    partial-product checks.
     Every element but the identity is listed as a generator.
     """
     if g._aut is None:

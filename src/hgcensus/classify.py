@@ -82,8 +82,8 @@ def is_stab_respecting_iso(
 
 
 def _bucket_key(T: GroupTable, mask: np.ndarray, inv: GroupInvariants):
-    stab_orders = tuple(sorted(T.elem_order[mask].tolist()))
-    return (inv, stab_orders, hash(tuple(sorted(T.class_fingerprints()))))
+    colours = T.colours()
+    return (inv, np.sort(colours[mask]).tobytes(), np.sort(colours).tobytes())
 
 
 def _same_class(a, b) -> bool:

@@ -290,9 +290,12 @@ def build_degree_census(
     hgs_total = 0
     gal_total = 0
     for cls in classes:
-        hgs_total += hgs_count_for_class(cls)
+        # classify checks that members share order and stabilizer order, so
+        # every member of a regular class is regular
+        term = hgs_count_for_class(cls)
+        hgs_total += term
         if cls.regular:
-            gal_total += hgs_count_for_class(cls, galois_only=True)
+            gal_total += term
         w = _class_weight(cls)
         for _, rec in cls.members:
             weight_of[id(rec)] = Fraction(w, rec.ctx.aut.order)

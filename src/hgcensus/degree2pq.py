@@ -275,14 +275,19 @@ def _subgroup(ctx: HolomorphContext, gens: list[np.ndarray]) -> PermGroup:
 
 
 def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
-    """Number of holomorph elements h with h g h^-1 in `sub` for every generator g."""
+    """Number of holomorph elements h with h g h^-1 in `sub` for every generator g.
+
+    A conjugate stays in the holomorph, whose elements are fixed by their
+    images of `ctx.base`, so membership is decided on those columns alone.
+    """
     hol = ctx.perms
     rows = np.arange(len(hol))[:, None]
     conj = np.empty_like(hol)
+    members = sub.elements[:, ctx.base]
     ok = np.ones(len(hol), dtype=bool)
     for g in sub.generators:
         conj[rows, hol] = hol[:, g]  # h g h^-1 sends h(x) to h(g(x))
-        ok &= row_index(conj, sub.elements) >= 0
+        ok &= row_index(conj[:, ctx.base], members) >= 0
     return int(ok.sum())
 
 

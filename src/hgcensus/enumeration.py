@@ -5,8 +5,9 @@ trivial subgroup, each stored class representative H is extended to
 <H, x> for one x per orbit of the candidate space under two-sided
 H-multiplication and normalizer conjugation (extensions by elements of
 the same orbit land in the same conjugacy class).  Every conjugate of a
-discovered subgroup is fingerprinted, so repeat classes are recognized
-in O(1) regardless of which conjugate shows up.
+discovered subgroup is registered by a digest of its sorted indices, so
+repeat classes are recognized in O(1) regardless of which conjugate shows
+up.
 """
 
 from __future__ import annotations
@@ -46,20 +47,6 @@ class SubgroupClass:
 
 def _digest(indices: np.ndarray) -> bytes:
     return blake2b(indices.astype(np.int32).tobytes(), digest_size=16).digest()
-
-
-def minimal_conjugate(T: GroupTable, elems: np.ndarray) -> tuple[int, ...]:
-    """Lex-least sorted index array among all conjugates of the subgroup.
-
-    Brute force over the whole group; meant for cross-checks on small
-    tables, not for the enumeration itself.
-    """
-    best = None
-    for g in range(T.order):
-        cand = tuple(np.sort(T.conj_many(g, elems)).tolist())
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 def subgroup_classes(
@@ -219,7 +206,6 @@ __all__ = [
     "SubgroupClass",
     "TransitiveClassRecord",
     "subgroup_classes",
-    "minimal_conjugate",
     "enumerate_transitive_classes",
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_TIME_BUDGET",

@@ -35,6 +35,8 @@ class HolomorphContext:
         self.group = group
         self.n = group.order
         self.aut = automorphism_group(group)
+        # images of 0 and the generator points determine a holomorph element
+        self.base = [0] + [g for g in group.distinguished_generators if g != 0]
         t = np.asarray(group.table)
         auts = self.aut.elements.astype(t.dtype, copy=False)
         # raw row a*|A| + k is the translation by a after automorphism k
@@ -113,9 +115,7 @@ class HolomorphContext:
     def table(self) -> GroupTable:
         """Multiplication table of the holomorph over the rows of `perms`."""
         if self._table is None:
-            # images of 0 and the generator points determine a holomorph element
-            base = [0] + [g for g in self.group.distinguished_generators if g != 0]
-            self._table = GroupTable.from_perms(self.perms, base=base)
+            self._table = GroupTable.from_perms(self.perms, base=self.base)
         return self._table
 
     def __repr__(self) -> str:

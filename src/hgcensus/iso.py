@@ -1,11 +1,17 @@
 """Isomorphism and automorphism search on indexed groups.
 
-Backtracking over generator images.  Candidate images are bucketed by
-conjugacy-class fingerprints; partial maps are extended level by level along
-a precomputed breadth tree and every (element, generator) product is verified
-before descending, so dead branches die early.  An optional marked subset on
-each side must be preserved elementwise, which is how stabilizer-respecting
-isomorphism and marked automorphism counts share one engine.
+Backtracking over generator images.  Every element carries one key,
+2 * colour + mark: the colour is `GroupTable.colours()`, an invariant every
+isomorphism preserves, and the mark is an exact low bit for membership in
+an optional marked subset on each side.  Equal sorted keys are necessary
+for a map to exist, candidate images of a generator are the elements of
+T2 with its key, and each level checks the keys of the elements it maps
+first.  That is how stabilizer-respecting isomorphism and marked
+automorphism counts share one engine; a further invariant, such as cycle
+type on the points, would be one more key column next to the mark.
+Partial maps are extended level by level along a precomputed breadth tree
+and every (element, generator) product is verified before descending, so
+dead branches die early.
 
 Counts never list the maps.  For the generator sequence g_1..g_k,
 |Aut(T, marked)| is the product over i of the orbit size of g_i under the
@@ -22,7 +28,6 @@ is 0 or that group's chain count.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -108,48 +113,28 @@ class IsoSearch:
         self.T2 = T2
         self.m = T1.order
         self.feasible = T1.order == T2.order
-        self.mark1 = None
-        self.mark2 = None
-        if marked1 is not None or marked2 is not None:
-            s1 = np.zeros(T1.order, dtype=bool)
-            s1[np.asarray(marked1, dtype=np.int64)] = True
-            s2 = np.zeros(T2.order, dtype=bool)
-            s2[np.asarray(marked2, dtype=np.int64)] = True
-            self.mark1, self.mark2 = s1, s2
-            if s1.sum() != s2.sum():
-                self.feasible = False
         if not self.feasible:
             return
-        keys1 = T1.element_fingerprints()
-        keys2 = T2.element_fingerprints()
-        if Counter(map(hash, keys1)) != Counter(map(hash, keys2)):
+        # key 2 * colour + mark: the mark is an exact low bit
+        self.key1 = _keys(T1, marked1)
+        self.key2 = _keys(T2, marked2)
+        by_key = np.argsort(self.key2, kind="stable")
+        sorted2 = self.key2[by_key]
+        if not np.array_equal(np.sort(self.key1), sorted2):
             self.feasible = False
             return
-        buckets: dict = {}
-        for x, key in enumerate(keys2):
-            buckets.setdefault(hash(key), []).append(x)
-        self.buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-        self.keys1 = [hash(k) for k in keys1]
         if gens is None:
-            # favor rare fingerprints (small image buckets), then high orders
-            by_pref = sorted(
-                range(1, self.m),
-                key=lambda x: (len(self.buckets.get(self.keys1[x], ())), -int(T1.elem_order[x]), x),
-            )
-            gens = T1.small_generating_set(np.array([0] + by_pref, dtype=np.int64))
+            # favor rare colours (small image buckets), then high orders
+            _, colour_of, count = np.unique(T1.colours(), return_inverse=True, return_counts=True)
+            xs = np.arange(1, self.m)
+            pref = xs[np.lexsort((-T1.elem_order[xs], count[colour_of[xs]]))]
+            gens = T1.small_generating_set(np.concatenate([[0], pref]))
         self.plan = _SourcePlan(T1, gens)
-        self.cands = []
-        for g in gens:
-            arr = self.buckets.get(self.keys1[g])
-            if arr is None:
-                self.feasible = False
-                return
-            if self.mark1 is not None:
-                arr = arr[self.mark2[arr] == bool(self.mark1[g])]
-                if len(arr) == 0:
-                    self.feasible = False
-                    return
-            self.cands.append(arr)
+        # keys the elements first mapped at each level must find
+        self.want = [self.key1[self.plan.elem_at[lv.new_pos]] for lv in self.plan.levels]
+        lo = np.searchsorted(sorted2, self.key1[gens], "left")
+        hi = np.searchsorted(sorted2, self.key1[gens], "right")
+        self.cands = [by_key[a:b] for a, b in zip(lo, hi)]
         # probe data: orders of short words mixing each gen with earlier ones
         self.probes = []
         for i, gi in enumerate(gens):
@@ -187,14 +172,11 @@ class IsoSearch:
             return 0
         if self.m == 1:
             return 1
-        same = self.T1 is self.T2 and (
-            self.mark1 is None or np.array_equal(self.mark1, self.mark2)
-        )
-        if not same:
+        if not (self.T1 is self.T2 and np.array_equal(self.key1, self.key2)):
             # the isomorphisms are one coset of Aut(T2, marked2)
             if self.run("first") is None:
                 return 0
-            marked = None if self.mark2 is None else np.flatnonzero(self.mark2)
+            marked = np.flatnonzero(self.key2 & 1)
             return IsoSearch(self.T2, self.T2, marked, marked).run("count")
         plan = self.plan
         gens = plan.gens
@@ -233,6 +215,7 @@ class IsoSearch:
         plan = self.plan
         levels = plan.levels
         k = len(levels)
+        key2, want = self.key2, self.want
         found: list[np.ndarray] = []
 
         def descend(level: int) -> bool:
@@ -258,11 +241,8 @@ class IsoSearch:
                     if not np.array_equal(mul2[phi[xs] * m2 + gen_img[j]], phi[xgs]):
                         good = False
                         break
-                if good and self.mark1 is not None:
-                    np_new = lv.new_pos
-                    src = self.mark1[plan.elem_at[np_new]]
-                    if not np.array_equal(self.mark2[phi[np_new]], src):
-                        good = False
+                if good and not np.array_equal(key2[phi[lv.new_pos]], want[level]):
+                    good = False
                 if good:
                     seen = np.bincount(phi[:end], minlength=m2)
                     if (seen > 1).any():
@@ -280,6 +260,13 @@ class IsoSearch:
 
         descend(start)
         return found
+
+
+def _keys(T: GroupTable, marked: Optional[np.ndarray]) -> np.ndarray:
+    key = 2 * T.colours()
+    if marked is not None:
+        key[np.asarray(marked, dtype=np.int64)] += 1
+    return key
 
 
 __all__ = [

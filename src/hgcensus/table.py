@@ -27,8 +27,7 @@ class GroupTable:
     """A finite group as index arithmetic: mul[a, b], inv[a], identity 0."""
 
     __slots__ = (
-        "order", "mul", "inv", "elem_order", "_mul_flat", "_gens", "_classes", "_fingerprints",
-        "_valid",
+        "order", "mul", "inv", "elem_order", "_mul_flat", "_gens", "_classes", "_colours", "_valid",
     )
 
     def __init__(self, mul: np.ndarray):
@@ -48,7 +47,7 @@ class GroupTable:
         self.elem_order = self._element_orders()
         self._gens: Optional[list[int]] = None
         self._classes: Optional[list[np.ndarray]] = None
-        self._fingerprints: Optional[np.ndarray] = None
+        self._colours: Optional[np.ndarray] = None
         self._valid = False
 
     # -- construction ------------------------------------------------------
@@ -227,9 +226,6 @@ class GroupTable:
             todo, power = todo[~done], power[~done]
         return out
 
-    def prod(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
     def conj(self, a: int, x: int) -> int:
         """a x a^-1."""
         return int(self.mul[self.mul[a, x], self.inv[a]])
@@ -331,28 +327,13 @@ class GroupTable:
         return self.centralizer_of(self.generators())
 
     def derived_subgroup(self) -> np.ndarray:
-        """Normal closure of the commutators [s, t] = s t s^-1 t^-1 of generators.
-
-        Grows a generating set from the commutators and adds every
-        conjugate of one of its generators by a group generator that is
-        not yet inside, until the set is stable.
-        """
+        """Normal closure of the commutators [s, t] = s t s^-1 t^-1 of generators:
+        the subgroup generated by every conjugate of every commutator."""
         mul, inv = self.mul, self.inv
-        gens = self.generators()
-        queue = [int(mul[mul[mul[s, t], inv[s]], inv[t]]) for s in gens for t in gens]
-        elems = np.array([0], dtype=np.int64)
-        member = np.zeros(self.order, dtype=bool)
-        member[0] = True
-        sub_gens: list[int] = []
-        while queue:
-            x = queue.pop()
-            if member[x]:
-                continue
-            elems = self.extend_subgroup(elems, sub_gens, x)
-            sub_gens.append(x)
-            member[elems] = True
-            queue.extend(self.conj(g, x) for g in gens)
-        return elems
+        g = np.array(self.generators(), dtype=np.int64)
+        s, t = np.repeat(g, len(g)), np.tile(g, len(g))
+        comms = mul[mul[mul[s, t], inv[s]], inv[t]]
+        return self.closure_of(np.unique(self.conj_many(np.arange(self.order)[:, None], comms)))
 
     def is_abelian(self) -> bool:
         g = np.array(self.generators(), dtype=np.int64)
@@ -384,7 +365,7 @@ class GroupTable:
                     frontier.append((ext, gens + (g,)))
         return [found[k] for k in sorted(found)]
 
-    # -- conjugacy classes and fingerprints ---------------------------------
+    # -- conjugacy classes and colours ------------------------------------
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Classes ordered by least element, each sorted: orbits under conjugation."""
@@ -396,58 +377,59 @@ class GroupTable:
         self._classes = np.split(by_class, np.flatnonzero(np.diff(lab[by_class])) + 1)
         return self._classes
 
-    def class_fingerprints(self) -> list:
-        """Canonical fingerprint key per conjugacy class.
+    def colours(self) -> np.ndarray:
+        """One non-negative int64 colour per element, preserved by every isomorphism.
 
-        Start from (element order, class size) and refine through power and
-        inverse maps a fixed number of rounds, so keys from different groups
-        of the same order are directly comparable.  Isomorphisms preserve
-        fingerprints, so equal keys are necessary for generator images.
+        Starts from (element order, conjugacy-class size), then three rounds
+        mix in the colours of x^-1 and of x^p for each prime p dividing the
+        exponent.  The mix is fixed uint64 arithmetic, so colours of
+        different tables compare directly; a collision only merges colours.
+        Equal colours are necessary for an element and its image.
         """
-        if self._fingerprints is not None:
-            return self._fingerprints
-        classes = self.conjugacy_classes()
-        m = self.order
-        cls_of = np.zeros(m, dtype=np.int64)
-        for ci, cl in enumerate(classes):
-            cls_of[cl] = ci
-        sig: list = [(int(self.elem_order[cl[0]]), len(cl)) for cl in classes]
-        for _ in range(3):
-            keys = []
-            for ci, cl in enumerate(classes):
-                rep = int(cl[0])
-                powers = []
-                oo = int(self.elem_order[rep])
-                primes = set()
-                d = 2
-                while d * d <= oo:
-                    if oo % d == 0:
-                        primes.add(d)
-                        while oo % d == 0:
-                            oo //= d
-                    d += 1
-                if oo > 1:
-                    primes.add(oo)
-                for p in sorted(primes):
-                    x = rep
-                    for _ in range(p - 1):
-                        x = self.prod(x, rep)
-                    powers.append(sig[int(cls_of[x])])
-                powers.append(sig[int(cls_of[int(self.inv[rep])])])
-                keys.append((sig[ci], tuple(powers)))
-            sig = keys
-        self._fingerprints = sig
-        return sig
+        if self._colours is None:
+            size = np.empty(self.order, dtype=np.uint64)
+            for cl in self.conjugacy_classes():
+                size[cl] = len(cl)
+            maps = [self.inv] + [self._powers(p) for p in _prime_factors(self.exponent())]
+            c = _mix(self.elem_order.astype(np.uint64), size)
+            for _ in range(3):
+                new = c
+                for f in maps:
+                    new = _mix(new, c[f])
+                c = new
+            self._colours = (c >> np.uint64(1)).astype(np.int64)
+        return self._colours
 
-    def element_fingerprints(self) -> list:
-        """Fingerprint key for every element (index-aligned)."""
-        classes = self.conjugacy_classes()
-        keys = self.class_fingerprints()
-        out: list = [None] * self.order
-        for ci, cl in enumerate(classes):
-            for x in cl.tolist():
-                out[x] = keys[ci]
+    def _powers(self, e: int) -> np.ndarray:
+        """x^e for every element x, by repeated squaring."""
+        m = self.order
+        out = np.zeros(m, dtype=np.int64)
+        sq = np.arange(m, dtype=np.int64)
+        while e:
+            if e & 1:
+                out = self._mul_flat[out * m + sq].astype(np.int64)
+            sq = self._mul_flat[sq * m + sq].astype(np.int64)
+            e >>= 1
         return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Order-dependent uint64 hash of two colour arrays (a splitmix64 finalizer)."""
+    h = a * np.uint64(0x9E3779B97F4A7C15) ^ (b + np.uint64(0x632BE59BD9B4E019))
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
 
 
 __all__ = [

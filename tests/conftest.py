@@ -7,6 +7,7 @@ Property tests run under one deterministic hypothesis profile.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -35,3 +36,15 @@ def census():
         return cache[key]
 
     return get
+
+
+def _minimal_conjugate(T, elems: np.ndarray) -> tuple[int, ...]:
+    """Lex-least sorted index tuple among all conjugates of a subgroup,
+    by brute force over the whole group."""
+    return min(tuple(np.sort(T.conj_many(g, elems)).tolist()) for g in range(T.order))
+
+
+@pytest.fixture(scope="session")
+def minimal_conjugate():
+    """The brute-force canonical form that subgroup-class searches are checked against."""
+    return _minimal_conjugate

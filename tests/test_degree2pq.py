@@ -11,7 +11,7 @@ from hgcensus.classify import stab_respecting_iso
 from hgcensus.degree2pq import build_family, witness_M_series, witness_four_types
 from hgcensus.errors import ConsistencyError, StructureError
 from hgcensus.iso import IsoSearch
-from hgcensus.perm import is_transitive
+from hgcensus.perm import is_transitive, row_index
 
 
 def test_family_rejects_bad_parameters():
@@ -74,6 +74,20 @@ def test_four_type_witnesses_at_5_3():
         assert rep.subgroup.order == 30
         assert is_transitive(rep.subgroup)
         assert (rep.subgroup.elements[:, 0] == 0).sum() == 1
+
+
+def test_witness_normalizer_orders_match_the_holomorph_table():
+    # every Hol(N) at (5, 3) fits the table budget, so the base-column
+    # lookup can be checked against the dense table's normalizer
+    fam = build_family(5, 3)
+    ctx_of = {gd.group.name: gd.ctx for gd in fam.members}
+    for rep in [*witness_four_types(fam).values(), *witness_M_series(fam)]:
+        ctx = ctx_of[rep.host]
+        idx = np.sort(row_index(rep.subgroup.elements, ctx.perms))
+        gens = row_index(rep.subgroup.generators, ctx.perms).tolist()
+        want = len(ctx.table().normalizer_of(idx, gens))
+        assert degree2pq._hol_normalizer_order(ctx, rep.subgroup) == want, rep.name
+        assert rep.normalizer_order in (None, want), rep.name
 
 
 def test_matched_series_at_5_3():

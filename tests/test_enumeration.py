@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from hgcensus.catalog import groups_of_order
-from hgcensus.enumeration import (
-    enumerate_transitive_classes,
-    minimal_conjugate,
-    subgroup_classes,
-)
+from hgcensus.enumeration import enumerate_transitive_classes, subgroup_classes
 from hgcensus.errors import SearchBudgetError
 from hgcensus.expected import EXPECTED
 from hgcensus.holomorph import build_holomorph
@@ -23,7 +19,7 @@ def _ctx_of(order: int, name: str):
     return build_holomorph(g)
 
 
-def _classes_by_scan(T: GroupTable) -> dict[tuple[int, ...], int]:
+def _classes_by_scan(T: GroupTable, minimal_conjugate) -> dict[tuple[int, ...], int]:
     """Canonical member -> class size, from the exhaustive subgroup scan."""
     out: dict[tuple[int, ...], int] = {}
     for elems in T.all_subgroups():
@@ -33,9 +29,9 @@ def _classes_by_scan(T: GroupTable) -> dict[tuple[int, ...], int]:
 
 
 @pytest.mark.parametrize("order,name", [(5, "C5"), (6, "S3"), (8, "D4")])
-def test_classes_match_exhaustive_scan(order, name):
+def test_classes_match_exhaustive_scan(order, name, minimal_conjugate):
     T = _ctx_of(order, name).table()
-    expected = _classes_by_scan(T)
+    expected = _classes_by_scan(T, minimal_conjugate)
     classes = subgroup_classes(T)
     got = {tuple(c.indices.tolist()): c.class_size for c in classes}
     assert got == expected
@@ -48,7 +44,7 @@ def test_class_sizes_obey_orbit_stabilizer():
         assert c.class_size * len(c.normalizer) == T.order
 
 
-def test_canonical_member_is_stable_under_conjugation():
+def test_canonical_member_is_stable_under_conjugation(minimal_conjugate):
     T = _ctx_of(6, "S3").table()
     rng = np.random.default_rng(11)
     for c in subgroup_classes(T):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hgcensus.catalog import automorphism_group, catalog_orders, groups_of_order
+from hgcensus.classify import classify_degree
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import closure, parse_cycles
 from hgcensus.table import GroupTable
@@ -141,3 +142,45 @@ def test_count_between_isomorphic_tables_is_the_target_aut_order():
         sub = next(s for s in T.all_subgroups() if 1 < len(s) < T.order)
         marked = IsoSearch(T, T2, marked1=sub, marked2=np.sort(perm[sub]))
         assert marked.run("count") == len(marked.run("all")) > 0
+
+
+def _colour_test_tables(census) -> list[GroupTable]:
+    tables = [g.as_table() for n in catalog_orders() if n <= 16 for g in groups_of_order(n)]
+    return tables + [rec.table_with_stab()[0] for d in (6, 8) for rec in census(d).records]
+
+
+def test_relabeling_keeps_colours(census):
+    rng = np.random.default_rng(7)
+    for T in _colour_test_tables(census):
+        perm = np.concatenate([[0], 1 + rng.permutation(T.order - 1)])
+        assert np.array_equal(_relabeled(T, perm).colours()[perm], T.colours())
+
+
+def test_equal_colours_have_equal_order_and_class_size(census):
+    # colours of different tables compare directly, so check across all of them
+    seen: dict[int, tuple[int, int]] = {}
+    for T in _colour_test_tables(census):
+        size = np.empty(T.order, dtype=np.int64)
+        for cl in T.conjugacy_classes():
+            size[cl] = len(cl)
+        for c, o, s in zip(T.colours().tolist(), T.elem_order.tolist(), size.tolist()):
+            assert seen.setdefault(c, (o, s)) == (o, s)
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_constant_colours_change_no_count_or_partition(census, monkeypatch, degree):
+    # colours only prune: with every colour 0 the keys are the marks alone
+    c = census(degree)
+    tables = [cls.members[0][1].table_with_stab() for cls in c.classes]
+    plain = [IsoSearch(T, T).run("count") for T, _ in tables]
+
+    def partition(classes):
+        return [(cls.label, [id(rec) for rec in cls.records()]) for cls in classes]
+
+    want_partition = partition(c.classes)
+    monkeypatch.setattr(GroupTable, "colours", lambda self: np.zeros(self.order, dtype=np.int64))
+    for cls, (T, mask), want in zip(c.classes, tables, plain):
+        idx = np.flatnonzero(mask)
+        assert IsoSearch(T, T).run("count") == want, cls.label
+        assert IsoSearch(T, T, marked1=idx, marked2=idx).run("count") == cls.aut_marked_order
+    assert partition(classify_degree(c.records)) == want_partition
