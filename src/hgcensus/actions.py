@@ -5,7 +5,9 @@ This module materializes that action as a verified table (a skew bracoid),
 splits it into its translation and automorphism parts, transports regular
 actions onto the carrier of N (a skew brace), derives the set-theoretic
 Yang-Baxter map of a brace, and realizes N as a regular subgroup of the
-symmetric group on the points of an external acting group.
+symmetric group on the points of an external acting group.  N is the
+holomorph context's `group`, its catalog `GroupTable`, whose `mul` is the
+carrier's first operation.
 
 Every action, homomorphism and compatibility law here is checked on the
 generators of a table that has passed Light's test (`GroupTable.acts`),
@@ -19,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import CayleyGroup
 from .classify import is_stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext
@@ -155,14 +156,14 @@ class YBESolution:
 def bracoid_from_subgroup(
     ctx: HolomorphContext,
     M: PermGroup,
-    delta: Optional[tuple[CayleyGroup, Sequence[Sequence[int]]]] = None,
+    delta: Optional[tuple[GroupTable, Sequence[Sequence[int]]]] = None,
 ) -> SkewBracoid:
     """Evaluation action of a transitive holomorph subgroup, as a bracoid.
 
     With `delta` omitted the acting group is M itself and the result is
     reduced.  Otherwise `delta = (G, images)` supplies a surjection from a
-    group G onto M, `images[i]` being the holomorph element assigned to G's
-    element i.
+    group G, given by its table, onto M, `images[i]` being the holomorph
+    element assigned to G's element i.
     """
     if not is_transitive(M):
         raise StructureError("bracoid requires a transitive subgroup")
@@ -171,20 +172,19 @@ def bracoid_from_subgroup(
         action = M.elements.astype(np.int32)
         reduced = True
     else:
-        g, images = delta
-        if len(images) != g.order:
+        acting, images = delta
+        if len(images) != acting.order:
             raise StructureError("delta must assign an image to every element")
         action = np.array(images, dtype=np.int32)
-        if action.shape != (g.order, M.degree) or not np.array_equal(action[0], np.arange(M.degree)):
+        if action.shape != (acting.order, M.degree) or not np.array_equal(action[0], np.arange(M.degree)):
             raise StructureError("delta must send the identity to the identity")
-        acting = g.as_table()
         if not acting.acts(action, "delta's source group"):
             raise StructureError("delta is not a homomorphism")
         image = np.unique(action, axis=0)
         if not np.array_equal(image, M.elements):
             raise StructureError("delta is not a surjection onto the subgroup")
-        reduced = len(image) == g.order
-    b = SkewBracoid(acting, ctx.group.as_table(), action, reduced)
+        reduced = len(image) == acting.order
+    b = SkewBracoid(acting, ctx.group, action, reduced)
     b.validate()
     return b
 
@@ -204,9 +204,9 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
     P = M.elements.astype(np.int32)
     if (row_index(P, ctx.perms) < 0).any():
         raise StructureError("subgroup does not live in this holomorph")
-    t = ctx.group.table
+    t = ctx.group.mul
     pi = P[:, 0].copy()
-    gamma = t[ctx.group.as_table().inv[pi][:, None], P].astype(np.int32)
+    gamma = t[ctx.group.inv[pi][:, None], P].astype(np.int32)
     if (row_index(gamma, ctx.aut.elements) < 0).any():
         raise ConsistencyError("stabilizer part is not an automorphism")
     T = M.table()
@@ -234,14 +234,14 @@ def brace_from_regular(ctx: HolomorphContext, M: PermGroup) -> SkewBrace:
         raise StructureError("brace transport requires a regular subgroup")
     circ = np.empty((n, n), dtype=np.int32)
     circ[rows[:, 0]] = rows
-    b = SkewBrace(n, ctx.group.table.astype(np.int32), circ)
+    b = SkewBrace(n, ctx.group.mul.astype(np.int32), circ)
     b.validate()
     return b
 
 
-def trivial_brace(group: CayleyGroup) -> SkewBrace:
+def trivial_brace(group: GroupTable) -> SkewBrace:
     """Both operations equal to the group's own multiplication."""
-    t = group.table.astype(np.int32)
+    t = group.mul.astype(np.int32)
     b = SkewBrace(group.order, t, t.copy())
     b.validate()
     return b
@@ -294,13 +294,13 @@ def realize_regular_subgroup(
     if not np.array_equal(np.sort(bar), np.arange(n)):
         raise StructureError("point correspondence is not a bijection")
 
-    alphas = np.argsort(bar)[ctx.group.table[:, bar]]  # bar^-1 . lambda_a . bar
+    alphas = np.argsort(bar)[ctx.group.mul[:, bar]]  # bar^-1 . lambda_a . bar
     if len(np.unique(alphas[:, 0])) != n:
         raise ConsistencyError("realized image is not regular")
     for g in G.generators:
         if (row_index(g[alphas[:, np.argsort(g)]], alphas) < 0).any():
             raise ConsistencyError("realized image is not normalized by the acting group")
-    gens = alphas[list(ctx.group.distinguished_generators)]
+    gens = alphas[ctx.group.generators()]
     return PermGroup(gens, n, elements=alphas[np.lexsort(alphas.T[::-1])])
 
 

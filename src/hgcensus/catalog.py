@@ -1,10 +1,10 @@
 """Catalog of finite groups by multiplication table.
 
-Every group is built from permutation generators by
-`CayleyGroup.from_perm_generators`: those of a line-oriented data file (see
+Every group is a named `GroupTable` built from permutation generators by
+`from_perm_generators`: those of a line-oriented data file (see
 catalog_data.txt) or those of a faithful action written in code.  Element 0
-is always the identity; distinguished generators are element indices known to
-generate the whole group.
+is always the identity, and the table's `generators()` are the indices of
+the given permutations, in the given order.
 """
 
 from __future__ import annotations
@@ -36,62 +36,21 @@ class GroupInvariants:
     exponent: int
 
 
-class CayleyGroup:
-    """A finite group as an explicit multiplication table plus metadata."""
+def from_perm_generators(name: str, gens: Sequence[Sequence[int]], degree: int) -> GroupTable:
+    """The named table of the group the permutations generate.
 
-    def __init__(
-        self,
-        name: str,
-        table: np.ndarray,
-        distinguished_generators: tuple[int, ...],
-        structure: str = "",
-        checked: bool = False,
-    ):
-        self.name = name
-        self.table = np.asarray(table)
-        self.order = self.table.shape[0]
-        self.distinguished_generators = tuple(distinguished_generators)
-        self.structure = structure
-        self._gt: Optional[GroupTable] = None
-        self._aut: Optional[PermGroup] = None
-        if not checked:
-            self.validate()
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_perm_generators(
-        cls, name: str, gens: Sequence[Sequence[int]], degree: int, structure: str = ""
-    ) -> "CayleyGroup":
-        perms = PermGroup(gens, degree)
-        gt = perms.table()  # indices follow the sorted elements, identity first
-        dist = tuple(row_index(perms.generators, perms.elements).tolist())
-        group = cls(name, gt.mul, dist, structure, checked=True)
-        group._gt = gt
-        group.validate()
-        return group
-
-    # -- contracts ------------------------------------------------------------
-
-    def validate(self) -> None:
-        gt = self.as_table()
-        gt.validate(self.name)
-        if len(gt.closure_of(self.distinguished_generators)) != self.order:
-            raise StructureError(f"{self.name}: distinguished generators do not generate")
-
-    def as_table(self) -> GroupTable:
-        if self._gt is None:
-            self._gt = GroupTable(self.table)
-        return self._gt
-
-    def __repr__(self) -> str:
-        return f"CayleyGroup({self.name}, order={self.order})"
+    Indices follow the sorted elements, identity first, and the table's
+    `generators()` are the given permutations' indices, in order.
+    """
+    perms = PermGroup(gens, degree)
+    table = GroupTable(perms.table().mul, name, row_index(perms.generators, perms.elements).tolist())
+    table.validate(name)
+    return table
 
 
-def invariants(g: CayleyGroup | GroupTable) -> GroupInvariants:
+def invariants(gt: GroupTable) -> GroupInvariants:
     """Invariants of the table; center, derived subgroup and the abelian
-    test all work from the table's one cached generating set."""
-    gt = g.as_table() if isinstance(g, CayleyGroup) else g
+    test all work from the table's one generating set."""
     orders, counts = np.unique(gt.elem_order, return_counts=True)
     return GroupInvariants(
         order=gt.order,
@@ -103,41 +62,34 @@ def invariants(g: CayleyGroup | GroupTable) -> GroupInvariants:
     )
 
 
-def regular_representation(g: CayleyGroup, side: str = "left") -> PermGroup:
+def regular_representation(g: GroupTable, side: str = "left") -> PermGroup:
     """Left action a: x -> a*x, or right action a: x -> x*a, on 0..n-1.
 
     Row a of either action sends 0 to a, so the rows come sorted.
     """
     if side == "left":
-        perms = g.table
+        perms = g.mul
     elif side == "right":
-        perms = g.table.T
+        perms = g.mul.T
     else:
         raise StructureError(f"side must be 'left' or 'right', got {side!r}")
-    return PermGroup(perms[list(g.distinguished_generators)], g.order, elements=perms)
+    return PermGroup(perms[g.generators()], g.order, elements=perms)
 
 
-def opposite_group(g: CayleyGroup) -> CayleyGroup:
-    return CayleyGroup(
-        g.name + "_op",
-        g.table.T.copy(),
-        g.distinguished_generators,
-        structure=g.structure,
-        checked=True,
-    )
+def opposite_group(g: GroupTable) -> GroupTable:
+    return GroupTable(g.mul.T.copy(), g.name + "_op", g.generators())
 
 
-def automorphism_group(g: CayleyGroup) -> PermGroup:
-    """All automorphisms, as permutations of the element indices.
+def automorphism_group(g: GroupTable) -> PermGroup:
+    """All automorphisms, as permutations of the element indices, lex-sorted.
 
-    Backtracking over images of the distinguished generators; candidate
-    images are pruned by element colours (`GroupTable.colours`) and
-    partial-product checks.
-    Every element but the identity is listed as a generator.
+    `IsoSearch` from the table onto itself backtracks over images of its
+    own generator choice; candidate images are pruned by element colours
+    (`GroupTable.colours`) and partial-product checks.  Every element but
+    the identity is listed as a generator.  Cached on the table.
     """
     if g._aut is None:
-        gt = g.as_table()
-        maps = np.array(IsoSearch(gt, gt, gens=list(g.distinguished_generators)).run("all"))
+        maps = np.array(IsoSearch(g, g).run("all"))
         maps = maps[np.lexsort(maps.T[::-1])]
         g._aut = PermGroup(maps[1:], g.order, elements=maps)
     return g._aut
@@ -145,15 +97,14 @@ def automorphism_group(g: CayleyGroup) -> PermGroup:
 
 # -- catalog file ------------------------------------------------------------
 
-_catalog_cache: Optional[dict[int, list[CayleyGroup]]] = None
+_catalog_cache: Optional[dict[int, list[GroupTable]]] = None
 _checked_orders: set[int] = set()
 
 
-def _parse_catalog(text: str) -> dict[int, list[CayleyGroup]]:
-    out: dict[int, list[CayleyGroup]] = {}
+def _parse_catalog(text: str) -> dict[int, list[GroupTable]]:
+    out: dict[int, list[GroupTable]] = {}
     name = None
     order = degree = None
-    structure = ""
     gens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -167,7 +118,6 @@ def _parse_catalog(text: str) -> dict[int, list[CayleyGroup]]:
             attrs = dict(p.split("=", 1) for p in parts[2:])
             order = int(attrs["order"])
             degree = int(attrs["degree"])
-            structure = attrs.get("struct", "")
             gens = []
         elif line.startswith("gen "):
             gens.append(line[4:].strip())
@@ -175,7 +125,7 @@ def _parse_catalog(text: str) -> dict[int, list[CayleyGroup]]:
             if name is None:
                 raise StructureError(f"catalog line {lineno}: stray end")
             perms = [parse_cycles(s, degree) for s in gens]
-            grp = CayleyGroup.from_perm_generators(name, perms, degree, structure)
+            grp = from_perm_generators(name, perms, degree)
             if grp.order != order:
                 raise StructureError(
                     f"{name}: declared order {order}, generated order {grp.order}"
@@ -189,7 +139,7 @@ def _parse_catalog(text: str) -> dict[int, list[CayleyGroup]]:
     return out
 
 
-def _load_catalog() -> dict[int, list[CayleyGroup]]:
+def _load_catalog() -> dict[int, list[GroupTable]]:
     global _catalog_cache
     if _catalog_cache is None:
         text = (
@@ -205,7 +155,7 @@ def catalog_orders() -> tuple[int, ...]:
     return tuple(sorted(_load_catalog().keys()))
 
 
-def groups_of_order(n: int) -> list[CayleyGroup]:
+def groups_of_order(n: int) -> list[GroupTable]:
     """Catalog groups of order n, in catalog file order."""
     cat = _load_catalog()
     if n not in cat:
@@ -214,7 +164,7 @@ def groups_of_order(n: int) -> list[CayleyGroup]:
     if n <= _SELFTEST_LIMIT and n not in _checked_orders:
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                if IsoSearch(groups[i].as_table(), groups[j].as_table()).run("first") is not None:
+                if IsoSearch(groups[i], groups[j]).run("first") is not None:
                     raise StructureError(
                         f"catalog groups {groups[i].name} and {groups[j].name} are isomorphic"
                     )
@@ -223,7 +173,7 @@ def groups_of_order(n: int) -> list[CayleyGroup]:
 
 
 __all__ = [
-    "CayleyGroup",
+    "from_perm_generators",
     "GroupInvariants",
     "invariants",
     "regular_representation",

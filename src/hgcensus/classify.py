@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import GroupInvariants, invariants
 from .enumeration import TransitiveClassRecord
 from .errors import ConsistencyError
 from .iso import IsoSearch
@@ -29,7 +28,6 @@ class EquivalenceClass:
 
     degree: int
     members: list[tuple[str, TransitiveClassRecord]]
-    abstract_invariants: GroupInvariants
     label: str
     # filled lazily by the counting layer; |Aut(G)| resp. |Aut(G, G')|
     aut_marked_order: Optional[int] = field(default=None, repr=False)
@@ -81,9 +79,11 @@ def is_stab_respecting_iso(
     return np.array_equal(rows1[:, 0] == 0, image[:, 0] == 0) and T1.acts(image, "source group")
 
 
-def _bucket_key(T: GroupTable, mask: np.ndarray, inv: GroupInvariants):
+def _bucket_key(T: GroupTable, mask: np.ndarray) -> tuple[bytes, bytes]:
+    """Sorted stabilizer colours and sorted colours: equal for any two
+    records a stabilizer-respecting isomorphism joins."""
     colours = T.colours()
-    return (inv, np.sort(colours[mask]).tobytes(), np.sort(colours).tobytes())
+    return np.sort(colours[mask]).tobytes(), np.sort(colours).tobytes()
 
 
 def _same_class(a, b) -> bool:
@@ -95,11 +95,11 @@ def _same_class(a, b) -> bool:
 def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceClass]:
     """Partition one degree's records (all types together) into classes.
 
-    Records are bucketed by cheap isomorphism invariants first; the
-    backtracking search runs only within a bucket.  Output order and
-    labels are deterministic: classes sorted by (order, stabilizer
-    order, first-seen position), numbered within each (order,
-    stabilizer order) group.
+    Records are bucketed by their sorted element colours and sorted
+    stabilizer colours first; the backtracking search runs only within a
+    bucket.  Output order and labels are deterministic: classes sorted by
+    (order, stabilizer order, first-seen position), numbered within each
+    (order, stabilizer order) group.
     """
     if not records:
         return []
@@ -109,7 +109,7 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
             raise ConsistencyError("records of mixed degree cannot be classified together")
 
     tables = [rec.table_with_stab() for rec in records]
-    keys = [_bucket_key(T, mask, invariants(T)) for T, mask in tables]
+    keys = [_bucket_key(T, mask) for T, mask in tables]
 
     leaders: dict = {}
     class_members: dict[int, list[int]] = {}
@@ -139,7 +139,6 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
         cls = EquivalenceClass(
             degree=degree,
             members=[(records[i].type_name, records[i]) for i in idxs],
-            abstract_invariants=keys[leader][0],
             label=label,
         )
         for _, rec in cls.members:

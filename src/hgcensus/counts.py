@@ -209,8 +209,7 @@ def hopf_subalgebra_count(record: TransitiveClassRecord) -> int:
     r(h) r(0)^-1 in H for every h in H.
     """
     ctx = record.ctx
-    t = ctx.group.table
-    inv = ctx.group.as_table().inv
+    t, inv = ctx.group.mul, ctx.group.inv
     member = ctx.base_subgroups
     ok = np.ones(len(member), dtype=bool)
     for r in ctx.perms[record.gens]:
@@ -274,8 +273,7 @@ def build_degree_census(
     # |Hol(N)| = n |Aut(N)|: a holomorph whose dense table the enumeration
     # would refuse stops the degree before any holomorph is built
     for g in groups:
-        gt = g.as_table()
-        if degree * IsoSearch(gt, gt).run("count") > DEFAULT_TABLE_BUDGET:
+        if degree * IsoSearch(g, g).run("count") > DEFAULT_TABLE_BUDGET:
             return DegreeCensus(unknown, [], [], [], [], [], [], [])
     contexts = [build_holomorph(g) for g in groups]
     records: list[TransitiveClassRecord] = []

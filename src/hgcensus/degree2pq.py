@@ -6,10 +6,11 @@ automorphism group is generated by a handful of named maps, and the
 witness subgroups showing which abstract groups act transitively on which
 carriers are constructed generator-by-generator and checked.
 
-A named automorphism is given by the images of the distinguished
-generators x, r, s.  One word walk expands it to an index array over the
-group's elements, accepted only if that array is a row of the verified
-Aut(N); maps compose and take powers by array indexing.
+A named automorphism is given by the images of the named generators
+x, r, s, which are the group table's `generators()` in that order.  One
+word walk expands it to an index array over the group's elements,
+accepted only if that array is a row of the verified Aut(N); maps compose
+and take powers by array indexing.
 
 Named automorphism keys, by what the map does:
   scale_x        multiplies the direct cyclic factor (identity elsewhere)
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CayleyGroup, invariants
+from .catalog import from_perm_generators
 from .classify import is_stab_respecting_iso, stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext, build_holomorph
@@ -91,20 +92,20 @@ def _map_power(a: np.ndarray, e: int) -> np.ndarray:
 class GroupData:
     """One order-2pq group with its context and named maps."""
 
-    group: CayleyGroup
+    group: GroupTable
     ctx: HolomorphContext
     gen_index: dict[str, int]
     autos: dict[str, np.ndarray]
 
     def embed(self, key: str) -> np.ndarray:
         """Left translation by the named generator."""
-        return self.group.table[self.gen_index[key]]
+        return self.group.mul[self.gen_index[key]]
 
     def power(self, key: str, e: int) -> int:
         """Index of the named generator's e-th power."""
         out = 0
         for _ in range(e):
-            out = int(self.group.table[out, self.gen_index[key]])
+            out = int(self.group.mul[out, self.gen_index[key]])
         return out
 
     def auto(self, **images: int) -> np.ndarray:
@@ -114,7 +115,7 @@ class GroupData:
         One word walk over the generators expands the images; the array is
         accepted only if it is a row of Aut(N).
         """
-        t = self.group.table
+        t = self.group.mul
         pairs = [(g, images.get(k, g)) for k, g in self.gen_index.items()]
         phi = np.full(self.group.order, -1, dtype=np.int64)
         phi[0] = 0
@@ -151,11 +152,11 @@ class WitnessReport:
     abstract: str
 
 
-def _member(name: str, structure: str, gens: dict[str, list[int]]) -> GroupData:
+def _member(name: str, gens: dict[str, list[int]]) -> GroupData:
     """A family group from permutation generators in their x/r/s roles."""
     perms = list(gens.values())
-    g = CayleyGroup.from_perm_generators(name, perms, len(perms[0]), structure=structure)
-    return GroupData(g, build_holomorph(g), dict(zip(gens, g.distinguished_generators)), {})
+    g = from_perm_generators(name, perms, len(perms[0]))
+    return GroupData(g, build_holomorph(g), dict(zip(gens, g.generators())), {})
 
 
 def build_family(p: int, q: int) -> Degree2pqFamily:
@@ -166,10 +167,10 @@ def build_family(p: int, q: int) -> Degree2pqFamily:
     members: list[GroupData] = []
 
     def shift_refl(g: GroupData) -> np.ndarray:  # s -> r s
-        return g.auto(s=int(g.group.table[g.gen_index["r"], g.gen_index["s"]]))
+        return g.auto(s=int(g.group.mul[g.gen_index["r"], g.gen_index["s"]]))
 
     # cyclic: one 2pq-cycle
-    c = _member(f"C{n}", f"C{n}", {"x": _affine([], n, 1, 1)})
+    c = _member(f"C{n}", {"x": _affine([], n, 1, 1)})
     ap = _crt(_element_of_order(p, p - 1), p, 1, 2 * q)
     aq = _crt(_element_of_order(q, q - 1), q, 1, 2 * p)
     c.autos = {
@@ -182,7 +183,7 @@ def build_family(p: int, q: int) -> Degree2pqFamily:
     # first points, rotation and reflection of Z_dih on the rest
     for cyc, dih in ((p, q), (q, p)):
         fixed = list(range(cyc))
-        g = _member(f"C{cyc}xD{dih}", f"C{cyc} x D{dih}", {
+        g = _member(f"C{cyc}xD{dih}", {
             "x": _affine(_affine([], cyc, 1, 1), dih, 1, 0),
             "r": _affine(fixed, dih, 1, 1),
             "s": _affine(fixed, dih, -1, 0),
@@ -196,7 +197,7 @@ def build_family(p: int, q: int) -> Degree2pqFamily:
 
     # dihedral on pq points
     m = p * q
-    d = _member(f"D{m}", f"D{m}", {"r": _affine([], m, 1, 1), "s": _affine([], m, -1, 0)})
+    d = _member(f"D{m}", {"r": _affine([], m, 1, 1), "s": _affine([], m, -1, 0)})
     d.autos = {
         "shift_refl": shift_refl(d),
         "scale_rot_p": d.auto(r=d.power("r", _crt(_element_of_order(p, p - 1), p, 1, q))),
@@ -209,13 +210,13 @@ def build_family(p: int, q: int) -> Degree2pqFamily:
         k = next(cand for cand in range(2, p) if _mult_order(cand, p) == q)
         b5 = _element_of_order(p, p - 1)
         # C2 x (C_p : C_q): a transposition, then v -> v + 1 and v -> k v on Z_p
-        g5 = _member(f"C2x(C{p}:C{q})", f"C2 x (C{p} : C{q})", {
+        g5 = _member(f"C2x(C{p}:C{q})", {
             "x": _affine([1, 0], p, 1, 0),
             "r": _affine([0, 1], p, 1, 1),
             "s": _affine([0, 1], p, k, 0),
         })
         # C_p : C_2q: v -> v + 1 and v -> -k v on Z_p
-        g6 = _member(f"C{p}:C{2 * q}", f"C{p} : C{2 * q}", {
+        g6 = _member(f"C{p}:C{2 * q}", {
             "r": _affine([], p, 1, 1),
             "s": _affine([], p, -k, 0),
         })
@@ -258,7 +259,7 @@ def _power_inverting_r(gd: GroupData, key: str) -> np.ndarray:
     """Power of the named rotation-scaling map sending r to its inverse."""
     base = gd.autos[key]
     r = gd.gen_index["r"]
-    r_inv = int(gd.group.as_table().inv[r])
+    r_inv = int(gd.group.inv[r])
     cur = base
     while cur[r] != r_inv:
         cur = cur[base]
@@ -291,9 +292,8 @@ def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
     return int(ok.sum())
 
 
-def _assert_abstract_type(t1: GroupTable, model: CayleyGroup, what: str) -> None:
-    t2 = model.as_table()
-    if invariants(t1) != invariants(t2) or IsoSearch(t1, t2).run("first") is None:
+def _assert_abstract_type(t1: GroupTable, model: GroupTable, what: str) -> None:
+    if IsoSearch(t1, model).run("first") is None:
         raise ConsistencyError(f"{what} is not isomorphic to {model.name}")
 
 
@@ -342,7 +342,7 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
     return out
 
 
-def _cyclic_by_affine_model(p: int, q: int) -> CayleyGroup:
+def _cyclic_by_affine_model(p: int, q: int) -> GroupTable:
     """C_{2q} x (C_p : C_{p-1}) with the full affine twist.
 
     Acts on 2q + p points: a 2q-cycle on the first 2q, and on the last p,
@@ -354,10 +354,7 @@ def _cyclic_by_affine_model(p: int, q: int) -> CayleyGroup:
         _affine(c, p, 1, 1),
         _affine(c, p, _element_of_order(p, p - 1), 0),
     ]
-    return CayleyGroup.from_perm_generators(
-        f"C{2 * q}x(C{p}:C{p - 1})", gens, 2 * q + p,
-        structure=f"C{2 * q} x (C{p} : C{p - 1})",
-    )
+    return from_perm_generators(f"C{2 * q}x(C{p}:C{p - 1})", gens, 2 * q + p)
 
 
 def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:

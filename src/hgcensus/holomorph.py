@@ -1,10 +1,11 @@
 """Holomorph of a finite group as a permutation group on the group itself.
 
-For a group N of order n acting on its own elements 0..n-1 (identity at 0),
-the holomorph is generated by left translations and automorphisms.  Every
-element x factors uniquely as x = translation(x(0)) followed by an
-automorphism, so the element set is built by direct products rather than
-closure; consistency of the factorization is spot-checked at build time.
+For a group N of order n, given as its catalog `GroupTable`, acting on its
+own elements 0..n-1 (identity at 0), the holomorph is generated by left
+translations and automorphisms.  Every element x factors uniquely as
+x = translation(x(0)) followed by an automorphism, so the element set is
+built by direct products rather than closure; consistency of the
+factorization is spot-checked at build time.
 
 Inside the engine the holomorph is one integer image matrix `perms`: row i
 holds the point images of element i, rows in lexicographic order.  Table
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CayleyGroup, automorphism_group, regular_representation
+from .catalog import automorphism_group, regular_representation
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
 from .table import GroupTable
@@ -29,15 +30,15 @@ _SPOT_CHECKS = 100
 
 
 class HolomorphContext:
-    """A group, its translation images, automorphisms, and their join."""
+    """A group's table, its translation images, automorphisms, and their join."""
 
-    def __init__(self, group: CayleyGroup):
+    def __init__(self, group: GroupTable):
         self.group = group
         self.n = group.order
         self.aut = automorphism_group(group)
         # images of 0 and the generator points determine a holomorph element
-        self.base = [0] + [g for g in group.distinguished_generators if g != 0]
-        t = np.asarray(group.table)
+        self.base = [0] + [g for g in group.generators() if g != 0]
+        t = group.mul
         auts = self.aut.elements.astype(t.dtype, copy=False)
         # raw row a*|A| + k is the translation by a after automorphism k
         raw = t[:, auts].reshape(self.n * len(auts), self.n)
@@ -55,9 +56,8 @@ class HolomorphContext:
         x*b = b * (b^-1 x b), so the right translation by b is the left
         translation by b after the inner automorphism of b^-1.
         """
-        inv = self.group.as_table().inv
         b = np.arange(self.n)
-        k = row_index(t[t[inv], b[:, None]], auts)  # row b: x -> b^-1 x b
+        k = row_index(t[t[self.group.inv], b[:, None]], auts)  # row b: x -> b^-1 x b
         if (k < 0).any():
             raise ConsistencyError(f"{self.group.name}: right translation not in holomorph")
         rows = rank[b * len(auts) + k]
@@ -104,7 +104,7 @@ class HolomorphContext:
     @cached_property
     def base_subgroups(self) -> np.ndarray:
         """Membership mask of every subgroup of N, one row per subgroup."""
-        subs = self.group.as_table().all_subgroups()
+        subs = self.group.all_subgroups()
         member = np.zeros((len(subs), self.n), dtype=bool)
         for i, sub in enumerate(subs):
             member[i, sub] = True
@@ -122,7 +122,7 @@ class HolomorphContext:
         return f"HolomorphContext({self.group.name}, order={len(self.perms)})"
 
 
-def build_holomorph(group: CayleyGroup) -> HolomorphContext:
+def build_holomorph(group: GroupTable) -> HolomorphContext:
     return HolomorphContext(group)
 
 

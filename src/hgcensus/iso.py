@@ -107,7 +107,6 @@ class IsoSearch:
         T2: GroupTable,
         marked1: Optional[np.ndarray] = None,
         marked2: Optional[np.ndarray] = None,
-        gens: Optional[list[int]] = None,
     ):
         self.T1 = T1
         self.T2 = T2
@@ -123,12 +122,11 @@ class IsoSearch:
         if not np.array_equal(np.sort(self.key1), sorted2):
             self.feasible = False
             return
-        if gens is None:
-            # favor rare colours (small image buckets), then high orders
-            _, colour_of, count = np.unique(T1.colours(), return_inverse=True, return_counts=True)
-            xs = np.arange(1, self.m)
-            pref = xs[np.lexsort((-T1.elem_order[xs], count[colour_of[xs]]))]
-            gens = T1.small_generating_set(np.concatenate([[0], pref]))
+        # favor rare colours (small image buckets), then high orders
+        _, colour_of, count = np.unique(T1.colours(), return_inverse=True, return_counts=True)
+        xs = np.arange(1, self.m)
+        pref = xs[np.lexsort((-T1.elem_order[xs], count[colour_of[xs]]))]
+        gens = T1.small_generating_set(np.concatenate([[0], pref]))
         self.plan = _SourcePlan(T1, gens)
         # keys the elements first mapped at each level must find
         self.want = [self.key1[self.plan.elem_at[lv.new_pos]] for lv in self.plan.levels]

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, StructureError
-from .perm import orbit_labels, row_index
+from .perm import PermGroup, orbit_labels, row_index
 
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
@@ -24,13 +24,19 @@ _ROW_BLOCK = 128
 
 
 class GroupTable:
-    """A finite group as index arithmetic: mul[a, b], inv[a], identity 0."""
+    """A finite group as index arithmetic: mul[a, b], inv[a], identity 0.
+
+    `name` labels the group in messages and reports.  `gens`, when given,
+    is the generating list `generators()` returns as is (order, repeats and
+    identity kept); `validate` checks that it generates.
+    """
 
     __slots__ = (
-        "order", "mul", "inv", "elem_order", "_mul_flat", "_gens", "_classes", "_colours", "_valid",
+        "order", "mul", "inv", "elem_order", "name", "_mul_flat", "_gens", "_classes", "_colours",
+        "_valid", "_aut",
     )
 
-    def __init__(self, mul: np.ndarray):
+    def __init__(self, mul: np.ndarray, name: str = "", gens: Optional[Sequence[int]] = None):
         m = mul.shape[0]
         if mul.shape != (m, m):
             raise StructureError("multiplication table must be square")
@@ -45,10 +51,12 @@ class GroupTable:
             inv[lo : lo + len(cols)] = cols
         self.inv = inv
         self.elem_order = self._element_orders()
-        self._gens: Optional[list[int]] = None
+        self.name = name
+        self._gens: Optional[list[int]] = None if gens is None else list(gens)
         self._classes: Optional[list[np.ndarray]] = None
         self._colours: Optional[np.ndarray] = None
         self._valid = False
+        self._aut: Optional[PermGroup] = None  # filled by `catalog.automorphism_group`
 
     # -- construction ------------------------------------------------------
 
@@ -318,7 +326,7 @@ class GroupTable:
         return rng[ok]
 
     def generators(self) -> list[int]:
-        """Greedy generating set of the whole group, computed once per table."""
+        """The given generators, else a greedy generating set computed once."""
         if self._gens is None:
             self._gens = self.small_generating_set(np.arange(self.order, dtype=np.int64))
         return self._gens

@@ -135,7 +135,7 @@ def test_criterion_5_bracoid_axioms_and_cocycle_claims(census):
             assert len(pi) == rec.order
             aut_set = {tuple(p) for p in rec.ctx.aut.elements.tolist()}
             stab_set = {tuple(p) for p in rec.stabilizer.elements.tolist()}
-            t = rec.ctx.group.table
+            t = rec.ctx.group.mul
             for i, p in enumerate(perms):
                 assert tuple(int(v) for v in gamma[i]) in aut_set
                 assert tuple(int(v) for v in t[pi[i], gamma[i]]) == p

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.resources
+import re
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from hgcensus.catalog import (
-    CayleyGroup,
     automorphism_group,
     catalog_orders,
     groups_of_order,
@@ -19,10 +20,29 @@ from hgcensus.catalog import (
 from hgcensus.errors import StructureError, UnsupportedOrderError
 from hgcensus.expected import EXPECTED
 from hgcensus.iso import IsoSearch
-from hgcensus.perm import closure, compose, is_transitive
+from hgcensus.perm import closure, compose, is_transitive, parse_cycles, row_index
+from hgcensus.table import GroupTable
 
 # the reference table's type column doubles as the group count per order
 KNOWN_TYPE_COUNTS = {n: EXPECTED[n].types for n in catalog_orders() if n in EXPECTED}
+
+
+def _catalog_file_blocks() -> list[tuple[str, int, list[str]]]:
+    """(name, degree, generator lines) of every block of the data file."""
+    text = importlib.resources.files("hgcensus").joinpath("catalog_data.txt").read_text()
+    blocks = re.findall(r"^group (\S+) order=\d+ degree=(\d+).*?\n(.*?)^end$", text, re.M | re.S)
+    return [(name, int(deg), re.findall(r"^gen (.*)$", body, re.M)) for name, deg, body in blocks]
+
+
+def test_catalog_tables_keep_their_file_generators_in_order():
+    groups = {g.name: g for n in catalog_orders() for g in groups_of_order(n)}
+    blocks = _catalog_file_blocks()
+    assert blocks and len(blocks) == len(groups)
+    for name, degree, lines in blocks:
+        perms = np.array([parse_cycles(line, degree) for line in lines])
+        want = row_index(perms, closure(perms.tolist(), degree)).tolist()
+        assert groups[name].name == name
+        assert groups[name].generators() == want, name
 
 
 def test_every_covered_order_has_the_right_number_of_groups():
@@ -43,10 +63,9 @@ def test_catalog_groups_are_pairwise_nonisomorphic():
         if n > 16:
             continue  # large orders carry one group each
         groups = groups_of_order(n)
-        tables = [g.as_table() for g in groups]
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                assert IsoSearch(tables[i], tables[j]).run("count") == 0, (
+                assert IsoSearch(groups[i], groups[j]).run("count") == 0, (
                     f"{groups[i].name} vs {groups[j].name}"
                 )
 
@@ -73,16 +92,17 @@ def test_left_and_right_translations_commute():
 def test_opposite_group_is_transpose_and_isomorphic():
     for g in groups_of_order(6):
         op = opposite_group(g)
-        assert np.array_equal(op.table, g.table.T)
+        assert np.array_equal(op.mul, g.mul.T)
+        assert op.name == g.name + "_op" and op.generators() == g.generators()
         # inversion is an isomorphism onto the opposite group
-        assert IsoSearch(g.as_table(), op.as_table()).run("count") > 0
+        assert IsoSearch(g, op).run("count") > 0
     abelian = groups_of_order(5)[0]
-    assert np.array_equal(opposite_group(abelian).table, abelian.table)
+    assert np.array_equal(opposite_group(abelian).mul, abelian.mul)
 
 
-def _aut_order_by_brute_force(g: CayleyGroup) -> int:
+def _aut_order_by_brute_force(g: GroupTable) -> int:
     """Count bijections fixing 0 that preserve the product, by full scan."""
-    t = g.table
+    t = g.mul
     n = g.order
     count = 0
     for rest in permutations(range(1, n)):
@@ -111,28 +131,28 @@ def test_automorphism_orders_of_classical_groups():
 def test_automorphisms_fix_identity_and_preserve_products():
     g = groups_of_order(12)[3]
     auts = automorphism_group(g)
-    t = g.table
+    t = g.mul
     assert np.array_equal(np.lexsort(auts.elements.T[::-1]), np.arange(auts.order))
     assert auts.elements[0].tolist() == list(range(g.order))
     for alpha in auts.elements:
         assert alpha[0] == 0
-        for s in g.distinguished_generators:
+        for s in g.generators():
             for b in range(g.order):
                 assert alpha[t[s, b]] == t[alpha[s], alpha[b]]
 
 
-def _relabeled(g: CayleyGroup, sigma: tuple[int, ...]) -> CayleyGroup:
+def _relabeled(g: GroupTable, sigma: tuple[int, ...]) -> GroupTable:
     """The same group on shuffled element indices (identity kept at 0)."""
     n = g.order
     inv = [0] * n
     for i, v in enumerate(sigma):
         inv[v] = i
-    t = np.empty_like(g.table)
+    t = np.empty_like(g.mul)
     for a in range(n):
         for b in range(n):
-            t[a, b] = sigma[g.table[inv[a], inv[b]]]
-    gens = [sigma[s] for s in g.distinguished_generators]
-    return CayleyGroup(g.name + "_shuffled", t, gens)
+            t[a, b] = sigma[g.mul[inv[a], inv[b]]]
+    gens = [sigma[s] for s in g.generators()]
+    return GroupTable(t, g.name + "_shuffled", gens)
 
 
 def test_invariants_are_relabeling_invariant():
@@ -148,14 +168,14 @@ def test_invariants_separate_most_order8_groups():
     assert len({(i.abelian, i.exponent, i.center_order, i.order_multiset) for i in invs}) == 5
 
 
-def _latin_nonassociative(g: CayleyGroup) -> np.ndarray:
+def _latin_nonassociative(g: GroupTable) -> np.ndarray:
     """g's table with one intercalate swapped: still Latin, identity kept.
 
     For an involution h, rows x and x h and columns x and h x hold the
     2x2 subsquare {x x, x h x}; swapping its two values breaks some product.
     """
-    t = g.table
-    h = int(np.flatnonzero(g.as_table().elem_order == 2)[0])
+    t = g.mul
+    h = int(np.flatnonzero(g.elem_order == 2)[0])
     x = 1 if h != 1 else 2
     a, b, c, d = x, int(t[x, h]), x, int(t[h, x])
     out = t.copy()
@@ -163,19 +183,19 @@ def _latin_nonassociative(g: CayleyGroup) -> np.ndarray:
     return out
 
 
-def test_cayley_group_rejects_tables_that_are_not_groups():
+def test_table_validate_rejects_tables_that_are_not_groups():
     s3 = groups_of_order(6)[1]
-    t = s3.table
-    gens = s3.distinguished_generators
+    t = s3.mul
+    gens = s3.generators()
     with pytest.raises(StructureError):
-        CayleyGroup("row0", t[[1, 0, 2, 3, 4, 5]], gens)
+        GroupTable(t[[1, 0, 2, 3, 4, 5]], "row0", gens).validate("row0")
     not_latin = t.copy()
     not_latin[1, np.flatnonzero(t[1] != 0)[0]] = t[1, np.flatnonzero(t[1] != 0)[1]]
     with pytest.raises(StructureError):
-        CayleyGroup("not_latin", not_latin, gens)
-    involution = int(np.flatnonzero(s3.as_table().elem_order == 2)[0])
-    with pytest.raises(StructureError, match="do not generate"):
-        CayleyGroup("short_gens", t, (involution,))
+        GroupTable(not_latin, "not_latin", gens).validate("not_latin")
+    involution = int(np.flatnonzero(s3.elem_order == 2)[0])
+    with pytest.raises(StructureError, match="miss elements"):
+        GroupTable(t, "short_gens", [involution]).validate("short_gens")
 
 
 def test_latin_nonassociative_order_42_table_is_rejected():
@@ -185,5 +205,6 @@ def test_latin_nonassociative_order_42_table_is_rejected():
         assert (np.sort(bad, axis=0) == rng[:, None]).all() and (np.sort(bad, axis=1) == rng).all()
         assert np.array_equal(bad[0], rng) and np.array_equal(bad[:, 0], rng)
         assert not np.array_equal(bad[bad], bad[:, bad])  # some (a b) c != a (b c)
+        # no given generators: the greedy set generates, so Light's test runs
         with pytest.raises(StructureError, match="not associative"):
-            CayleyGroup(g.name + "_swapped", bad, g.distinguished_generators)
+            GroupTable(bad).validate(g.name + "_swapped")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hgcensus.catalog import groups_of_order, regular_representation
+from hgcensus.catalog import groups_of_order, invariants, regular_representation
 from hgcensus.classify import classify_degree, stab_respecting_iso
 from hgcensus.enumeration import enumerate_transitive_classes
 from hgcensus.errors import ConsistencyError
@@ -52,7 +52,8 @@ def test_same_invariants_can_still_separate(census):
     classes = census(8).classes
     by_key = {}
     for cls in classes:
-        key = (cls.order, cls.stabilizer_order, cls.abstract_invariants)
+        T, _ = cls.members[0][1].table_with_stab()
+        key = (cls.order, cls.stabilizer_order, invariants(T))
         by_key.setdefault(key, []).append(cls)
     twins = [v for v in by_key.values() if len(v) > 1]
     assert twins, "expected at least one invariant-equal pair at degree 8"

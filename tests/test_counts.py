@@ -147,8 +147,8 @@ def _hopf_count_by_tuples(rec) -> int:
     """Subgroups H of N with r . lambda_h . r^-1 in lambda(H), by tuple conjugation."""
     ctx = rec.ctx
     count = 0
-    for sub in ctx.group.as_table().all_subgroups():
-        lam = {tuple(ctx.group.table[h].tolist()) for h in sub.tolist()}
+    for sub in ctx.group.all_subgroups():
+        lam = {tuple(ctx.group.mul[h].tolist()) for h in sub.tolist()}
         if all(_conjugate(r, h) in lam for r in rec.rep.generators.tolist() for h in lam):
             count += 1
     return count

@@ -19,7 +19,7 @@ def test_image_matrix_rows_are_the_sorted_holomorph_elements():
             ctx = build_holomorph(g)
             auts = [tuple(alpha) for alpha in ctx.aut.elements.tolist()]
             want = sorted(
-                {compose(tuple(g.table[a].tolist()), alpha) for a in range(n) for alpha in auts}
+                {compose(tuple(g.mul[a].tolist()), alpha) for a in range(n) for alpha in auts}
             )
             assert [tuple(row) for row in ctx.perms.tolist()] == want, g.name
 
@@ -64,7 +64,7 @@ def test_every_element_factors_as_translation_times_automorphism():
     auts = {tuple(alpha) for alpha in ctx.aut.elements.tolist()}
     for x, a, alpha in zip(ctx.hol.elements.tolist(), pi.tolist(), map(tuple, gamma.tolist())):
         assert alpha in auts
-        assert list(compose(tuple(g.table[a].tolist()), alpha)) == x
+        assert list(compose(tuple(g.mul[a].tolist()), alpha)) == x
 
 
 def test_index_round_trip_and_translation_index_sets():
@@ -102,12 +102,12 @@ def test_table_matches_composition():
 def test_product_law_spot_checks_reject_a_latin_non_group_table():
     g = groups_of_order(6)[1]  # S3
     ctx = build_holomorph(g)
-    t = g.table
+    t = g.mul
     auts = ctx.aut.elements.astype(t.dtype)
     ctx._verify(t, auts)
     # swap the intercalate on rows x, x h and columns x, h x (h an
     # involution): still Latin with identity 0, no longer a group
-    h = int(np.flatnonzero(g.as_table().elem_order == 2)[0])
+    h = int(np.flatnonzero(g.elem_order == 2)[0])
     x = 1 if h != 1 else 2
     b, d = int(t[x, h]), int(t[h, x])
     bad = t.copy()

@@ -111,17 +111,17 @@ def test_chain_count_equals_listed_maps_on_every_class(census, degree):
 
 
 def test_chain_count_equals_automorphism_group_order():
+    # the census pre-check sizes Hol(N) by the chain count; the holomorph
+    # is built from the listed maps
+    orders = [n for n in catalog_orders() if n <= 16 or n in (41, 77)]
     checked = 0
-    for n in catalog_orders():
-        if n > 16:
-            continue
+    for n in orders:
         for g in groups_of_order(n):
-            T = g.as_table()
-            assert IsoSearch(T, T).run("count") == automorphism_group(g).order, g.name
+            assert IsoSearch(g, g).run("count") == automorphism_group(g).order, g.name
             checked += 1
     e16 = next(g for g in groups_of_order(16) if g.name == "C2xC2xC2xC2")
     assert automorphism_group(e16).order == 20160  # |GL(4, 2)|
-    assert checked == sum(len(groups_of_order(n)) for n in catalog_orders() if n <= 16)
+    assert checked == sum(len(groups_of_order(n)) for n in orders)
 
 
 def _relabeled(T: GroupTable, perm: np.ndarray) -> GroupTable:
@@ -145,7 +145,7 @@ def test_count_between_isomorphic_tables_is_the_target_aut_order():
 
 
 def _colour_test_tables(census) -> list[GroupTable]:
-    tables = [g.as_table() for n in catalog_orders() if n <= 16 for g in groups_of_order(n)]
+    tables = [g for n in catalog_orders() if n <= 16 for g in groups_of_order(n)]
     return tables + [rec.table_with_stab()[0] for d in (6, 8) for rec in census(d).records]
 
 

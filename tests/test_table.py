@@ -67,6 +67,15 @@ def test_base_keyed_and_hashed_tables_match_composition():
     assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
 
 
+def test_given_generators_are_kept_as_given():
+    T = _table_of(["(0 1 2)", "(0 1)"], 3)
+    greedy = T.generators()
+    given = GroupTable(T.mul, "S3", [0, 3, 3, 1])  # identity and a repeat kept
+    assert given.name == "S3" and given.generators() == [0, 3, 3, 1]
+    given.validate("S3")
+    assert GroupTable(T.mul).generators() == greedy
+
+
 def test_subtable_relabels_consistently():
     T = _table_of(["(0 1 2 3)", "(1 3)"], 4)  # D4, order 8
     center = T.center()
@@ -137,9 +146,8 @@ def test_conjugacy_classes_partition_s3():
 
 def test_conjugacy_classes_match_all_conjugates_on_catalog_groups():
     for n in catalog_orders():
-        for g in groups_of_order(n):
-            T = g.as_table()
-            assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T), g.name
+        for T in groups_of_order(n):
+            assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T), T.name
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
@@ -172,10 +180,9 @@ def _derived_by_all_commutators(T: GroupTable) -> np.ndarray:
 
 def test_derived_subgroup_matches_all_commutators_on_catalog_groups():
     for n in catalog_orders():
-        for g in groups_of_order(n):
-            T = g.as_table()
-            assert np.array_equal(T.derived_subgroup(), _derived_by_all_commutators(T)), g.name
-            assert T.is_abelian() == bool((T.mul == T.mul.T).all()), g.name
+        for T in groups_of_order(n):
+            assert np.array_equal(T.derived_subgroup(), _derived_by_all_commutators(T)), T.name
+            assert T.is_abelian() == bool((T.mul == T.mul.T).all()), T.name
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
@@ -188,14 +195,13 @@ def test_derived_subgroup_matches_all_commutators_on_records(census, degree):
 
 def test_element_orders_and_inverses_of_catalog_groups():
     for n in catalog_orders():
-        for g in groups_of_order(n):
-            T = g.as_table()
-            assert (T.mul[np.arange(T.order), T.inv] == 0).all(), g.name
+        for T in groups_of_order(n):
+            assert (T.mul[np.arange(T.order), T.inv] == 0).all(), T.name
             for a in range(1, T.order):
                 k, x = 1, a
                 while x != 0:
                     x, k = int(T.mul[x, a]), k + 1
-                assert T.elem_order[a] == k, (g.name, a)
+                assert T.elem_order[a] == k, (T.name, a)
 
 
 def test_table_without_unique_inverses_is_rejected():
@@ -245,7 +251,7 @@ def test_validate_covers_the_last_row_and_column_block():
 def test_validate_accepts_every_catalog_group():
     for n in catalog_orders():
         for g in groups_of_order(n):
-            g.as_table().validate(g.name)
+            g.validate(g.name)
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
@@ -261,8 +267,8 @@ def test_light_test_agrees_with_all_triples_on_swapped_intercalates():
     verdicts = set()
     for n in (4, 6, 8, 9):
         for g in groups_of_order(n):
-            for cells in _intercalates(g.table):
-                t = _swap_intercalate(g.table, *cells)
+            for cells in _intercalates(g.mul):
+                t = _swap_intercalate(g.mul, *cells)
                 assoc = _associative_by_all_triples(t)
                 verdicts.add(assoc)
                 if assoc:
