@@ -22,6 +22,10 @@ DEFAULT_TABLE_BUDGET = 6000
 # temporaries small next to the table itself
 _ROW_BLOCK = 128
 
+# cosets `extend_subgroup` marks one at a time in Python before it hands the
+# rest of the fill to numpy levels
+_WALK_COSETS = 4
+
 
 class GroupTable:
     """A finite group as index arithmetic: mul[a, b], inv[a], identity 0.
@@ -43,12 +47,15 @@ class GroupTable:
         self.order = m
         self.mul = mul
         self._mul_flat = mul.ravel()
-        inv = np.empty(m, dtype=mul.dtype)
-        for lo in range(0, m, _ROW_BLOCK):
-            rows, cols = np.nonzero(mul[lo : lo + _ROW_BLOCK] == 0)
-            if not np.array_equal(rows, np.arange(min(_ROW_BLOCK, m - lo))):
-                raise StructureError("table row lacks a unique inverse")
-            inv[lo : lo + len(cols)] = cols
+        # the identity 0 is the least entry of any row that holds it; each
+        # row must hold it once, counted a block of rows at a time
+        inv = mul.argmin(1).astype(mul.dtype)
+        unique = (mul[np.arange(m), inv] == 0).all() and all(
+            np.count_nonzero(mul[lo : lo + _ROW_BLOCK] == 0) == min(_ROW_BLOCK, m - lo)
+            for lo in range(0, m, _ROW_BLOCK)
+        )
+        if not unique:
+            raise StructureError("table row lacks a unique inverse")
         self.inv = inv
         self.elem_order = self._element_orders()
         self.name = name
@@ -174,7 +181,10 @@ class GroupTable:
         Associativity is Light's test: the elements a with (x a) y = x (a y)
         for all x, y are closed under products in any bracketing, so
         checking it for a set of generators covers every product of them,
-        in particular every product `closure_of`'s coset fill forms.  Each
+        in particular every product `closure_of`'s coset fill forms.  Such
+        elements also split the table into right cosets of every subgroup
+        they form, so Lagrange's theorem, on which the fill's early stop
+        rests, holds as soon as the generators pass.  Each
         generator costs one order^2 comparison.  The Latin and
         associativity comparisons run over blocks of `_ROW_BLOCK` rows (and
         columns), so no temporary exceeds block * order cells.  Success is
@@ -258,25 +268,80 @@ class GroupTable:
     def extend_subgroup(self, elems: np.ndarray, gens: Sequence[int], new: int) -> np.ndarray:
         """Sorted indices of <H, new> given H's sorted `elems` and `gens`.
 
-        Coset fill: walk right cosets of H instead of single elements.
+        The result is a union of right cosets H r, filled from H new by right
+        multiplication with H's generators and `new`.  A Python walk over
+        single representatives (`_coset_walk`) marks the first cosets; past
+        `_WALK_COSETS` of them the fill finishes in numpy one level at a
+        time, multiplying by the generators and their repeated squares
+        (`_coset_levels`).  Lagrange stop: a proper subgroup containing H
+        has at most m/p elements, p the least prime dividing [G : H], so
+        once the fill passes m/p the result is the whole group.
+        """
+        member = np.zeros(self.order, dtype=bool)
+        member[elems] = True
+        if member[new]:
+            return elems
+        gens = [*gens, new]
+        most = self.order // _prime_factors(self.order // len(elems))[0]
+        frontier = self._coset_walk(elems, gens, new, member, most)
+        if frontier is not None and len(frontier):
+            frontier = self._coset_levels(elems, gens, frontier, member, most)
+        if frontier is None:
+            return np.arange(self.order, dtype=np.int64)
+        return np.flatnonzero(member)
+
+    def _coset_walk(self, elems, gens, new, member, most) -> Optional[np.ndarray]:
+        """Mark the cosets H new and H r g, one representative r at a time.
+
+        Stops once `_WALK_COSETS` cosets besides H are marked and returns
+        the representatives not yet multiplied out (empty when the fill is
+        complete), or None once more than `most` elements are marked.
         """
         mul = self.mul
-        known = set(elems.tolist())
-        if new in known:
-            return elems
-        all_gens = list(gens) + [new]
+        h = len(elems)
+        member[mul[elems, new]] = True
         reps = [new]
-        known.update(mul[elems, new].tolist())
         qi = 0
-        while qi < len(reps):
+        while h * (len(reps) + 1) <= most:
+            if qi == len(reps) or len(reps) >= _WALK_COSETS:
+                return np.array(reps[qi:], dtype=np.int64)
             r = reps[qi]
             qi += 1
-            for g in all_gens:
+            for g in gens:
                 t = int(mul[r, g])
-                if t not in known:
+                if not member[t]:
+                    member[mul[elems, t]] = True
                     reps.append(t)
-                    known.update(mul[elems, t].tolist())
-        return np.array(sorted(known), dtype=np.int64)
+        return None
+
+    def _coset_levels(self, elems, gens, frontier, member, most) -> Optional[np.ndarray]:
+        """Finish the coset fill from the representatives in `frontier`.
+
+        Each level multiplies the frontier by every generator x and its
+        repeated squares x^2, x^4, ... below x's order, so a long cycle
+        takes logarithmically many levels, marks the cosets of the
+        products not yet marked, and keeps one representative per new
+        coset, its least element.  Returns the empty frontier once nothing
+        new is found, or None once more than `most` elements are marked.
+        """
+        mul = self.mul
+        steps = []
+        for x in gens:
+            k, e = int(self.elem_order[x]), 1
+            while e < k:  # x is a generator's e-th power
+                steps.append(x)
+                x, e = int(mul[x, x]), 2 * e
+        col = elems[:, None]
+        while True:
+            prod = mul[frontier[:, None], steps]
+            cand = prod[~member[prod]]
+            if not len(cand):
+                return cand
+            block = mul[col, cand]
+            member[block] = True
+            frontier = np.unique(block.min(0))
+            if np.count_nonzero(member) > most:
+                return None
 
     def small_generating_set(self, elems: np.ndarray) -> list[int]:
         """Greedy generators for the subgroup on `elems`.

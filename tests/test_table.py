@@ -7,6 +7,7 @@ import pytest
 
 from hgcensus import table
 from hgcensus.catalog import catalog_orders, groups_of_order
+from hgcensus.enumeration import subgroup_classes
 from hgcensus.errors import BudgetError, StructureError
 from hgcensus.holomorph import build_holomorph
 from hgcensus.perm import closure, compose, parse_cycles
@@ -91,14 +92,76 @@ def test_subtable_relabels_consistently():
 
 def test_closure_of_and_extend_subgroup():
     T = _table_of(["(0 1 2 3)", "(1 3)"], 4)
-    rot = T.closure_of([1]) if T.elem_order[1] == 4 else None
     # pick an element of order 4 without caring about index layout
     four = int(np.nonzero(T.elem_order == 4)[0][0])
     rot = T.closure_of([four])
     assert len(rot) == 4
+    gens = T.small_generating_set(rot)
+    assert T.extend_subgroup(rot, gens, int(rot[2])) is rot  # already in H
     outside = next(g for g in range(T.order) if g not in set(rot.tolist()))
-    bigger = T.extend_subgroup(rot, T.small_generating_set(rot), outside)
-    assert len(bigger) == 8
+    assert np.array_equal(T.extend_subgroup(rot, gens, outside), np.arange(8))
+    # C12 from the trivial group and one generator: the whole group
+    C = _table_of(["(0 1 2 3 4 5 6 7 8 9 10 11)"], 12)
+    twelve = int(np.nonzero(C.elem_order == 12)[0][0])
+    assert np.array_equal(C.extend_subgroup(np.array([0]), [], twelve), np.arange(12))
+
+
+def _closure_by_elements(T: GroupTable, seeds: list[int]) -> np.ndarray:
+    """Breadth-first closure one element at a time: the reference for
+    `extend_subgroup`'s coset fill."""
+    seen, todo = {0}, [0]
+    for x in todo:
+        for g in seeds:
+            y = int(T.mul[x, g])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return np.array(sorted(seen))
+
+
+def _holomorph_tables(degrees) -> list[GroupTable]:
+    return [build_holomorph(g).table() for n in degrees for g in groups_of_order(n)]
+
+
+def test_extend_subgroup_matches_elementwise_closure(monkeypatch):
+    # replay every seventh extension the subgroup-class search makes
+    # against the element-wise closure of H's generators and the new element
+    calls = []
+    extend = GroupTable.extend_subgroup
+
+    def record(T, elems, gens, new):
+        calls.append((T, elems, list(gens), int(new)))
+        return extend(T, elems, gens, new)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GroupTable, "extend_subgroup", record)
+        for T in _holomorph_tables([*range(2, 16), 41]):
+            subgroup_classes(T)
+    phases = []  # (phase, returned None) for the call being replayed
+
+    def spy(name):
+        phase = getattr(GroupTable, name)
+
+        def run(T, *args):
+            out = phase(T, *args)
+            phases.append((name, out is None))
+            return out
+
+        return run
+
+    monkeypatch.setattr(GroupTable, "_coset_walk", spy("_coset_walk"))
+    monkeypatch.setattr(GroupTable, "_coset_levels", spy("_coset_levels"))
+    switched = stopped = 0
+    for T, elems, gens, new in calls[::7]:
+        phases.clear()
+        got = T.extend_subgroup(elems, gens, new)
+        want = _closure_by_elements(T, gens + [new])
+        assert np.array_equal(got, want) and np.isin(elems, want).all()
+        switched += any(name == "_coset_levels" for name, _ in phases)
+        if any(stop for _, stop in phases):  # the Lagrange stop
+            stopped += 1
+            assert len(want) == T.order
+    assert switched > 0 and stopped > 0
 
 
 def test_small_generating_set_regenerates():
@@ -208,6 +271,25 @@ def test_table_without_unique_inverses_is_rejected():
     mul = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 1]], dtype=np.int16)
     with pytest.raises(StructureError):
         GroupTable(mul)
+
+
+def test_inverse_check_covers_the_second_row_block():
+    # Hol(Q8) has order 192: rows 150 and 170 sit in the second block of rows
+    q8 = next(g for g in groups_of_order(8) if g.name == "Q8")
+    t = build_holomorph(q8).table().mul
+    none = t.copy()
+    none[150, none[150] == 0] = 1  # no identity in the row
+    two = t.copy()
+    two[170, 5 if two[170, 5] != 0 else 6] = 0  # a second identity in the row
+    for bad in (none, two):
+        with pytest.raises(StructureError, match="unique inverse"):
+            GroupTable(bad)
+
+
+def test_inverses_of_holomorph_tables():
+    for T in _holomorph_tables([*range(2, 16), 41, 77]):
+        x = np.arange(T.order)
+        assert (T.mul[x, T.inv] == 0).all() and (T.mul[T.inv, x] == 0).all()
 
 
 def _associative_by_all_triples(t: np.ndarray) -> bool:
