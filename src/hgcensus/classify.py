@@ -79,27 +79,41 @@ def is_stab_respecting_iso(
     return np.array_equal(rows1[:, 0] == 0, image[:, 0] == 0) and T1.acts(image, "source group")
 
 
-def _bucket_key(T: GroupTable, mask: np.ndarray) -> tuple[bytes, bytes]:
-    """Sorted stabilizer colours and sorted colours: equal for any two
-    records a stabilizer-respecting isomorphism joins."""
-    colours = T.colours()
-    return np.sort(colours[mask]).tobytes(), np.sort(colours).tobytes()
-
-
 def _same_class(a, b) -> bool:
     (ta, ma), (tb, mb) = a, b
     search = IsoSearch(ta, tb, marked1=np.flatnonzero(ma), marked2=np.flatnonzero(mb))
     return search.run("first") is not None
 
 
+def _bucket_classes(records: list[TransitiveClassRecord], bucket: list[int]) -> dict[int, list[int]]:
+    """Members by leader within one bucket of record indices, in index
+    order.  The tables built here go when the call returns."""
+    if len(bucket) == 1:
+        return {bucket[0]: bucket}
+    members: dict[int, list[int]] = {}
+    leaders: list[tuple[int, tuple[GroupTable, np.ndarray]]] = []
+    for i in bucket:
+        table = records[i].table_with_stab()
+        home = next((j for j, lead in leaders if _same_class(lead, table)), None)
+        if home is None:
+            leaders.append((i, table))
+            members[i] = [i]
+        else:
+            members[home].append(i)
+    return members
+
+
 def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceClass]:
     """Partition one degree's records (all types together) into classes.
 
     Records are bucketed by their sorted element colours and sorted
-    stabilizer colours first; the backtracking search runs only within a
-    bucket.  Output order and labels are deterministic: classes sorted by
-    (order, stabilizer order, first-seen position), numbered within each
-    (order, stabilizer order) group.
+    stabilizer colours (`TransitiveClassRecord.colours`, read off the
+    holomorph tables); the backtracking search runs only within a bucket.
+    Record tables are built only in buckets of two or more records and
+    dropped when the bucket is done; each bucket walks its records and
+    leaders in index order.  Output order and labels are deterministic:
+    classes sorted by (order, stabilizer order, first-seen position),
+    numbered within each (order, stabilizer order) group.
     """
     if not records:
         return []
@@ -108,22 +122,16 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
         if rec.ctx.n != degree:
             raise ConsistencyError("records of mixed degree cannot be classified together")
 
-    tables = [rec.table_with_stab() for rec in records]
-    keys = [_bucket_key(T, mask) for T, mask in tables]
+    buckets: dict[tuple[bytes, bytes], list[int]] = {}
+    for i, rec in enumerate(records):
+        # equal for any two records a stabilizer-respecting isomorphism joins
+        stab = rec.ctx.perms[rec.indices, 0] == 0
+        key = np.sort(rec.colours[stab]).tobytes(), np.sort(rec.colours).tobytes()
+        buckets.setdefault(key, []).append(i)
 
-    leaders: dict = {}
     class_members: dict[int, list[int]] = {}
-    for i in range(len(records)):
-        home = None
-        for j in leaders.setdefault(keys[i], []):
-            if _same_class(tables[j], tables[i]):
-                home = j
-                break
-        if home is None:
-            leaders[keys[i]].append(i)
-            home = i
-            class_members[home] = []
-        class_members[home].append(i)
+    for bucket in buckets.values():
+        class_members.update(_bucket_classes(records, bucket))
 
     ordered = sorted(
         class_members.items(),

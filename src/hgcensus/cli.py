@@ -126,7 +126,32 @@ def _degree_path(cache_dir: Path, degree: int) -> Path:
 
 
 def _dump_canonical(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte
+    for byte.  That call takes Python's pure-Python encoder; this writer
+    hands every scalar to the C encoder and joins lists of plain ints in C."""
+    return _canonical(payload, "\n") + "\n"
+
+
+def _canonical(value, pad: str) -> str:
+    """`value` as indented JSON whose closing bracket follows `pad`."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _canonical(v, inner)
+            for k, v in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = (_canonical(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -362,9 +387,10 @@ def cmd_enumerate(cfg: RunConfig, out=None, err=None) -> int:
             elapsed = round(time.perf_counter() - started, 3)
             new_seconds[str(degree)] = elapsed
             payload = _census_payload(census, cfg)
+            del census  # its holomorph tables must not stay alive through the next degree
             _write_atomic(path, _dump_canonical(payload))
             err.write(f"degree {degree}: computed in {elapsed}s -> {path.name}\n")
-            if census.row.partial:
+            if payload["row"]["partial"]:
                 err.write(f"degree {degree}: budget or skip left cells unknown\n")
         rows.append(payload["row"])
         payloads.append(payload)

@@ -27,6 +27,7 @@ from .enumeration import (
 from .errors import BudgetError, ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
+from .perm import orbit_labels
 from .table import DEFAULT_TABLE_BUDGET
 
 # cap on distinct invariant point-blocks walked per record before the
@@ -172,14 +173,17 @@ def intermediate_field_count(record: TransitiveClassRecord) -> int:
     conversely each block B yields the subgroup of elements sending 0
     into B.  Blocks through 0 form a lattice generated under join by
     the minimal blocks fusing 0 with one other point, so a join-closure
-    walk over those atoms finds all of them.
+    walk over those atoms finds all of them.  A stabilizer element s maps
+    every block through 0 onto itself, so the atom of s(x) is the atom of
+    x: one atom per stabilizer orbit is enough.
     """
-    n = record.ctx.n
-    gens = record.ctx.perms[record.gens].tolist()
+    ctx = record.ctx
+    n = ctx.n
+    gens = ctx.perms[record.gens].tolist()
+    stab = record.indices[ctx.perms[record.indices, 0] == 0]
+    lab = orbit_labels(ctx.perms[stab])
     zero = frozenset([0])
-    atoms = set()
-    for x in range(1, n):
-        atoms.add(_minimal_block(gens, n, zero, x))
+    atoms = {_minimal_block(gens, n, zero, x) for x in np.flatnonzero(lab == np.arange(n))[1:].tolist()}
     blocks = {zero} | atoms
     frontier = list(atoms)
     while frontier:

@@ -133,7 +133,9 @@ class TransitiveClassRecord:
     """A conjugacy class of transitive subgroups of a holomorph.
 
     The class is held by row indices into `ctx.perms`; `rep` and
-    `stabilizer` are groups on slices of those rows, built on first use.
+    `stabilizer` are groups on slices of those rows, and `colours` the
+    representative's element colours, each built on first use.  The
+    representative's table is not kept (`table_with_stab`).
     """
 
     ctx: HolomorphContext
@@ -164,14 +166,20 @@ class TransitiveClassRecord:
         return PermGroup(stab[1:], self.ctx.n, elements=stab)
 
     @cached_property
-    def _table_with_stab(self) -> tuple[GroupTable, np.ndarray]:
-        T, _ = self.ctx.table().subtable(self.indices)
-        return T, self.ctx.perms[self.indices, 0] == 0
+    def colours(self) -> np.ndarray:
+        """Colours of the representative's elements in index order, read
+        off the holomorph table (`GroupTable.subgroup_colours`)."""
+        return self.ctx.table().subgroup_colours(self.indices, self.gens)
 
     def table_with_stab(self) -> tuple[GroupTable, np.ndarray]:
         """Multiplication table of the class representative, plus a mask
-        marking the point-0 stabilizer inside it.  Cached per record."""
-        return self._table_with_stab
+        marking the point-0 stabilizer inside it.  Built afresh on each
+        call and not kept: a table is k^2 cells, so callers hold it only
+        while a search runs on it.  The table starts with the record's
+        `colours`, which equal the ones it would compute itself."""
+        T, _ = self.ctx.table().subtable(self.indices)
+        T._colours = self.colours
+        return T, self.ctx.perms[self.indices, 0] == 0
 
 
 def enumerate_transitive_classes(

@@ -257,6 +257,7 @@ class IsoSearch:
             return False
 
         descend(start)
+        del descend  # the closure refers to itself: keep that cycle from holding the tables
         return found
 
 

@@ -18,8 +18,8 @@ from .perm import PermGroup, orbit_labels, row_index
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
 
-# rows per block when locating inverses and validating: keeps the m-wide
-# temporaries small next to the table itself
+# rows per block when locating inverses, validating and filling subtables:
+# keeps the m-wide temporaries small next to the table itself
 _ROW_BLOCK = 128
 
 # cosets `extend_subgroup` marks one at a time in Python before it hands the
@@ -36,7 +36,7 @@ class GroupTable:
     """
 
     __slots__ = (
-        "order", "mul", "inv", "elem_order", "name", "_mul_flat", "_gens", "_classes", "_colours",
+        "order", "mul", "inv", "elem_order", "name", "_mul_flat", "_gens", "_colours",
         "_valid", "_aut",
     )
 
@@ -60,7 +60,6 @@ class GroupTable:
         self.elem_order = self._element_orders()
         self.name = name
         self._gens: Optional[list[int]] = None if gens is None else list(gens)
-        self._classes: Optional[list[np.ndarray]] = None
         self._colours: Optional[np.ndarray] = None
         self._valid = False
         self._aut: Optional[PermGroup] = None  # filled by `catalog.automorphism_group`
@@ -164,14 +163,17 @@ class GroupTable:
         k = len(idx)
         if np.array_equal(idx, np.arange(self.order)):
             return self, idx
-        # stay in the table's own dtype: these are k*k arrays
+        # one k x k output, filled `_ROW_BLOCK` rows at a time so every
+        # temporary stays block * k cells
         back = np.full(self.order, -1, dtype=self.mul.dtype)
         back[idx] = np.arange(k)
-        local = back[self.mul[np.ix_(idx, idx)]]
-        if (local < 0).any():
-            raise StructureError("indices are not closed under multiplication")
-        dtype = np.int16 if k < 2**15 else np.int32
-        return GroupTable(local.astype(dtype, copy=False)), idx
+        local = np.empty((k, k), dtype=np.int16 if k < 2**15 else np.int32)
+        for lo in range(0, k, _ROW_BLOCK):
+            block = back[self.mul[idx[lo : lo + _ROW_BLOCK, None], idx]]
+            if block.min() < 0:
+                raise StructureError("indices are not closed under multiplication")
+            local[lo : lo + _ROW_BLOCK] = block
+        return GroupTable(local), idx
 
     # -- group laws ----------------------------------------------------------
 
@@ -442,42 +444,53 @@ class GroupTable:
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Classes ordered by least element, each sorted: orbits under conjugation."""
-        if self._classes is not None:
-            return self._classes
         g = np.array(self.generators(), dtype=np.int64)
         lab = orbit_labels(self.conj_many(g[:, None], np.arange(self.order)))
         by_class = np.argsort(lab, kind="stable")
-        self._classes = np.split(by_class, np.flatnonzero(np.diff(lab[by_class])) + 1)
-        return self._classes
+        return np.split(by_class, np.flatnonzero(np.diff(lab[by_class])) + 1)
 
     def colours(self) -> np.ndarray:
-        """One non-negative int64 colour per element, preserved by every isomorphism.
-
-        Starts from (element order, conjugacy-class size), then three rounds
-        mix in the colours of x^-1 and of x^p for each prime p dividing the
-        exponent.  The mix is fixed uint64 arithmetic, so colours of
-        different tables compare directly; a collision only merges colours.
-        Equal colours are necessary for an element and its image.
-        """
+        """One non-negative int64 colour per element, preserved by every
+        isomorphism: `subgroup_colours` of the whole group, computed once."""
         if self._colours is None:
-            size = np.empty(self.order, dtype=np.uint64)
-            for cl in self.conjugacy_classes():
-                size[cl] = len(cl)
-            maps = [self.inv] + [self._powers(p) for p in _prime_factors(self.exponent())]
-            c = _mix(self.elem_order.astype(np.uint64), size)
-            for _ in range(3):
-                new = c
-                for f in maps:
-                    new = _mix(new, c[f])
-                c = new
-            self._colours = (c >> np.uint64(1)).astype(np.int64)
+            self._colours = self.subgroup_colours(np.arange(self.order, dtype=np.int64), self.generators())
         return self._colours
 
-    def _powers(self, e: int) -> np.ndarray:
-        """x^e for every element x, by repeated squaring."""
+    def subgroup_colours(self, elems: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+        """Colours of the subgroup on sorted `elems`, generated by `gens`,
+        one per element in `elems` order.
+
+        Starts from (element order, conjugacy-class size in the subgroup),
+        then three rounds mix in the colours of x^-1 and of x^p for each
+        prime p dividing the subgroup's exponent.  Each ingredient is read
+        here and is invariant under isomorphism, so the result equals the
+        colours of the subgroup's own table (`subtable`) without building
+        it.  The mix is fixed uint64 arithmetic, so colours of different
+        tables compare directly; a collision only merges colours.  Equal
+        colours are necessary for an element and its image.
+        """
+        elems = np.asarray(elems, dtype=np.int64)
+        back = np.full(self.order, -1, dtype=np.int64)
+        back[elems] = np.arange(len(elems))
+        g = np.array(gens, dtype=np.int64)
+        lab = orbit_labels(back[self.conj_many(g[:, None], elems)])
+        size = np.bincount(lab, minlength=len(elems))[lab].astype(np.uint64)
+        orders = self.elem_order[elems]
+        exponent = lcm(*np.unique(orders).tolist())
+        maps = [back[self.inv[elems]]] + [back[self._powers(p, elems)] for p in _prime_factors(exponent)]
+        c = _mix(orders.astype(np.uint64), size)
+        for _ in range(3):
+            new = c
+            for f in maps:
+                new = _mix(new, c[f])
+            c = new
+        return (c >> np.uint64(1)).astype(np.int64)
+
+    def _powers(self, e: int, elems: np.ndarray) -> np.ndarray:
+        """x^e for every x in `elems`, by repeated squaring."""
         m = self.order
-        out = np.zeros(m, dtype=np.int64)
-        sq = np.arange(m, dtype=np.int64)
+        out = np.zeros(len(elems), dtype=np.int64)
+        sq = elems
         while e:
             if e & 1:
                 out = self._mul_flat[out * m + sq].astype(np.int64)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hgcensus import __version__
-from hgcensus.cli import SCHEMA_VERSION, main, parse_degrees
+from hgcensus import __version__, build_degree_census, cli
+from hgcensus.actions import brace_from_regular, bracoid_from_subgroup, ybe_solution
+from hgcensus.cli import SCHEMA_VERSION, RunConfig, _census_payload, _dump_canonical, main, parse_degrees
 from hgcensus.errors import StructureError
 from hgcensus.perm import PermGroup, format_cycles, parse_cycles
 
@@ -326,3 +329,43 @@ def test_emit_actions_during_enumerate(tmp_path, capsys):
     assert rc == 0
     braces = list((tmp_path / "actions").glob("*-brace.json"))
     assert len(braces) == 4  # brace count at this order
+
+
+def test_canonical_writer_matches_json_dumps(census):
+    # the writer must give the bytes of json.dumps(indent=2, sort_keys=True)
+    c = census(6)
+    regular = next(rec for rec in c.records if rec.regular)
+    brace = brace_from_regular(regular.ctx, regular.rep)
+    payloads = [
+        _census_payload(c, RunConfig(degrees=[6])),
+        bracoid_from_subgroup(c.records[-1].ctx, c.records[-1].rep).to_json_dict(),
+        brace.to_json_dict(),
+        ybe_solution(brace).to_json_dict(),
+        {},
+        {"empty_list": [], "empty_dict": {}, "none": None, "float": 0.1, "neg": -2.5e-300},
+        {"bools": [True, False, 1, 0], "mixed": [1, None, [2, [], {}], {"b": "é\n", "a": (3, 4)}]},
+        {"nested": [[1, 2], [3]], "deep": {"x": {"y": []}}},
+        {3: "c", 1: "a", 10: "b"},
+    ]
+    for p in payloads:
+        assert _dump_canonical(p) == json.dumps(p, indent=2, sort_keys=True) + "\n"
+
+
+def test_enumerate_frees_each_census_before_the_next_degree(tmp_path, capsys, monkeypatch):
+    # a finished degree's census (and its holomorph tables) must not stay
+    # alive while the next degree is built
+    built = []
+
+    def build(degree, **options):
+        assert all(ref() is None for ref in built), degree
+        census = build_degree_census(degree, **options)
+        built.append(weakref.ref(census))
+        return census
+
+    monkeypatch.setattr(cli, "build_degree_census", build)
+    gc.disable()
+    try:
+        rc, _, _ = _run(capsys, "enumerate", "--degrees", "4-6", "--format", "csv", "--cache-dir", str(tmp_path))
+    finally:
+        gc.enable()
+    assert rc == 0 and len(built) == 3

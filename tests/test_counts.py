@@ -108,6 +108,16 @@ def test_field_count_of_regular_records_is_subgroup_count(census):
                 assert n_subs == subgroup_counts[rec.type_name]
 
 
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_field_count_equals_subgroups_over_the_stabilizer(census, degree):
+    # the block walk takes one atom per stabilizer orbit; the oracle lists
+    # every subgroup of the record's table and keeps those over the stabilizer
+    for rec in census(degree).records:
+        T, mask = rec.table_with_stab()
+        over = sum(1 for s in T.all_subgroups() if np.isin(np.flatnonzero(mask), s).all())
+        assert intermediate_field_count(rec) == over, (rec.type_name, rec.order)
+
+
 def test_correspondence_returns_consistent_triple(census):
     for rec, counts in zip(census(6).records, census(6).bc_counts):
         ok, fields, hopfs = bijective_correspondence(rec)

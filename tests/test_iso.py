@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,9 +181,35 @@ def test_constant_colours_change_no_count_or_partition(census, monkeypatch, degr
         return [(cls.label, [id(rec) for rec in cls.records()]) for cls in classes]
 
     want_partition = partition(c.classes)
-    monkeypatch.setattr(GroupTable, "colours", lambda self: np.zeros(self.order, dtype=np.int64))
+    # patch the one colour routine, which both `colours()` and the records'
+    # colours (classify's bucket keys) call, and drop the colours already
+    # cached: on the records, and on the holomorph tables, which a record
+    # of the whole holomorph shares
+    monkeypatch.setattr(GroupTable, "subgroup_colours", lambda self, elems, gens: np.zeros(len(elems), dtype=np.int64))
+    for rec in c.records:
+        monkeypatch.delitem(vars(rec), "colours", raising=False)
+    for ctx in c.contexts:
+        monkeypatch.setattr(ctx.table(), "_colours", None)
+    tables = [cls.members[0][1].table_with_stab() for cls in c.classes]
     for cls, (T, mask), want in zip(c.classes, tables, plain):
+        assert not T.colours().any()
         idx = np.flatnonzero(mask)
         assert IsoSearch(T, T).run("count") == want, cls.label
         assert IsoSearch(T, T, marked1=idx, marked2=idx).run("count") == cls.aut_marked_order
     assert partition(classify_degree(c.records)) == want_partition
+
+
+def test_search_is_freed_without_the_cycle_collector():
+    # no reference cycle keeps a finished search, and with it both tables, alive
+    T = groups_of_order(8)[2]
+    marked = T.closure_of([T.generators()[0]])
+    gc.disable()
+    try:
+        for mode in ("count", "first", "all"):
+            search = IsoSearch(T, T, marked1=marked, marked2=marked)
+            search.run(mode)
+            ref = weakref.ref(search)
+            del search
+            assert ref() is None, mode
+    finally:
+        gc.enable()

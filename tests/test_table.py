@@ -7,7 +7,7 @@ import pytest
 
 from hgcensus import table
 from hgcensus.catalog import catalog_orders, groups_of_order
-from hgcensus.enumeration import subgroup_classes
+from hgcensus.enumeration import enumerate_transitive_classes, subgroup_classes
 from hgcensus.errors import BudgetError, StructureError
 from hgcensus.holomorph import build_holomorph
 from hgcensus.perm import closure, compose, parse_cycles
@@ -88,6 +88,22 @@ def test_subtable_relabels_consistently():
             assert idx[sub.mul[i, j]] == T.mul[idx[i], idx[j]]
     with pytest.raises(StructureError):
         T.subtable([1, 2])  # misses the identity
+
+
+def test_subtable_checks_closure_in_every_row_block():
+    # C400 by index addition; the even elements form a subgroup of order 200
+    m = 400
+    mul = np.add.outer(np.arange(m), np.arange(m)).astype(np.int16) % m
+    evens = np.arange(0, m, 2)
+    sub, idx = GroupTable(mul).subtable(evens)
+    assert np.array_equal(idx, evens)
+    assert np.array_equal(sub.mul, np.add.outer(np.arange(200), np.arange(200)) % 200)
+    # one product leaves the subgroup, in local row 150: the second row
+    # block (8's powers never meet 300, so element orders stay finite)
+    bad = mul.copy()
+    bad[evens[150], evens[4]] = 1
+    with pytest.raises(StructureError, match="not closed"):
+        GroupTable(bad).subtable(evens)
 
 
 def test_closure_of_and_extend_subgroup():
@@ -218,6 +234,44 @@ def test_conjugacy_classes_match_all_conjugates_on_records(census, degree):
     for rec in census(degree).records:
         T, _ = rec.table_with_stab()
         assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T)
+
+
+def _colours_by_classes(T: GroupTable) -> np.ndarray:
+    """Colours from the conjugacy classes and element-wise powers of T's
+    own table: the reference for `subgroup_colours`."""
+    size = np.empty(T.order, dtype=np.uint64)
+    for cl in T.conjugacy_classes():
+        size[cl] = len(cl)
+    maps = [T.inv.astype(np.int64)]
+    for p in table._prime_factors(T.exponent()):
+        power = np.zeros(T.order, dtype=np.int64)
+        for _ in range(p):
+            power = T.mul[power, np.arange(T.order)].astype(np.int64)
+        maps.append(power)
+    c = table._mix(T.elem_order.astype(np.uint64), size)
+    for _ in range(3):
+        new = c
+        for f in maps:
+            new = table._mix(new, c[f])
+        c = new
+    return (c >> np.uint64(1)).astype(np.int64)
+
+
+def test_colours_of_catalog_tables_match_the_class_reference():
+    for n in catalog_orders():
+        if n <= 16:
+            for T in groups_of_order(n):
+                assert np.array_equal(T.colours(), _colours_by_classes(T)), T.name
+
+
+def test_subgroup_colours_on_the_holomorph_match_the_record_tables(census):
+    records = [rec for n in range(2, 16) for rec in census(n).records]
+    records += enumerate_transitive_classes(build_holomorph(groups_of_order(41)[0]))
+    for rec in records:
+        colours = rec.ctx.table().subgroup_colours(rec.indices, rec.gens)
+        # record tables start with these colours; a plain table computes its own
+        own = GroupTable(rec.table_with_stab()[0].mul).colours()
+        assert np.array_equal(colours, own), (rec.ctx.n, rec.type_name, rec.order)
 
 
 def test_normalizer_and_centralizer():
