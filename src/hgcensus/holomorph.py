@@ -11,7 +11,9 @@ Inside the engine the holomorph is one integer image matrix `perms`: row i
 holds the point images of element i, rows in lexicographic order.  Table
 indices, subgroup classes and records all refer to these row numbers.  The
 `hol` group holds `perms` itself as its elements; `left` and `right` hold
-the translation rows of N's table.
+the translation rows of N's table.  The same factorization gives the dense
+table: `table()` multiplies (a . alpha)(b . beta) = (a alpha(b)) .
+(alpha beta) with N's table and Aut(N)'s, and never looks up an image row.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ import numpy as np
 from .catalog import automorphism_group, regular_representation
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
-from .table import GroupTable
+from .table import GroupTable, check_budget, spot_check
 
 _SPOT_CHECKS = 100
+
+# rows of the product table filled per step, in int32: keeps the m-wide
+# temporaries small next to the table itself
+_ROW_BLOCK = 16
 
 
 class HolomorphContext:
@@ -44,8 +50,9 @@ class HolomorphContext:
         raw = t[:, auts].reshape(self.n * len(auts), self.n)
         order = np.lexsort(raw.T[::-1])
         self.perms = raw[order]
-        rank = np.empty(len(order), dtype=np.int64)
+        rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order))
+        self._raw, self._rank = order.astype(np.int32), rank
         self.right_indices = self._right_translation_rows(t, auts, rank)
         self._verify(t, auts)
         self._table: Optional[GroupTable] = None
@@ -113,9 +120,30 @@ class HolomorphContext:
     # -- dense table ----------------------------------------------------------
 
     def table(self) -> GroupTable:
-        """Multiplication table of the holomorph over the rows of `perms`."""
+        """Multiplication table of the holomorph over the rows of `perms`,
+        from the product law (a . alpha)(b . beta) = (a alpha(b)) . (alpha beta).
+
+        Row i is raw row a*|A| + k, the translation by a after automorphism
+        k, so a product needs one entry of N's table and one of Aut(N)'s,
+        and `rank` maps its raw row back to a row of `perms`.  The budget
+        is checked before Aut(N)'s table is built.
+        """
         if self._table is None:
-            self._table = GroupTable.from_perms(self.perms, base=self.base)
+            m = len(self.perms)
+            check_budget(m)
+            t = self.group.mul
+            auts = self.aut.elements
+            aut_mul = self.aut.table().mul
+            a, k = np.divmod(self._raw, len(auts))
+            mul = np.empty((m, m), dtype=np.int16 if m < 2**15 else np.int32)
+            rank = self._rank.astype(mul.dtype)
+            for lo in range(0, m, _ROW_BLOCK):
+                ai, ki = a[lo : lo + _ROW_BLOCK], k[lo : lo + _ROW_BLOCK]
+                c = t[ai[:, None], auts[ki]].astype(np.int32) * len(auts)  # a alpha(b) for every b
+                raw = np.take(c, a, axis=1) + np.take(aut_mul[ki], k, axis=1)
+                np.take(rank, raw, out=mul[lo : lo + _ROW_BLOCK])
+            spot_check(self.perms, mul)
+            self._table = GroupTable(mul)
         return self._table
 
     def __repr__(self) -> str:

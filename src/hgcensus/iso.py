@@ -11,7 +11,9 @@ automorphism counts share one engine; a further invariant, such as cycle
 type on the points, would be one more key column next to the mark.
 Partial maps are extended level by level along a precomputed breadth tree
 and every (element, generator) product is verified before descending, so
-dead branches die early.
+dead branches die early.  That check is the only pruning besides the keys:
+a test on the orders of short words such as g_j g_i would only repeat
+conditions the verified products already enforce.
 
 Counts never list the maps.  For the generator sequence g_1..g_k,
 |Aut(T, marked)| is the product over i of the orbit size of g_i under the
@@ -133,20 +135,6 @@ class IsoSearch:
         lo = np.searchsorted(sorted2, self.key1[gens], "left")
         hi = np.searchsorted(sorted2, self.key1[gens], "right")
         self.cands = [by_key[a:b] for a, b in zip(lo, hi)]
-        # probe data: orders of short words mixing each gen with earlier ones
-        self.probes = []
-        for i, gi in enumerate(gens):
-            rows = []
-            for j in range(i):
-                gj = gens[j]
-                rows.append(
-                    (
-                        j,
-                        int(T1.elem_order[T1.mul[gj, gi]]),
-                        int(T1.elem_order[T1.mul[gi, gj]]),
-                    )
-                )
-            self.probes.append(rows)
 
     def run(self, mode: str = "count"):
         """mode "count" -> int; "first" -> map array or None; "all" -> list of maps."""
@@ -220,17 +208,6 @@ class IsoSearch:
             lv = levels[level]
             end = len(lv.elems)
             for b in map(int, cands[level]):
-                ok = True
-                for j, o_left, o_right in self.probes[level]:
-                    bj = gen_img[j]
-                    if (
-                        int(T2.elem_order[T2.mul[bj, b]]) != o_left
-                        or int(T2.elem_order[T2.mul[b, bj]]) != o_right
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 gen_img[level] = b
                 for j, parents, targets in lv.build:
                     phi[targets] = mul2[phi[parents] * m2 + gen_img[j]]

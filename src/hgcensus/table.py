@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, StructureError
-from .perm import PermGroup, orbit_labels, row_index
+from .perm import PermGroup, orbit_labels
 
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
@@ -25,6 +25,21 @@ _ROW_BLOCK = 128
 # cosets `extend_subgroup` marks one at a time in Python before it hands the
 # rest of the fill to numpy levels
 _WALK_COSETS = 4
+
+
+def check_budget(m: int) -> None:
+    """Refuse, before anything is built, a dense table of more than
+    `DEFAULT_TABLE_BUDGET` elements."""
+    if m > DEFAULT_TABLE_BUDGET:
+        raise BudgetError("group too large to table densely", spent=m, budget=DEFAULT_TABLE_BUDGET)
+
+
+def spot_check(elems: np.ndarray, mul: np.ndarray) -> None:
+    """Compare 200 sampled products of the table with composition of the
+    image rows: (p_a . p_b)(x) = p_a[p_b[x]] must be row mul[a, b]."""
+    a, b = np.random.default_rng(5).integers(0, len(elems), size=(200, 2)).T
+    if not np.array_equal(elems[a[:, None], elems[b]], elems[mul[a, b]]):
+        raise StructureError("product table disagrees with composition")
 
 
 class GroupTable:
@@ -67,89 +82,66 @@ class GroupTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_perms(cls, elems: np.ndarray, base: Optional[Sequence[int]] = None) -> "GroupTable":
+    def from_perms(cls, elems: np.ndarray) -> "GroupTable":
         """Table for a set of permutations closed under composition.
 
         `elems` holds one image row per element, sorted with the identity
-        first; indices follow it.
-        More than `DEFAULT_TABLE_BUDGET` elements raise BudgetError.
-        `base` is an optional list of points whose images separate the
-        elements; when given (and actually separating) products are located
-        by base-image keys instead of whole-row lookup, which is much
-        faster for large element sets.
+        first; indices follow it.  More than `DEFAULT_TABLE_BUDGET` elements
+        raise BudgetError.  Products are located by their images of a greedy
+        base (`_base_levels`), looked up one base point at a time.
         """
         m = len(elems)
-        if m > DEFAULT_TABLE_BUDGET:
-            raise BudgetError("group too large to table densely", spent=m, budget=DEFAULT_TABLE_BUDGET)
+        check_budget(m)
         n = len(elems[0])
         if list(elems[0]) != list(range(n)):
             raise StructureError("element 0 must be the identity")
-        dtype = np.int16 if m < 2**15 else np.int32
         arr = np.array(elems, dtype=np.int32)
-        if base is None:
-            base = cls._greedy_base(arr)
-        if base is not None and n ** len(base) <= 50_000_000:
-            mul = cls._mul_via_base(arr, list(base), dtype)
-            if mul is not None:
-                return cls(mul)
-        if not np.array_equal(row_index(arr, arr), np.arange(m)):
-            raise StructureError("duplicate elements")
-        mul = np.empty((m, m), dtype=dtype)
-        step = max(1, 2**20 // (m * n))  # rows of products per lookup
+        base, levels = cls._base_levels(arr)
+        cols = np.ascontiguousarray(arr[:, base].T)  # row k: every p_j(b_k)
+        mul = np.empty((m, m), dtype=np.int16 if m < 2**15 else np.int32)
+        step = max(1, 2**16 // m)  # rows of products per block
         for lo in range(0, m, step):
-            prod = arr[lo : lo + step][:, arr]  # (p_i . p_j)(x) = p_i[p_j[x]]
-            idx = row_index(prod.reshape(-1, n), arr)
-            if idx.min() < 0:
-                raise StructureError("elements not closed under composition")
-            mul[lo : lo + step] = idx.reshape(-1, m)
+            rows = arr[lo : lo + step]
+            key = np.zeros(1, dtype=np.int32)
+            for level, col in zip(levels, cols):
+                key = np.take(level, key * n + np.take(rows, col, axis=1))  # (p_i . p_j)(b) = p_i[p_j[b]]
+            mul[lo : lo + step] = key
+        if mul.min() < 0:
+            raise StructureError("elements not closed under composition")
+        spot_check(arr, mul)
         return cls(mul)
 
     @staticmethod
-    def _greedy_base(arr: np.ndarray) -> Optional[list[int]]:
-        """Short list of points whose images separate the elements, or None."""
-        m, n = arr.shape
-        base = [0]
-        keys = arr[:, 0].astype(np.int64)
-        while True:
-            distinct = len(np.unique(keys))
-            if distinct == m:
-                return base
-            if n ** (len(base) + 1) > 50_000_000:
-                return None
-            best, best_count = -1, distinct
-            for x in range(n):
-                if x in base:
-                    continue
-                count = len(np.unique(keys * n + arr[:, x]))
-                if count > best_count:
-                    best, best_count = x, count
-            if best < 0:
-                return None
-            base.append(best)
-            keys = keys * n + arr[:, best].astype(np.int64)
+    def _base_levels(arr: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+        """A greedy base of points whose images separate the elements, and
+        one lookup table per base point.
 
-    @staticmethod
-    def _mul_via_base(arr: np.ndarray, base: list[int], dtype) -> Optional[np.ndarray]:
-        """Base-keyed product table, or None if the base does not separate."""
+        Each element is keyed by a dense id of its images of the base points
+        so far.  Level k maps id * degree + (image of point k) to the next
+        id, or to -1 where no element has that pair; its trailing block of
+        -1s is where a missing prefix (-1) lands, so it stays -1 through
+        later levels.  The last level's ids are the element indices.
+        """
         m, n = arr.shape
-        arr64 = arr.astype(np.int64)
-        cols = arr64[:, base]
-        powers = n ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
-        keys = cols @ powers
-        lut = np.full(n ** len(base), -1, dtype=np.int64)
-        lut[keys] = np.arange(m)
-        if int((lut >= 0).sum()) != m:
-            return None
-        mul = np.empty((m, m), dtype=dtype)
-        for i in range(m):
-            row = lut[arr64[i][cols] @ powers]  # (p_i . p_j)(b) = p_i[p_j[b]]
-            if row.min() < 0:
-                raise StructureError("elements not closed under composition")
-            mul[i] = row
-        a, b = np.random.default_rng(5).integers(0, m, size=(200, 2)).T
-        if not np.array_equal(arr[a[:, None], arr[b]], arr[mul[a, b]]):
-            raise StructureError("base-keyed product table disagrees with composition")
-        return mul
+        ids = np.zeros(m, dtype=np.int64)
+        count = 1
+        base: list[int] = []
+        levels: list[np.ndarray] = []
+        while count < m or not base:
+            every = np.sort(ids[:, None] * n + arr, axis=0)  # keys with each point added
+            distinct = 1 + np.count_nonzero(every[1:] != every[:-1], axis=0)
+            x = int(distinct.argmax())
+            if base and distinct[x] == count:
+                raise StructureError("duplicate elements")
+            keys = ids * n + arr[:, x]
+            found, new = np.unique(keys, return_inverse=True)
+            level = np.full((count + 1) * n, -1, dtype=np.int32)
+            count = len(found)
+            level[keys] = new if count < m else np.arange(m)
+            base.append(x)
+            levels.append(level)
+            ids = new
+        return base, levels
 
     def subtable(self, indices: Sequence[int]) -> tuple["GroupTable", np.ndarray]:
         """Table of the subgroup on `indices`; also returns the index list.

@@ -16,6 +16,7 @@ from hgcensus.counts import (
 )
 from hgcensus.errors import ConsistencyError
 from hgcensus.expected import EXPECTED
+from hgcensus.iso import IsoSearch
 from hgcensus.table import GroupTable
 
 
@@ -63,7 +64,7 @@ def _subgroup_class_count(perms, minimal_conjugate) -> int:
     return len({minimal_conjugate(T, s) for s in T.all_subgroups()})
 
 
-@pytest.mark.parametrize("degree", [4, 6, 9])
+@pytest.mark.parametrize("degree", range(2, 16))
 def test_almost_classical_record_count_equals_aut_subgroup_classes(census, minimal_conjugate, degree):
     # per type, records containing all right translations biject with
     # subgroup conjugacy classes of the base group's automorphism group
@@ -76,6 +77,34 @@ def test_almost_classical_record_count_equals_aut_subgroup_classes(census, minim
         want = _subgroup_class_count(ctx.aut.elements, minimal_conjugate)
         assert per_type.get(ctx.group.name, 0) == want, ctx.group.name
     assert sum(per_type.values()) == c.row.ac_sbracoids
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5, 7, 11, 13, 41])
+def test_prime_degree_row_is_the_divisor_count_of_p_minus_1(census, degree):
+    # the one type is C_p, Hol(C_p) = AGL(1, p), and every transitive
+    # subgroup is C_p extended by a subgroup of the cyclic Aut(C_p), one per
+    # divisor of p - 1; only C_p itself is regular
+    d = sum(1 for k in range(1, degree) if (degree - 1) % k == 0)
+    assert census(degree).row.cells() == (1, d, d, 1, 1, d, d, d)
+
+
+@pytest.mark.parametrize("degree", range(2, 16))
+def test_whole_holomorph_weight_is_aut_times_multiple_holomorph(census, degree):
+    # |Aut(Hol N, Aut N)| = |Aut N| |T(N)|, T(N) = NHol(N) / Hol(N), and
+    # |T(N)| counts the normal regular subgroups of Hol(N) isomorphic to N
+    # (Kohl, Comm. Algebra 2015): regular records of class size 1 here
+    c = census(degree)
+    for ctx in c.contexts:
+        normal_copies = sum(
+            1
+            for rec in c.records
+            if rec.ctx is ctx and rec.regular and rec.class_size == 1
+            and IsoSearch(rec.table_with_stab()[0], ctx.group).run("first") is not None
+        )
+        whole = [cls for cls in c.classes
+                 if any(rec.ctx is ctx and rec.order == len(ctx.perms) for _, rec in cls.members)]
+        assert len(whole) == 1, ctx.group.name
+        assert whole[0].aut_marked_order == ctx.aut.order * normal_copies, ctx.group.name
 
 
 def test_translation_records_and_the_containment_test(census):

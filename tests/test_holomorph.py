@@ -84,19 +84,23 @@ def test_dense_table_budget_is_honest():
     big = next(x for x in groups_of_order(16) if x.name == "C2xC2xC2xC2")
     ctx = build_holomorph(big)
     assert ctx.hol.order == 322560
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         ctx.table()  # default budget is far below this order
+    # refused on the holomorph's order, before Aut(C2^4)'s table is built
+    assert err.value.spent == 322560
+    assert ctx.aut._table is None
 
 
 def test_table_matches_composition():
-    g = groups_of_order(6)[1]
-    ctx = build_holomorph(g)
-    T = ctx.table()
-    perms = [tuple(p) for p in ctx.hol.elements.tolist()]
-    assert T.order == len(perms)
-    for i in (0, 1, 2, 7, 11):
-        for j in (0, 3, 5, 10):
-            assert perms[T.mul[i, j]] == compose(perms[i], perms[j])
+    # every product of every holomorph table at degrees 2-15:
+    # row mul[i, j] of perms is perms[i] after perms[j]
+    for n in range(2, 16):
+        for g in groups_of_order(n):
+            ctx = build_holomorph(g)
+            perms, mul = ctx.perms, ctx.table().mul
+            assert mul.shape == (len(perms), len(perms)), g.name
+            for lo in range(0, len(perms), 128):
+                assert np.array_equal(perms[mul[lo : lo + 128]], perms[lo : lo + 128][:, perms]), g.name
 
 
 def test_product_law_spot_checks_reject_a_latin_non_group_table():

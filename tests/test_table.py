@@ -50,22 +50,41 @@ def test_from_perms_budget_is_enforced(monkeypatch):
         GroupTable.from_perms(elems)
 
 
-def test_base_keyed_and_hashed_tables_match_composition():
+def test_base_keyed_tables_match_composition():
     def by_composition(elems):
         perms = [tuple(p) for p in elems.tolist()]
         index = {p: i for i, p in enumerate(perms)}
         return np.array([[index[compose(p, q)] for q in perms] for p in perms])
 
-    # a separating base, found greedily or given
     elems = closure([parse_cycles("(0 1 2 3 4 5 6)", 7), parse_cycles("(1 2 4)(3 6 5)", 7)], 7)
     assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
-    assert np.array_equal(GroupTable.from_perms(elems, base=[0, 1]).mul, by_composition(elems))
     # C2^5, generator i swapping points 8i and 8i+1: a separating base needs
-    # 5 points and 40^5 base keys exceed the key budget, so products are
-    # located by whole-row lookup
+    # 5 points, one lookup level each
     elems = closure([parse_cycles(f"({8 * i} {8 * i + 1})", 40) for i in range(5)], 40)
-    assert GroupTable._greedy_base(elems) is None
     assert np.array_equal(GroupTable.from_perms(elems).mul, by_composition(elems))
+
+
+def test_from_perms_rejects_duplicate_rows():
+    elems = closure([parse_cycles("(0 1 2)", 3)], 3)
+    with pytest.raises(StructureError, match="duplicate elements"):
+        GroupTable.from_perms(np.concatenate([elems, elems[1:]]))
+
+
+def test_from_perms_missing_prefix_stays_missing_through_later_levels():
+    # base points 0 and 2; every product outside the set sends 0 to a point
+    # no element sends it to, so its key is -1 after the first level, and its
+    # image of 2 is one the last first-level prefix has: only the trailing
+    # -1 block keeps it from reading that prefix's entry at the second level
+    elems = np.array([parse_cycles(c, 5) for c in ["()", "(0 1 3)", "(0 1 3)(2 4)"]])
+    base, _ = GroupTable._base_levels(elems.astype(np.int32))
+    assert base == [0, 2]
+    prods = elems[:, elems].reshape(-1, 5)  # p_i . p_j for every pair
+    known = {tuple(p) for p in elems.tolist()}
+    missing = np.array([p for p in prods.tolist() if tuple(p) not in known])
+    assert len(missing) and not np.isin(missing[:, 0], elems[:, 0]).any()
+    assert np.isin(missing[:, 2], elems[elems[:, 0] == elems[-1, 0], 2]).all()
+    with pytest.raises(StructureError, match="not closed"):
+        GroupTable.from_perms(elems)
 
 
 def test_given_generators_are_kept_as_given():
