@@ -79,24 +79,17 @@ def is_stab_respecting_iso(
     return np.array_equal(rows1[:, 0] == 0, image[:, 0] == 0) and T1.acts(image, "source group")
 
 
-def _same_class(a, b) -> bool:
-    (ta, ma), (tb, mb) = a, b
-    search = IsoSearch(ta, tb, marked1=np.flatnonzero(ma), marked2=np.flatnonzero(mb))
+def _same_class(a: TransitiveClassRecord, b: TransitiveClassRecord) -> bool:
+    search = IsoSearch(a.side, b.side, marked1=a.stab_positions, marked2=b.stab_positions)
     return search.run("first") is not None
 
 
 def _bucket_classes(records: list[TransitiveClassRecord], bucket: list[int]) -> dict[int, list[int]]:
-    """Members by leader within one bucket of record indices, in index
-    order.  The tables built here go when the call returns."""
-    if len(bucket) == 1:
-        return {bucket[0]: bucket}
+    """Members by leader within one bucket of record indices, in index order."""
     members: dict[int, list[int]] = {}
-    leaders: list[tuple[int, tuple[GroupTable, np.ndarray]]] = []
     for i in bucket:
-        table = records[i].table_with_stab()
-        home = next((j for j, lead in leaders if _same_class(lead, table)), None)
+        home = next((j for j in members if _same_class(records[j], records[i])), None)
         if home is None:
-            leaders.append((i, table))
             members[i] = [i]
         else:
             members[home].append(i)
@@ -108,12 +101,12 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
 
     Records are bucketed by their sorted element colours and sorted
     stabilizer colours (`TransitiveClassRecord.colours`, read off the
-    holomorph tables); the backtracking search runs only within a bucket.
-    Record tables are built only in buckets of two or more records and
-    dropped when the bucket is done; each bucket walks its records and
-    leaders in index order.  Output order and labels are deterministic:
-    classes sorted by (order, stabilizer order, first-seen position),
-    numbered within each (order, stabilizer order) group.
+    holomorph tables); the backtracking search runs only within a bucket,
+    on the records' indices into their holomorph tables, and each bucket
+    walks its records and leaders in index order.  Output order and labels
+    are deterministic: classes sorted by (order, stabilizer order,
+    first-seen position), numbered within each (order, stabilizer order)
+    group.
     """
     if not records:
         return []
@@ -125,8 +118,7 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
     buckets: dict[tuple[bytes, bytes], list[int]] = {}
     for i, rec in enumerate(records):
         # equal for any two records a stabilizer-respecting isomorphism joins
-        stab = rec.ctx.perms[rec.indices, 0] == 0
-        key = np.sort(rec.colours[stab]).tobytes(), np.sort(rec.colours).tobytes()
+        key = np.sort(rec.colours[rec.stab_positions]).tobytes(), np.sort(rec.colours).tobytes()
         buckets.setdefault(key, []).append(i)
 
     class_members: dict[int, list[int]] = {}

@@ -85,9 +85,9 @@ class DegreeReportRow:
 def _class_weight(cls: EquivalenceClass) -> int:
     """|Aut(G, G')| for the class's abstract pair, cached on the class."""
     if cls.aut_marked_order is None:
-        t, mask = cls.members[0][1].table_with_stab()
-        idx = np.flatnonzero(mask)
-        cls.aut_marked_order = int(IsoSearch(t, t, marked1=idx, marked2=idx).run("count"))
+        rec = cls.members[0][1]
+        stab = rec.stab_positions
+        cls.aut_marked_order = int(IsoSearch(rec.side, rec.side, stab, stab).run("count"))
     return cls.aut_marked_order
 
 

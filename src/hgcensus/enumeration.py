@@ -8,6 +8,13 @@ the same orbit land in the same conjugacy class).  Every conjugate of a
 discovered subgroup is registered by a digest of its sorted indices, so
 repeat classes are recognized in O(1) regardless of which conjugate shows
 up.
+
+<H, x> = <H, x^j> for every j coprime to the order of x, so once <H, x0>
+is closed, every orbit holding a generator of <x0> is done: a later orbit
+representative there could only give a conjugate of <H, x0>, already
+registered, and is skipped without a closure.  The generators of each
+cyclic subgroup (`_cyclic_families`) are found once per table.  Skipped
+representatives come after x0, so every class keeps its first discoverer.
 """
 
 from __future__ import annotations
@@ -56,14 +63,22 @@ def subgroup_classes(
 ) -> list[SubgroupClass]:
     """All subgroup conjugacy classes of the tabled group.
 
-    Raises SearchBudgetError when more than `node_budget` subgroup
-    closures are attempted or `time_budget` seconds elapse.
+    Raises SearchBudgetError when more than `node_budget` candidates are
+    tried or `time_budget` seconds elapse.  A candidate skipped because its
+    cyclic family's extension is already closed counts like a closed one,
+    so the budgets stop at the same candidate as a search without skips.
     """
     m = T.order
     start = time.monotonic()
     spent = 0
 
     rng = np.arange(m, dtype=np.int64)
+    # the members of x's cyclic family, the generators of <x>, are
+    # by_family[first[x]:last[x]]
+    family = _cyclic_families(T)
+    by_family = np.argsort(family, kind="stable")
+    first = np.searchsorted(family[by_family], family, "left")
+    last = np.searchsorted(family[by_family], family, "right")
     registry: dict[bytes, int] = {}
     classes: list[SubgroupClass] = []
     queue: deque[int] = deque()
@@ -113,12 +128,16 @@ def subgroup_classes(
         lab = orbit_labels(np.concatenate([T.mul[h], T.mul[:, h].T, T.conj_many(ng[:, None], rng)]))
         in_h = np.zeros(m, dtype=bool)
         in_h[elems] = True
+        done = np.zeros(m, dtype=bool)  # orbit labels whose extension is closed
         for x0 in np.flatnonzero((lab == rng) & ~in_h).tolist():
             spent += 1
             if spent > node_budget:
                 raise SearchBudgetError("subgroup closure budget exhausted", spent=spent, budget=node_budget)
             if spent % 256 == 0 and (elapsed := time.monotonic() - start) > time_budget:
                 raise SearchBudgetError("subgroup search time budget exhausted", spent=elapsed, budget=time_budget)
+            if done[x0]:
+                continue
+            done[lab[by_family[first[x0] : last[x0]]]] = True
             grown = T.extend_subgroup(elems, gens, x0)
             new_id = register(grown, gens + [x0])
             if new_id is not None:
@@ -128,14 +147,30 @@ def subgroup_classes(
     return [classes[i] for i in sorted(range(len(classes)), key=lambda i: order_key[i])]
 
 
+def _cyclic_families(T: GroupTable) -> np.ndarray:
+    """For each element x, the least y with <y> = <x>: the least x^j over
+    the j coprime to the order of x, one vectorized power step per j up to
+    the largest element order."""
+    m = T.order
+    rng = np.arange(m, dtype=np.int64)
+    orders = T.elem_order
+    family = rng.copy()
+    power = rng
+    for j in range(2, int(orders.max())):
+        power = T._mul_flat[power * m + rng].astype(np.int64)  # x^j
+        family = np.where(np.gcd(j, orders) == 1, np.minimum(family, power), family)
+    return family
+
+
 @dataclass
 class TransitiveClassRecord:
     """A conjugacy class of transitive subgroups of a holomorph.
 
-    The class is held by row indices into `ctx.perms`; `rep` and
-    `stabilizer` are groups on slices of those rows, and `colours` the
-    representative's element colours, each built on first use.  The
-    representative's table is not kept (`table_with_stab`).
+    The class is held by row indices into `ctx.perms`, which are also its
+    indices into the holomorph table; `rep` and `stabilizer` are groups on
+    slices of those rows, and `colours` the representative's element
+    colours, each built on first use.  Searches run on the holomorph table
+    (`side`); the representative never gets a table of its own.
     """
 
     ctx: HolomorphContext
@@ -171,15 +206,16 @@ class TransitiveClassRecord:
         off the holomorph table (`GroupTable.subgroup_colours`)."""
         return self.ctx.table().subgroup_colours(self.indices, self.gens)
 
-    def table_with_stab(self) -> tuple[GroupTable, np.ndarray]:
-        """Multiplication table of the class representative, plus a mask
-        marking the point-0 stabilizer inside it.  Built afresh on each
-        call and not kept: a table is k^2 cells, so callers hold it only
-        while a search runs on it.  The table starts with the record's
-        `colours`, which equal the ones it would compute itself."""
-        T, _ = self.ctx.table().subtable(self.indices)
-        T._colours = self.colours
-        return T, self.ctx.perms[self.indices, 0] == 0
+    @property
+    def side(self) -> tuple[GroupTable, np.ndarray, np.ndarray]:
+        """The representative as an `IsoSearch` side: the holomorph table,
+        the record's indices into it and their colours."""
+        return self.ctx.table(), self.indices, self.colours
+
+    @cached_property
+    def stab_positions(self) -> np.ndarray:
+        """Positions in `indices` of the point-0 stabilizer."""
+        return np.flatnonzero(self.ctx.perms[self.indices, 0] == 0)
 
 
 def enumerate_transitive_classes(

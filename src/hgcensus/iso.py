@@ -1,19 +1,29 @@
-"""Isomorphism and automorphism search on indexed groups.
+"""Isomorphism and automorphism search on subgroups of indexed groups.
+
+A search side is a table plus the sorted element indices of the subgroup
+searched and that subgroup's colours: a catalog group is its whole table
+with `GroupTable.colours()`, a transitive record its indices into the
+holomorph table with `record.colours`.  No table of the subgroup itself is
+built.  Products are read off the side's table; keys, the injectivity
+check, orbit labels and the maps returned run over the subgroup's own
+positions 0..k-1 (position i is the i-th sorted index), reached through one
+table-to-position index array per side, so the work per search node is
+proportional to k, not to the table's order.
 
 Backtracking over generator images.  Every element carries one key,
-2 * colour + mark: the colour is `GroupTable.colours()`, an invariant every
-isomorphism preserves, and the mark is an exact low bit for membership in
-an optional marked subset on each side.  Equal sorted keys are necessary
-for a map to exist, candidate images of a generator are the elements of
-T2 with its key, and each level checks the keys of the elements it maps
-first.  That is how stabilizer-respecting isomorphism and marked
-automorphism counts share one engine; a further invariant, such as cycle
-type on the points, would be one more key column next to the mark.
-Partial maps are extended level by level along a precomputed breadth tree
-and every (element, generator) product is verified before descending, so
-dead branches die early.  That check is the only pruning besides the keys:
-a test on the orders of short words such as g_j g_i would only repeat
-conditions the verified products already enforce.
+2 * colour + mark: the colour is invariant under every isomorphism, and
+the mark is an exact low bit for membership in an optional marked subset
+on each side.  Equal sorted keys are necessary for a map to exist,
+candidate images of a generator are the elements of side 2 with its key,
+and each level checks the keys of the elements it maps first.  That is how
+stabilizer-respecting isomorphism and marked automorphism counts share one
+engine; a further invariant, such as cycle type on the points, would be
+one more key column next to the mark.  Partial maps are extended level by
+level along a precomputed breadth tree and every (element, generator)
+product is verified before descending, so dead branches die early.  That
+check is the only pruning besides the keys: a test on the orders of short
+words such as g_j g_i would only repeat conditions the verified products
+already enforce.
 
 Counts never list the maps.  For the generator sequence g_1..g_k,
 |Aut(T, marked)| is the product over i of the orbit size of g_i under the
@@ -24,25 +34,27 @@ g_1..g_{i-1} pinned to themselves and g_i to b.  Every automorphism found
 so far fixes g_1..g_{i-1}, so a found witness puts the whole orbit of b
 under them into the orbit of g_i and a failed search rules the whole orbit
 of b out; no other point of that orbit is searched.  Between different
-tables the isomorphisms form one coset of Aut(T2, marked2), so the count
-is 0 or that group's chain count.
+sides the isomorphisms form one coset of Aut(side 2, marked2), so the
+count is 0 or that group's chain count.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .perm import orbit_labels
 from .table import GroupTable
 
+Side = Union[GroupTable, tuple[GroupTable, np.ndarray, np.ndarray]]
+
 
 class _Level:
-    __slots__ = ("elems", "n_old", "build", "verify", "new_pos")
+    __slots__ = ("end", "n_old", "build", "verify", "new_pos")
 
-    def __init__(self, elems, n_old, build, verify, new_pos):
-        self.elems = elems          # global indices, position-ordered
+    def __init__(self, end, n_old, build, verify, new_pos):
+        self.end = end              # positions mapped once this level is done
         self.n_old = n_old          # prefix length shared with previous level
         self.build = build          # [(gen_slot, parent_pos, target_pos), ...]
         self.verify = verify        # [(gen_slot, x_pos, xg_pos), ...]
@@ -50,91 +62,103 @@ class _Level:
 
 
 class _SourcePlan:
-    """Breadth trees and verification pairs for one generating sequence."""
+    """Breadth trees and verification pairs for one generating sequence of
+    a k-element subgroup of T.
 
-    def __init__(self, T: GroupTable, gens: list[int]):
-        self.T = T
+    Positions number the subgroup's elements in discovery order: `elem_at`
+    holds their table indices and `pos_of` maps a table index back to its
+    position (-1 = not reached).  Each (breadth step, generator slot) is one
+    gather of the frontier's products; right multiplication by one element
+    is injective, so a gather holds no repeats and its new elements keep
+    frontier order.
+    """
+
+    def __init__(self, T: GroupTable, gens: list[int], k: int):
+        m = T.order
+        mul = T._mul_flat
         self.gens = gens
         self.levels: list[_Level] = []
-        elems: list[int] = [0]
-        pos_of = {0: 0}
-        for i, g in enumerate(gens):
-            n_old = len(elems)
+        elem_at = np.zeros(k, dtype=np.int64)
+        pos_of = np.full(m, -1, dtype=np.int64)
+        pos_of[0] = 0
+        total = 1
+        for i in range(len(gens)):
+            n_old = total
             build = []
-            frontier = list(range(n_old))
-            first = True
-            while frontier:
-                nxt: list[int] = []
-                slots = [i] if first else list(range(i + 1))
+            frontier = np.arange(n_old)
+            slots = [i]
+            while len(frontier):
+                nxt = []
                 for j in slots:
-                    gj = gens[j]
-                    parents, targets = [], []
-                    for p in frontier:
-                        t = int(T.mul[elems[p], gj])
-                        if t not in pos_of:
-                            pos_of[t] = len(elems)
-                            elems.append(t)
-                            parents.append(p)
-                            targets.append(pos_of[t])
-                            nxt.append(pos_of[t])
-                    if parents:
-                        build.append((j, np.array(parents), np.array(targets)))
-                frontier = nxt
-                first = False
-            new_pos = np.arange(n_old, len(elems))
+                    t = mul[elem_at[frontier] * m + gens[j]]
+                    fresh = pos_of[t] < 0
+                    if fresh.any():
+                        new = t[fresh]
+                        targets = np.arange(total, total + len(new))
+                        elem_at[targets] = new
+                        pos_of[new] = targets
+                        build.append((j, frontier[fresh], targets))
+                        nxt.append(targets)
+                        total += len(new)
+                frontier = np.concatenate(nxt) if nxt else []
+                slots = range(i + 1)
+            new_pos = np.arange(n_old, total)
             verify = []
             for j in range(i + 1):
-                if j < i:
-                    xs = new_pos
-                else:
-                    xs = np.arange(len(elems))
-                if len(xs) == 0:
-                    continue
-                gj = gens[j]
-                xg = [pos_of[int(T.mul[elems[x], gj])] for x in xs.tolist()]
-                verify.append((j, xs.copy(), np.array(xg)))
-            self.levels.append(
-                _Level(np.array(elems, dtype=np.int64), n_old, build, verify, new_pos)
-            )
-        self.total = len(elems)
-        self.elem_at = np.array(elems, dtype=np.int64)
+                xs = new_pos if j < i else np.arange(total)
+                if len(xs):
+                    verify.append((j, xs, pos_of[mul[elem_at[xs] * m + gens[j]]]))
+            self.levels.append(_Level(total, n_old, build, verify, new_pos))
+        self.total = total
+        self.elem_at = elem_at
 
 
 class IsoSearch:
-    """Shared state for iso/aut searches from T1 into T2."""
+    """Shared state for iso/aut searches from side 1 into side 2.
+
+    A side is a `GroupTable`, searched whole, or a triple (table, sorted
+    element indices, colours in that order) naming a subgroup of the table.
+    `marked1`, `marked2` and the maps returned are in positions 0..k-1 of
+    each side's sorted indices.
+    """
 
     def __init__(
         self,
-        T1: GroupTable,
-        T2: GroupTable,
+        side1: Side,
+        side2: Side,
         marked1: Optional[np.ndarray] = None,
         marked2: Optional[np.ndarray] = None,
     ):
-        self.T1 = T1
-        self.T2 = T2
-        self.m = T1.order
-        self.feasible = T1.order == T2.order
+        self.T1, self.elems1, colours1 = _side(side1)
+        self.T2, self.elems2, self.colours2 = _side(side2)
+        self.m = len(self.elems1)
+        self.feasible = self.m == len(self.elems2)
         if not self.feasible:
             return
         # key 2 * colour + mark: the mark is an exact low bit
-        self.key1 = _keys(T1, marked1)
-        self.key2 = _keys(T2, marked2)
+        self.key1 = _keys(colours1, marked1)
+        self.key2 = _keys(self.colours2, marked2)
         by_key = np.argsort(self.key2, kind="stable")
         sorted2 = self.key2[by_key]
         if not np.array_equal(np.sort(self.key1), sorted2):
             self.feasible = False
             return
         # favor rare colours (small image buckets), then high orders
-        _, colour_of, count = np.unique(T1.colours(), return_inverse=True, return_counts=True)
+        _, colour_of, count = np.unique(colours1, return_inverse=True, return_counts=True)
         xs = np.arange(1, self.m)
-        pref = xs[np.lexsort((-T1.elem_order[xs], count[colour_of[xs]]))]
-        gens = T1.small_generating_set(np.concatenate([[0], pref]))
-        self.plan = _SourcePlan(T1, gens)
+        orders = self.T1.elem_order[self.elems1[xs]]
+        pref = self.elems1[xs[np.lexsort((-orders, count[colour_of[xs]]))]]
+        gens = self.T1.small_generating_set(np.concatenate([[0], pref]))
+        self.plan = _SourcePlan(self.T1, gens, self.m)
+        back1 = _back(self.T1, self.elems1)
+        self.back2 = _back(self.T2, self.elems2)
+        self.local1 = back1[self.plan.elem_at]  # side-1 position of each plan position
         # keys the elements first mapped at each level must find
-        self.want = [self.key1[self.plan.elem_at[lv.new_pos]] for lv in self.plan.levels]
-        lo = np.searchsorted(sorted2, self.key1[gens], "left")
-        hi = np.searchsorted(sorted2, self.key1[gens], "right")
-        self.cands = [by_key[a:b] for a, b in zip(lo, hi)]
+        self.want = [self.key1[self.local1[lv.new_pos]] for lv in self.plan.levels]
+        gen_keys = self.key1[back1[gens]]
+        lo = np.searchsorted(sorted2, gen_keys, "left")
+        hi = np.searchsorted(sorted2, gen_keys, "right")
+        self.cands = [self.elems2[by_key[a:b]] for a, b in zip(lo, hi)]  # table indices
 
     def run(self, mode: str = "count"):
         """mode "count" -> int; "first" -> map array or None; "all" -> list of maps."""
@@ -158,22 +182,28 @@ class IsoSearch:
             return 0
         if self.m == 1:
             return 1
-        if not (self.T1 is self.T2 and np.array_equal(self.key1, self.key2)):
-            # the isomorphisms are one coset of Aut(T2, marked2)
+        same = (self.T1 is self.T2 and np.array_equal(self.elems1, self.elems2)
+                and np.array_equal(self.key1, self.key2))
+        if not same:
+            # the isomorphisms are one coset of Aut(side 2, marked2)
             if self.run("first") is None:
                 return 0
+            side2 = (self.T2, self.elems2, self.colours2)
             marked = np.flatnonzero(self.key2 & 1)
-            return IsoSearch(self.T2, self.T2, marked, marked).run("count")
+            return IsoSearch(side2, side2, marked, marked).run("count")
         plan = self.plan
         gens = plan.gens
+        back = self.back2  # one side: its table indices to positions
         found: list[np.ndarray] = []  # automorphisms fixing gens[:i] at level i
         count = 1
         for i in range(len(gens) - 1, -1, -1):
             lab = orbit_labels(np.array(found, dtype=np.int64).reshape(-1, self.m))
             dead = np.zeros(self.m, dtype=bool)  # labels of orbits with no witness
             n_fixed = plan.levels[i].n_old
+            gi = back[gens[i]]
             for b in self.cands[i].tolist():
-                if lab[b] == lab[gens[i]] or dead[lab[b]]:
+                orbit = lab[back[b]]
+                if orbit == lab[gi] or dead[orbit]:
                     continue
                 # pin gens[:i] to themselves and gens[i] to b, search the rest
                 phi = np.full(plan.total, -1, dtype=np.int64)
@@ -187,17 +217,19 @@ class IsoSearch:
                     dead = np.zeros(self.m, dtype=bool)
                     dead[lab[old_dead]] = True
                 else:
-                    dead[lab[b]] = True
-            count *= int((lab == lab[gens[i]]).sum())
+                    dead[orbit] = True
+            count *= int((lab == lab[gi]).sum())
         return count
 
     def _descend(
         self, cands, start: int, phi: np.ndarray, gen_img: list[int], first: bool
     ) -> list[np.ndarray]:
-        """Complete maps extending levels < `start` of `phi`, as arrays over T1."""
-        T2 = self.T2
-        m2 = T2.order
-        mul2 = T2._mul_flat
+        """Complete maps extending levels < `start` of `phi`, as arrays over
+        side 1's positions.  `phi` and `gen_img` hold T2 indices; keys and
+        injectivity are checked on side 2's positions (`back2`)."""
+        m2 = self.T2.order
+        mul2 = self.T2._mul_flat
+        back2 = self.back2
         plan = self.plan
         levels = plan.levels
         k = len(levels)
@@ -206,7 +238,6 @@ class IsoSearch:
 
         def descend(level: int) -> bool:
             lv = levels[level]
-            end = len(lv.elems)
             for b in map(int, cands[level]):
                 gen_img[level] = b
                 for j, parents, targets in lv.build:
@@ -216,16 +247,14 @@ class IsoSearch:
                     if not np.array_equal(mul2[phi[xs] * m2 + gen_img[j]], phi[xgs]):
                         good = False
                         break
-                if good and not np.array_equal(key2[phi[lv.new_pos]], want[level]):
-                    good = False
                 if good:
-                    seen = np.bincount(phi[:end], minlength=m2)
-                    if (seen > 1).any():
-                        good = False
+                    loc = back2[phi[: lv.end]]
+                    good = (np.array_equal(key2[loc[lv.new_pos]], want[level])
+                            and not (np.bincount(loc, minlength=self.m) > 1).any())
                 if good:
                     if level + 1 == k:
-                        out = np.full(self.m, -1, dtype=np.int64)
-                        out[plan.elem_at] = phi
+                        out = np.empty(self.m, dtype=np.int64)
+                        out[self.local1] = loc
                         found.append(out)
                         if first:
                             return True
@@ -238,8 +267,24 @@ class IsoSearch:
         return found
 
 
-def _keys(T: GroupTable, marked: Optional[np.ndarray]) -> np.ndarray:
-    key = 2 * T.colours()
+def _side(side: Side) -> tuple[GroupTable, np.ndarray, np.ndarray]:
+    """(table, sorted indices, colours) of a search side; a table alone is
+    its whole group."""
+    if isinstance(side, GroupTable):
+        return side, np.arange(side.order, dtype=np.int64), side.colours()
+    T, elems, colours = side
+    return T, np.asarray(elems, dtype=np.int64), colours
+
+
+def _back(T: GroupTable, elems: np.ndarray) -> np.ndarray:
+    """Position of each of T's indices in `elems`, -1 off the subgroup."""
+    back = np.full(T.order, -1, dtype=np.int64)
+    back[elems] = np.arange(len(elems))
+    return back
+
+
+def _keys(colours: np.ndarray, marked: Optional[np.ndarray]) -> np.ndarray:
+    key = 2 * colours
     if marked is not None:
         key[np.asarray(marked, dtype=np.int64)] += 1
     return key

@@ -18,7 +18,7 @@ from .perm import PermGroup, orbit_labels
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
 
-# rows per block when locating inverses, validating and filling subtables:
+# rows per block when locating inverses and validating:
 # keeps the m-wide temporaries small next to the table itself
 _ROW_BLOCK = 128
 
@@ -142,30 +142,6 @@ class GroupTable:
             levels.append(level)
             ids = new
         return base, levels
-
-    def subtable(self, indices: Sequence[int]) -> tuple["GroupTable", np.ndarray]:
-        """Table of the subgroup on `indices`; also returns the index list.
-
-        Local index i corresponds to global index out[i]; identity stays 0.
-        All of the group's indices give back this table itself, not a copy.
-        """
-        idx = np.array(sorted(indices), dtype=np.int64)
-        if idx[0] != 0:
-            raise StructureError("subgroup must contain the identity (index 0)")
-        k = len(idx)
-        if np.array_equal(idx, np.arange(self.order)):
-            return self, idx
-        # one k x k output, filled `_ROW_BLOCK` rows at a time so every
-        # temporary stays block * k cells
-        back = np.full(self.order, -1, dtype=self.mul.dtype)
-        back[idx] = np.arange(k)
-        local = np.empty((k, k), dtype=np.int16 if k < 2**15 else np.int32)
-        for lo in range(0, k, _ROW_BLOCK):
-            block = back[self.mul[idx[lo : lo + _ROW_BLOCK, None], idx]]
-            if block.min() < 0:
-                raise StructureError("indices are not closed under multiplication")
-            local[lo : lo + _ROW_BLOCK] = block
-        return GroupTable(local), idx
 
     # -- group laws ----------------------------------------------------------
 
@@ -432,14 +408,7 @@ class GroupTable:
                     frontier.append((ext, gens + (g,)))
         return [found[k] for k in sorted(found)]
 
-    # -- conjugacy classes and colours ------------------------------------
-
-    def conjugacy_classes(self) -> list[np.ndarray]:
-        """Classes ordered by least element, each sorted: orbits under conjugation."""
-        g = np.array(self.generators(), dtype=np.int64)
-        lab = orbit_labels(self.conj_many(g[:, None], np.arange(self.order)))
-        by_class = np.argsort(lab, kind="stable")
-        return np.split(by_class, np.flatnonzero(np.diff(lab[by_class])) + 1)
+    # -- colours ------------------------------------------------------------
 
     def colours(self) -> np.ndarray:
         """One non-negative int64 colour per element, preserved by every
@@ -456,10 +425,10 @@ class GroupTable:
         then three rounds mix in the colours of x^-1 and of x^p for each
         prime p dividing the subgroup's exponent.  Each ingredient is read
         here and is invariant under isomorphism, so the result equals the
-        colours of the subgroup's own table (`subtable`) without building
-        it.  The mix is fixed uint64 arithmetic, so colours of different
-        tables compare directly; a collision only merges colours.  Equal
-        colours are necessary for an element and its image.
+        colours of the subgroup's own table without building it.  The mix
+        is fixed uint64 arithmetic, so colours of different tables compare
+        directly; a collision only merges colours.  Equal colours are
+        necessary for an element and its image.
         """
         elems = np.asarray(elems, dtype=np.int64)
         back = np.full(self.order, -1, dtype=np.int64)

@@ -12,6 +12,9 @@ import pytest
 from hypothesis import settings
 
 from hgcensus import build_degree_census
+from hgcensus.errors import StructureError
+from hgcensus.perm import orbit_labels
+from hgcensus.table import GroupTable
 
 # fixed examples and no per-example deadline: the suite stays deterministic
 # and does not flake on a loaded host
@@ -48,3 +51,51 @@ def _minimal_conjugate(T, elems: np.ndarray) -> tuple[int, ...]:
 def minimal_conjugate():
     """The brute-force canonical form that subgroup-class searches are checked against."""
     return _minimal_conjugate
+
+
+def _subtable(T: GroupTable, indices) -> tuple[GroupTable, np.ndarray]:
+    """The subgroup on `indices` as a table of its own, local index i
+    standing for global index idx[i] (idx sorted); also returns idx."""
+    idx = np.array(sorted(indices), dtype=np.int64)
+    if idx[0] != 0:
+        raise StructureError("subgroup must contain the identity (index 0)")
+    back = np.full(T.order, -1, dtype=np.int64)
+    back[idx] = np.arange(len(idx))
+    local = back[T.mul[np.ix_(idx, idx)]]
+    if local.min() < 0:
+        raise StructureError("indices are not closed under multiplication")
+    return GroupTable(local.astype(T.mul.dtype)), idx
+
+
+def _record_table(rec) -> tuple[GroupTable, np.ndarray]:
+    """A transitive record's k x k table, plus the mask of its point-0
+    stabilizer: what the engine's searches on the holomorph table must
+    agree with."""
+    T, idx = _subtable(rec.ctx.table(), rec.indices)
+    return T, rec.ctx.perms[idx, 0] == 0
+
+
+def _conjugacy_classes(T: GroupTable) -> list[np.ndarray]:
+    """Classes ordered by least element, each sorted: orbits under conjugation."""
+    g = np.array(T.generators(), dtype=np.int64)
+    lab = orbit_labels(T.conj_many(g[:, None], np.arange(T.order)))
+    by_class = np.argsort(lab, kind="stable")
+    return np.split(by_class, np.flatnonzero(np.diff(lab[by_class])) + 1)
+
+
+@pytest.fixture(scope="session")
+def subtable():
+    """Subgroup tables built by relabelling a block of the group's table."""
+    return _subtable
+
+
+@pytest.fixture(scope="session")
+def record_table():
+    """The k x k table and stabilizer mask of a transitive record."""
+    return _record_table
+
+
+@pytest.fixture(scope="session")
+def conjugacy_classes():
+    """A table's conjugacy classes, the reference for the colours' class sizes."""
+    return _conjugacy_classes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hgcensus.catalog import groups_of_order, invariants, regular_representation
@@ -9,6 +10,7 @@ from hgcensus.classify import classify_degree, stab_respecting_iso
 from hgcensus.enumeration import enumerate_transitive_classes
 from hgcensus.errors import ConsistencyError
 from hgcensus.holomorph import build_holomorph
+from hgcensus.iso import IsoSearch
 from hgcensus.perm import PermGroup, compose, parse_cycles
 
 
@@ -46,13 +48,13 @@ def test_mismatched_degrees_refused():
     assert stab_respecting_iso(s3_reg, s3_nat) is None
 
 
-def test_same_invariants_can_still_separate(census):
+def test_same_invariants_can_still_separate(census, record_table):
     # degree 8 has class pairs agreeing on order, stabilizer order, and
     # every cheap invariant; only the stabilizer-respecting search splits them
     classes = census(8).classes
     by_key = {}
     for cls in classes:
-        T, _ = cls.members[0][1].table_with_stab()
+        T, _ = record_table(cls.members[0][1])
         key = (cls.order, cls.stabilizer_order, invariants(T))
         by_key.setdefault(key, []).append(cls)
     twins = [v for v in by_key.values() if len(v) > 1]
@@ -118,3 +120,31 @@ def test_mixed_degrees_are_rejected():
 
 def test_empty_input_is_fine():
     assert classify_degree([]) == []
+
+
+@pytest.mark.parametrize("degree", [6, 8, 12])
+def test_partition_matches_pairwise_searches_on_record_tables(census, record_table, degree):
+    # no colour buckets: each record joins the first earlier leader of its
+    # shape that a search between the two records' own tables accepts
+    records = census(degree).records
+    shape = [(rec.order, rec.stabilizer_order) for rec in records]
+    tables = [record_table(rec) for rec in records]
+
+    def same(j: int, i: int) -> bool:
+        (t1, m1), (t2, m2) = tables[j], tables[i]
+        return shape[j] == shape[i] and (
+            IsoSearch(t1, t2, np.flatnonzero(m1), np.flatnonzero(m2)).run("first") is not None
+        )
+
+    members: dict[int, list[int]] = {}
+    for i in range(len(records)):
+        members.setdefault(next((j for j in members if same(j, i)), i), []).append(i)
+    seq: dict[tuple[int, int], int] = {}
+    want = []
+    for leader in sorted(members, key=lambda j: (shape[j], j)):
+        seq[shape[leader]] = seq.get(shape[leader], 0) + 1
+        order, stab = shape[leader]
+        want.append((f"d{degree}-o{order}-s{stab}-c{seq[shape[leader]]}", members[leader]))
+    position = {id(rec): i for i, rec in enumerate(records)}
+    got = [(cls.label, [position[id(rec)] for rec in cls.records()]) for cls in classify_degree(records)]
+    assert got == want

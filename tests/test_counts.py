@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,7 +92,7 @@ def test_prime_degree_row_is_the_divisor_count_of_p_minus_1(census, degree):
 
 
 @pytest.mark.parametrize("degree", range(2, 16))
-def test_whole_holomorph_weight_is_aut_times_multiple_holomorph(census, degree):
+def test_whole_holomorph_weight_is_aut_times_multiple_holomorph(census, record_table, degree):
     # |Aut(Hol N, Aut N)| = |Aut N| |T(N)|, T(N) = NHol(N) / Hol(N), and
     # |T(N)| counts the normal regular subgroups of Hol(N) isomorphic to N
     # (Kohl, Comm. Algebra 2015): regular records of class size 1 here
@@ -99,7 +102,7 @@ def test_whole_holomorph_weight_is_aut_times_multiple_holomorph(census, degree):
             1
             for rec in c.records
             if rec.ctx is ctx and rec.regular and rec.class_size == 1
-            and IsoSearch(rec.table_with_stab()[0], ctx.group).run("first") is not None
+            and IsoSearch(record_table(rec)[0], ctx.group).run("first") is not None
         )
         whole = [cls for cls in c.classes
                  if any(rec.ctx is ctx and rec.order == len(ctx.perms) for _, rec in cls.members)]
@@ -138,11 +141,11 @@ def test_field_count_of_regular_records_is_subgroup_count(census):
 
 
 @pytest.mark.parametrize("degree", range(2, 8))
-def test_field_count_equals_subgroups_over_the_stabilizer(census, degree):
+def test_field_count_equals_subgroups_over_the_stabilizer(census, record_table, degree):
     # the block walk takes one atom per stabilizer orbit; the oracle lists
     # every subgroup of the record's table and keeps those over the stabilizer
     for rec in census(degree).records:
-        T, mask = rec.table_with_stab()
+        T, mask = record_table(rec)
         over = sum(1 for s in T.all_subgroups() if np.isin(np.flatnonzero(mask), s).all())
         assert intermediate_field_count(rec) == over, (rec.type_name, rec.order)
 
@@ -257,3 +260,32 @@ def test_oversized_holomorph_stops_degree_16_before_any_holomorph(monkeypatch):
     assert c.row.partial
     assert c.row.cells()[1:] == (None,) * 7
     assert c.contexts == [] and c.records == []
+
+
+@pytest.mark.parametrize("degree", [*range(2, 13), 41])
+def test_class_weight_equals_the_search_on_record_tables(census, record_table, degree):
+    # the weight searches the leader inside its holomorph table; the oracle
+    # searches the leader's own k x k table
+    for cls in census(degree).classes:
+        T, mask = record_table(cls.members[0][1])
+        stab = np.flatnonzero(mask)
+        want = IsoSearch(T, T, marked1=stab, marked2=stab).run("count")
+        assert counts._class_weight(replace(cls, aut_marked_order=None)) == want, cls.label
+
+
+def test_class_weight_builds_no_record_table(census):
+    # the largest proper record at degree 41 has order 820; its k x k int16
+    # table would take k^2 * 2 bytes
+    cls = max((cls for cls in census(41).classes if cls.order < 1640), key=lambda cls: cls.order)
+    k = cls.order
+    assert k == 820
+    cls.members[0][1].ctx.table()
+    fresh = replace(cls, aut_marked_order=None)
+    tracemalloc.start()
+    try:
+        counts._class_weight(fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fresh.aut_marked_order == cls.aut_marked_order
+    assert peak < k * k * 2, peak

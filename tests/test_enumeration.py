@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hgcensus.catalog import groups_of_order
-from hgcensus.enumeration import enumerate_transitive_classes, subgroup_classes
+from hgcensus.enumeration import _cyclic_families, enumerate_transitive_classes, subgroup_classes
 from hgcensus.errors import SearchBudgetError
 from hgcensus.expected import EXPECTED
 from hgcensus.holomorph import build_holomorph
@@ -103,10 +103,22 @@ def test_time_budget_is_enforced():
     assert isinstance(exc.value.spent, float)
 
 
-def test_table_with_stab_marks_the_point_stabilizer():
+def test_stab_positions_mark_the_point_stabilizer(record_table):
     recs = enumerate_transitive_classes(_ctx_of(6, "C6"))
     for r in recs:
-        T, mask = r.table_with_stab()
+        T, mask = record_table(r)
         assert T.order == r.order
         assert int(mask.sum()) == r.stabilizer.order
         assert mask[0]  # identity fixes 0
+        assert np.array_equal(r.stab_positions, np.flatnonzero(mask))
+
+
+@pytest.mark.parametrize("order,name", [(8, "Q8"), (8, "D4"), (12, "C12")])
+def test_cyclic_families_match_closing_every_element(order, name):
+    # the family of x is the least y with <y> = <x>
+    T = _ctx_of(order, name).table()
+    cyclic = [tuple(T.closure_of([x]).tolist()) for x in range(T.order)]
+    least: dict[tuple[int, ...], int] = {}
+    for y, c in enumerate(cyclic):
+        least.setdefault(c, y)
+    assert _cyclic_families(T).tolist() == [least[c] for c in cyclic]

@@ -72,14 +72,14 @@ def test_all_maps_are_distinct_bijections():
                 assert m[V4.mul[a, b]] == V4.mul[m[a], m[b]]
 
 
-def test_marked_subset_restricts_automorphisms():
+def test_marked_subset_restricts_automorphisms(subtable):
     # C4xC2 has two subgroups of order 4: one cyclic, one Klein.
     T = _table_of(["(0 1 2 3)", "(4 5)"], 6)
     assert T.order == 8
     subs = [s for s in T.all_subgroups() if len(s) == 4]
     kinds = {}
     for s in subs:
-        sub, _ = T.subtable(s)
+        sub, _ = subtable(T, s)
         kinds[int(sub.elem_order.max())] = s
     cyc, klein = kinds[4], kinds[2]
     # no automorphism can carry the cyclic one onto the Klein one
@@ -94,20 +94,20 @@ def test_marked_count_mismatch_is_infeasible():
     assert not s.feasible
 
 
-def test_marked_maps_respect_the_marking():
+def test_marked_maps_respect_the_marking(subtable):
     T = _table_of(["(0 1 2 3)", "(4 5)"], 6)
     cyc = next(s for s in T.all_subgroups()
-               if len(s) == 4 and T.subtable(s)[0].elem_order.max() == 4)
+               if len(s) == 4 and subtable(T, s)[0].elem_order.max() == 4)
     marked = set(cyc.tolist())
     for m in IsoSearch(T, T, marked1=cyc, marked2=cyc).run("all"):
         assert {int(m[i]) for i in cyc} == marked
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
-def test_chain_count_equals_listed_maps_on_every_class(census, degree):
+def test_chain_count_equals_listed_maps_on_every_class(census, record_table, degree):
     # |Aut(G, G')| by the orbit-stabilizer chain against the full list
     for cls in census(degree).classes:
-        T, mask = cls.members[0][1].table_with_stab()
+        T, mask = record_table(cls.members[0][1])
         idx = np.flatnonzero(mask)
         search = IsoSearch(T, T, marked1=idx, marked2=idx)
         assert search.run("count") == len(search.run("all")), cls.label
@@ -147,34 +147,34 @@ def test_count_between_isomorphic_tables_is_the_target_aut_order():
         assert marked.run("count") == len(marked.run("all")) > 0
 
 
-def _colour_test_tables(census) -> list[GroupTable]:
+def _colour_test_tables(census, record_table) -> list[GroupTable]:
     tables = [g for n in catalog_orders() if n <= 16 for g in groups_of_order(n)]
-    return tables + [rec.table_with_stab()[0] for d in (6, 8) for rec in census(d).records]
+    return tables + [record_table(rec)[0] for d in (6, 8) for rec in census(d).records]
 
 
-def test_relabeling_keeps_colours(census):
+def test_relabeling_keeps_colours(census, record_table):
     rng = np.random.default_rng(7)
-    for T in _colour_test_tables(census):
+    for T in _colour_test_tables(census, record_table):
         perm = np.concatenate([[0], 1 + rng.permutation(T.order - 1)])
         assert np.array_equal(_relabeled(T, perm).colours()[perm], T.colours())
 
 
-def test_equal_colours_have_equal_order_and_class_size(census):
+def test_equal_colours_have_equal_order_and_class_size(census, record_table, conjugacy_classes):
     # colours of different tables compare directly, so check across all of them
     seen: dict[int, tuple[int, int]] = {}
-    for T in _colour_test_tables(census):
+    for T in _colour_test_tables(census, record_table):
         size = np.empty(T.order, dtype=np.int64)
-        for cl in T.conjugacy_classes():
+        for cl in conjugacy_classes(T):
             size[cl] = len(cl)
         for c, o, s in zip(T.colours().tolist(), T.elem_order.tolist(), size.tolist()):
             assert seen.setdefault(c, (o, s)) == (o, s)
 
 
 @pytest.mark.parametrize("degree", range(2, 9))
-def test_constant_colours_change_no_count_or_partition(census, monkeypatch, degree):
+def test_constant_colours_change_no_count_or_partition(census, record_table, monkeypatch, degree):
     # colours only prune: with every colour 0 the keys are the marks alone
     c = census(degree)
-    tables = [cls.members[0][1].table_with_stab() for cls in c.classes]
+    tables = [record_table(cls.members[0][1]) for cls in c.classes]
     plain = [IsoSearch(T, T).run("count") for T, _ in tables]
 
     def partition(classes):
@@ -190,7 +190,7 @@ def test_constant_colours_change_no_count_or_partition(census, monkeypatch, degr
         monkeypatch.delitem(vars(rec), "colours", raising=False)
     for ctx in c.contexts:
         monkeypatch.setattr(ctx.table(), "_colours", None)
-    tables = [cls.members[0][1].table_with_stab() for cls in c.classes]
+    tables = [record_table(cls.members[0][1]) for cls in c.classes]
     for cls, (T, mask), want in zip(c.classes, tables, plain):
         assert not T.colours().any()
         idx = np.flatnonzero(mask)

@@ -96,33 +96,33 @@ def test_given_generators_are_kept_as_given():
     assert GroupTable(T.mul).generators() == greedy
 
 
-def test_subtable_relabels_consistently():
+def test_subtable_relabels_consistently(subtable):
     T = _table_of(["(0 1 2 3)", "(1 3)"], 4)  # D4, order 8
     center = T.center()
-    sub, idx = T.subtable(center)
+    sub, idx = subtable(T, center)
     assert sub.order == 2
     # local product maps back to the global product
     for i in range(sub.order):
         for j in range(sub.order):
             assert idx[sub.mul[i, j]] == T.mul[idx[i], idx[j]]
     with pytest.raises(StructureError):
-        T.subtable([1, 2])  # misses the identity
+        subtable(T, [1, 2])  # misses the identity
 
 
-def test_subtable_checks_closure_in_every_row_block():
+def test_subtable_checks_closure_in_every_row_block(subtable):
     # C400 by index addition; the even elements form a subgroup of order 200
     m = 400
     mul = np.add.outer(np.arange(m), np.arange(m)).astype(np.int16) % m
     evens = np.arange(0, m, 2)
-    sub, idx = GroupTable(mul).subtable(evens)
+    sub, idx = subtable(GroupTable(mul), evens)
     assert np.array_equal(idx, evens)
     assert np.array_equal(sub.mul, np.add.outer(np.arange(200), np.arange(200)) % 200)
-    # one product leaves the subgroup, in local row 150: the second row
-    # block (8's powers never meet 300, so element orders stay finite)
+    # one product leaves the subgroup, in local row 150, far from the first
+    # rows (8's powers never meet 300, so element orders stay finite)
     bad = mul.copy()
     bad[evens[150], evens[4]] = 1
     with pytest.raises(StructureError, match="not closed"):
-        GroupTable(bad).subtable(evens)
+        subtable(GroupTable(bad), evens)
 
 
 def test_closure_of_and_extend_subgroup():
@@ -233,33 +233,33 @@ def _classes_by_all_conjugates(T: GroupTable) -> list[list[int]]:
     return [list(c) for c in sorted(classes)]
 
 
-def test_conjugacy_classes_partition_s3():
+def test_conjugacy_classes_partition_s3(conjugacy_classes):
     T = _table_of(["(0 1 2)", "(0 1)"], 3)
-    classes = T.conjugacy_classes()
+    classes = conjugacy_classes(T)
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 2, 3]
     assert sum(sizes) == T.order
     assert [c.tolist() for c in classes] == _classes_by_all_conjugates(T)
 
 
-def test_conjugacy_classes_match_all_conjugates_on_catalog_groups():
+def test_conjugacy_classes_match_all_conjugates_on_catalog_groups(conjugacy_classes):
     for n in catalog_orders():
         for T in groups_of_order(n):
-            assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T), T.name
+            assert [c.tolist() for c in conjugacy_classes(T)] == _classes_by_all_conjugates(T), T.name
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
-def test_conjugacy_classes_match_all_conjugates_on_records(census, degree):
+def test_conjugacy_classes_match_all_conjugates_on_records(census, record_table, conjugacy_classes, degree):
     for rec in census(degree).records:
-        T, _ = rec.table_with_stab()
-        assert [c.tolist() for c in T.conjugacy_classes()] == _classes_by_all_conjugates(T)
+        T, _ = record_table(rec)
+        assert [c.tolist() for c in conjugacy_classes(T)] == _classes_by_all_conjugates(T)
 
 
-def _colours_by_classes(T: GroupTable) -> np.ndarray:
+def _colours_by_classes(T: GroupTable, conjugacy_classes) -> np.ndarray:
     """Colours from the conjugacy classes and element-wise powers of T's
     own table: the reference for `subgroup_colours`."""
     size = np.empty(T.order, dtype=np.uint64)
-    for cl in T.conjugacy_classes():
+    for cl in conjugacy_classes(T):
         size[cl] = len(cl)
     maps = [T.inv.astype(np.int64)]
     for p in table._prime_factors(T.exponent()):
@@ -276,20 +276,19 @@ def _colours_by_classes(T: GroupTable) -> np.ndarray:
     return (c >> np.uint64(1)).astype(np.int64)
 
 
-def test_colours_of_catalog_tables_match_the_class_reference():
+def test_colours_of_catalog_tables_match_the_class_reference(conjugacy_classes):
     for n in catalog_orders():
         if n <= 16:
             for T in groups_of_order(n):
-                assert np.array_equal(T.colours(), _colours_by_classes(T)), T.name
+                assert np.array_equal(T.colours(), _colours_by_classes(T, conjugacy_classes)), T.name
 
 
-def test_subgroup_colours_on_the_holomorph_match_the_record_tables(census):
+def test_subgroup_colours_on_the_holomorph_match_the_record_tables(census, record_table):
     records = [rec for n in range(2, 16) for rec in census(n).records]
     records += enumerate_transitive_classes(build_holomorph(groups_of_order(41)[0]))
     for rec in records:
         colours = rec.ctx.table().subgroup_colours(rec.indices, rec.gens)
-        # record tables start with these colours; a plain table computes its own
-        own = GroupTable(rec.table_with_stab()[0].mul).colours()
+        own = record_table(rec)[0].colours()
         assert np.array_equal(colours, own), (rec.ctx.n, rec.type_name, rec.order)
 
 
@@ -322,9 +321,9 @@ def test_derived_subgroup_matches_all_commutators_on_catalog_groups():
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
-def test_derived_subgroup_matches_all_commutators_on_records(census, degree):
+def test_derived_subgroup_matches_all_commutators_on_records(census, record_table, degree):
     for rec in census(degree).records:
-        T, _ = rec.table_with_stab()
+        T, _ = record_table(rec)
         assert np.array_equal(T.derived_subgroup(), _derived_by_all_commutators(T))
         assert T.is_abelian() == bool((T.mul == T.mul.T).all())
 
@@ -410,9 +409,9 @@ def test_validate_accepts_every_catalog_group():
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
-def test_validate_accepts_every_record_table(census, degree):
+def test_validate_accepts_every_record_table(census, record_table, degree):
     for rec in census(degree).records:
-        T, _ = rec.table_with_stab()
+        T, _ = record_table(rec)
         T.validate(f"record of order {rec.order}")
 
 
