@@ -92,7 +92,7 @@ def subgroup_classes(
         norm_gens = T.small_generating_set(norm)
         # a conjugate g H g^-1 depends only on the coset gN; the cosets are
         # the orbits of right multiplication by N, each led by its least element
-        lab = orbit_labels(T.mul[:, norm_gens].T)
+        lab = orbit_labels(T.mul[rng, np.array(norm_gens, dtype=np.int64)[:, None]])
         reps = np.flatnonzero(lab == rng)
         if len(reps) * len(norm) != m:
             raise ConsistencyError("conjugate count does not match normalizer index")
@@ -123,9 +123,9 @@ def subgroup_classes(
             continue
         # left and right multiplication by H and conjugation by N_G(H) preserve
         # H and send <H, x> to a conjugate of it: one extension per orbit
-        h = np.array(gens, dtype=np.int64)
-        ng = np.array(cls.normalizer_gens, dtype=np.int64)
-        lab = orbit_labels(np.concatenate([T.mul[h], T.mul[:, h].T, T.conj_many(ng[:, None], rng)]))
+        h = np.array(gens, dtype=np.int64)[:, None]
+        ng = np.array(cls.normalizer_gens, dtype=np.int64)[:, None]
+        lab = orbit_labels(np.concatenate([T.mul[h, rng], T.mul[rng, h], T.conj_many(ng, rng)]))
         in_h = np.zeros(m, dtype=bool)
         in_h[elems] = True
         done = np.zeros(m, dtype=bool)  # orbit labels whose extension is closed
@@ -151,13 +151,12 @@ def _cyclic_families(T: GroupTable) -> np.ndarray:
     """For each element x, the least y with <y> = <x>: the least x^j over
     the j coprime to the order of x, one vectorized power step per j up to
     the largest element order."""
-    m = T.order
-    rng = np.arange(m, dtype=np.int64)
+    rng = np.arange(T.order, dtype=np.int64)
     orders = T.elem_order
     family = rng.copy()
     power = rng
     for j in range(2, int(orders.max())):
-        power = T._mul_flat[power * m + rng].astype(np.int64)  # x^j
+        power = T.mul[power, rng].astype(np.int64)  # x^j
         family = np.where(np.gcd(j, orders) == 1, np.minimum(family, power), family)
     return family
 

@@ -10,10 +10,13 @@ factorization is spot-checked at build time.
 Inside the engine the holomorph is one integer image matrix `perms`: row i
 holds the point images of element i, rows in lexicographic order.  Table
 indices, subgroup classes and records all refer to these row numbers.  The
-`hol` group holds `perms` itself as its elements; `left` and `right` hold
-the translation rows of N's table.  The same factorization gives the dense
-table: `table()` multiplies (a . alpha)(b . beta) = (a alpha(b)) .
-(alpha beta) with N's table and Aut(N)'s, and never looks up an image row.
+`hol` group holds `perms` itself as its elements; `left` holds the
+translation rows of N's table.  The same factorization gives the product
+table, and this module is the only place that knows it: x = a . alpha
+multiplies as x y = a (alpha y), so `table()` builds the n translation rows
+and |Aut N| automorphism rows from N's table and Aut(N)'s, never looking up
+an image row.  A small holomorph fills out its m x m table from them; a
+large one keeps only those rows (`table.FactoredMul`).
 """
 
 from __future__ import annotations
@@ -26,13 +29,22 @@ import numpy as np
 from .catalog import automorphism_group, regular_representation
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
-from .table import GroupTable, check_budget, spot_check
+from .table import FactoredMul, GroupTable, check_budget, spot_check
 
 _SPOT_CHECKS = 100
 
-# rows of the product table filled per step, in int32: keeps the m-wide
-# temporaries small next to the table itself
+# rows of the product table filled per step: keeps the m-wide temporaries
+# small next to the table itself
 _ROW_BLOCK = 16
+
+# Largest holomorph whose table is filled out densely, m^2 int16 cells
+# (8 MB here).  Above it the table keeps only its n + |Aut N| translation
+# and automorphism rows and every product costs two lookups: Hol(C77)'s
+# 4620 elements keep 137 rows (1.3 MB) instead of 40.7 MB.  Below it the
+# searches are dominated by many tiny products, where one lookup pays, and
+# the table stays small next to the interpreter; every holomorph of degrees
+# 2-15 (at most 1344 elements) and Hol(C41) (1640) is dense.
+_DENSE_MAX = 2048
 
 
 class HolomorphContext:
@@ -98,11 +110,6 @@ class HolomorphContext:
         return regular_representation(self.group, "left")
 
     @cached_property
-    def right(self) -> PermGroup:
-        """Right translations x -> x*a."""
-        return regular_representation(self.group, "right")
-
-    @cached_property
     def hol(self) -> PermGroup:
         """The holomorph as a permutation group whose elements are `perms`."""
         gens = np.concatenate([self.left.generators, self.aut.generators])
@@ -117,33 +124,52 @@ class HolomorphContext:
             member[i, sub] = True
         return member
 
-    # -- dense table ----------------------------------------------------------
+    # -- product table --------------------------------------------------------
 
     def table(self) -> GroupTable:
         """Multiplication table of the holomorph over the rows of `perms`,
         from the product law (a . alpha)(b . beta) = (a alpha(b)) . (alpha beta).
 
-        Row i is raw row a*|A| + k, the translation by a after automorphism
-        k, so a product needs one entry of N's table and one of Aut(N)'s,
-        and `rank` maps its raw row back to a row of `perms`.  The budget
-        is checked before Aut(N)'s table is built.
+        Element x = a . alpha (raw row a*|A| + k, the translation by a after
+        automorphism k) multiplies as x y = a (alpha y), so the n translation
+        rows and the |A| automorphism rows of the table give every product:
+        one entry of N's table or of Aut(N)'s per kept cell, and `rank` maps
+        its raw row back to a row of `perms`.  Up to `_DENSE_MAX` elements
+        the table is filled out from the kept rows; above it the table keeps
+        only them (`FactoredMul`) and takes its inverses from the law,
+        (a . alpha)^-1 = alpha^-1(a^-1) . alpha^-1.  The budget is checked
+        before Aut(N)'s table is built.
         """
         if self._table is None:
             m = len(self.perms)
             check_budget(m)
-            t = self.group.mul
-            auts = self.aut.elements
-            aut_mul = self.aut.table().mul
-            a, k = np.divmod(self._raw, len(auts))
-            mul = np.empty((m, m), dtype=np.int16 if m < 2**15 else np.int32)
-            rank = self._rank.astype(mul.dtype)
-            for lo in range(0, m, _ROW_BLOCK):
-                ai, ki = a[lo : lo + _ROW_BLOCK], k[lo : lo + _ROW_BLOCK]
-                c = t[ai[:, None], auts[ki]].astype(np.int32) * len(auts)  # a alpha(b) for every b
-                raw = np.take(c, a, axis=1) + np.take(aut_mul[ki], k, axis=1)
-                np.take(rank, raw, out=mul[lo : lo + _ROW_BLOCK])
-            spot_check(self.perms, mul)
-            self._table = GroupTable(mul)
+            n, n_aut = self.n, self.aut.order
+            aut_table = self.aut.table()
+            a, k = np.divmod(self._raw, n_aut)
+            dtype = np.int16 if m < 2**15 else np.int32
+            rank = self._rank.astype(dtype)
+            # kept row r maps b . beta to point[r, b] . aut_of[r, beta]: the
+            # translations (a b) . beta, then the automorphisms alpha(b) . (alpha beta)
+            point = np.concatenate([self.group.mul, self.aut.elements], dtype=np.int32)
+            aut_of = np.concatenate([np.tile(np.arange(n_aut), (n, 1)), aut_table.mul], dtype=np.int32)
+            rows = np.empty((n + n_aut, m), dtype=dtype)
+            for lo in range(0, n + n_aut, _ROW_BLOCK):
+                hi = lo + _ROW_BLOCK
+                raw = np.take(point[lo:hi], a, axis=1) * n_aut + np.take(aut_of[lo:hi], k, axis=1)
+                np.take(rank, raw, out=rows[lo:hi])
+            mul = FactoredMul(rows, a, n + k)
+            if m <= _DENSE_MAX:
+                xs = np.arange(m)
+                dense = np.empty((m, m), dtype=dtype)
+                for lo in range(0, m, _ROW_BLOCK):
+                    dense[lo : lo + _ROW_BLOCK] = mul[xs[lo : lo + _ROW_BLOCK, None], xs]
+                table = GroupTable(dense)
+            else:
+                k_inv = aut_table.inv[k]
+                inv = rank[self.aut.elements[k_inv, self.group.inv[a]].astype(np.int32) * n_aut + k_inv]
+                table = GroupTable(mul, inv=inv)
+            spot_check(self.perms, table.mul)
+            self._table = table
         return self._table
 
     def __repr__(self) -> str:

@@ -4,11 +4,14 @@ A search side is a table plus the sorted element indices of the subgroup
 searched and that subgroup's colours: a catalog group is its whole table
 with `GroupTable.colours()`, a transitive record its indices into the
 holomorph table with `record.colours`.  No table of the subgroup itself is
-built.  Products are read off the side's table; keys, the injectivity
-check, orbit labels and the maps returned run over the subgroup's own
-positions 0..k-1 (position i is the i-th sorted index), reached through one
-table-to-position index array per side, so the work per search node is
-proportional to k, not to the table's order.
+built.  Keys, the injectivity check, orbit labels and the maps returned run
+over the subgroup's own positions 0..k-1 (position i is the i-th sorted
+index).  The search reads side 1's table only to plan, and side 2's only
+at construction: for each distinct key among the generators it fills one
+table of right products, whose row c holds the side-2 position of x * c
+for every position x, c running over the side-2 elements with that key.
+Partial maps hold side-2 positions, so every build and verify step is one
+gather in such a row, whatever the form or order of the side's table.
 
 Backtracking over generator images.  Every element carries one key,
 2 * colour + mark: the colour is invariant under every isomorphism, and
@@ -44,8 +47,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import StructureError
 from .perm import orbit_labels
 from .table import GroupTable
+
+# cells of a product table filled per step: keeps the int64 index
+# temporaries small next to the table itself
+_BLOCK_CELLS = 2**16
 
 Side = Union[GroupTable, tuple[GroupTable, np.ndarray, np.ndarray]]
 
@@ -74,12 +82,11 @@ class _SourcePlan:
     """
 
     def __init__(self, T: GroupTable, gens: list[int], k: int):
-        m = T.order
-        mul = T._mul_flat
+        mul = T.mul
         self.gens = gens
         self.levels: list[_Level] = []
         elem_at = np.zeros(k, dtype=np.int64)
-        pos_of = np.full(m, -1, dtype=np.int64)
+        pos_of = np.full(T.order, -1, dtype=np.int64)
         pos_of[0] = 0
         total = 1
         for i in range(len(gens)):
@@ -90,7 +97,7 @@ class _SourcePlan:
             while len(frontier):
                 nxt = []
                 for j in slots:
-                    t = mul[elem_at[frontier] * m + gens[j]]
+                    t = mul[elem_at[frontier], gens[j]]
                     fresh = pos_of[t] < 0
                     if fresh.any():
                         new = t[fresh]
@@ -107,7 +114,7 @@ class _SourcePlan:
             for j in range(i + 1):
                 xs = new_pos if j < i else np.arange(total)
                 if len(xs):
-                    verify.append((j, xs, pos_of[mul[elem_at[xs] * m + gens[j]]]))
+                    verify.append((j, xs, pos_of[mul[elem_at[xs], gens[j]]]))
             self.levels.append(_Level(total, n_old, build, verify, new_pos))
         self.total = total
         self.elem_at = elem_at
@@ -151,14 +158,22 @@ class IsoSearch:
         gens = self.T1.small_generating_set(np.concatenate([[0], pref]))
         self.plan = _SourcePlan(self.T1, gens, self.m)
         back1 = _back(self.T1, self.elems1)
-        self.back2 = _back(self.T2, self.elems2)
         self.local1 = back1[self.plan.elem_at]  # side-1 position of each plan position
+        self.gen_pos = back1[gens]
         # keys the elements first mapped at each level must find
         self.want = [self.key1[self.local1[lv.new_pos]] for lv in self.plan.levels]
-        gen_keys = self.key1[back1[gens]]
+        # candidate images of each generator: side-2 positions with its key,
+        # ascending; one product table per distinct key, shared by its slots
+        gen_keys = self.key1[self.gen_pos]
         lo = np.searchsorted(sorted2, gen_keys, "left")
         hi = np.searchsorted(sorted2, gen_keys, "right")
-        self.cands = [self.elems2[by_key[a:b]] for a, b in zip(lo, hi)]  # table indices
+        self.cands = [by_key[a:b] for a, b in zip(lo, hi)]
+        back2 = _back(self.T2, self.elems2)
+        tables: dict[int, np.ndarray] = {}
+        for a, cands in zip(lo.tolist(), self.cands):
+            if a not in tables:
+                tables[a] = _right_products(self.T2, self.elems2, back2, cands)
+        self.right = [tables[a] for a in lo.tolist()]
 
     def run(self, mode: str = "count"):
         """mode "count" -> int; "first" -> map array or None; "all" -> list of maps."""
@@ -169,9 +184,10 @@ class IsoSearch:
         if self.m == 1:
             one = np.zeros(1, dtype=np.int64)
             return one if mode == "first" else [one]
-        phi = np.full(self.plan.total, -1, dtype=np.int64)
+        phi = np.full(self.plan.total, -1, dtype=np.intp)
         phi[0] = 0
-        maps = self._descend(self.cands, 0, phi, [0] * len(self.cands), mode == "first")
+        cols = [range(len(c)) for c in self.cands]
+        maps = self._descend(cols, 0, phi, [0] * len(cols), mode == "first")
         if mode == "first":
             return maps[0] if maps else None
         return maps
@@ -192,24 +208,26 @@ class IsoSearch:
             marked = np.flatnonzero(self.key2 & 1)
             return IsoSearch(side2, side2, marked, marked).run("count")
         plan = self.plan
-        gens = plan.gens
-        back = self.back2  # one side: its table indices to positions
+        n_gens = len(plan.gens)
+        cols = [range(len(c)) for c in self.cands]
+        # one side: generator j's own column among its candidates
+        own = [int(np.searchsorted(c, g)) for c, g in zip(self.cands, self.gen_pos.tolist())]
         found: list[np.ndarray] = []  # automorphisms fixing gens[:i] at level i
         count = 1
-        for i in range(len(gens) - 1, -1, -1):
+        for i in range(n_gens - 1, -1, -1):
             lab = orbit_labels(np.array(found, dtype=np.int64).reshape(-1, self.m))
             dead = np.zeros(self.m, dtype=bool)  # labels of orbits with no witness
             n_fixed = plan.levels[i].n_old
-            gi = back[gens[i]]
-            for b in self.cands[i].tolist():
-                orbit = lab[back[b]]
+            gi = self.gen_pos[i]
+            for c, b in enumerate(self.cands[i].tolist()):
+                orbit = lab[b]
                 if orbit == lab[gi] or dead[orbit]:
                     continue
                 # pin gens[:i] to themselves and gens[i] to b, search the rest
-                phi = np.full(plan.total, -1, dtype=np.int64)
-                phi[:n_fixed] = plan.elem_at[:n_fixed]
-                cands = self.cands[:i] + [np.array([b], dtype=np.int64)] + self.cands[i + 1 :]
-                witness = self._descend(cands, i, phi, gens[:i] + [0] * (len(gens) - i), True)
+                phi = np.full(plan.total, -1, dtype=np.intp)
+                phi[:n_fixed] = self.local1[:n_fixed]
+                pinned = cols[:i] + [[c]] + cols[i + 1 :]
+                witness = self._descend(pinned, i, phi, own[:i] + [0] * (n_gens - i), True)
                 if witness:
                     found.append(witness[0])
                     old_dead = np.flatnonzero(dead)
@@ -222,39 +240,36 @@ class IsoSearch:
         return count
 
     def _descend(
-        self, cands, start: int, phi: np.ndarray, gen_img: list[int], first: bool
+        self, cols, start: int, phi: np.ndarray, gen_img: list[int], first: bool
     ) -> list[np.ndarray]:
         """Complete maps extending levels < `start` of `phi`, as arrays over
-        side 1's positions.  `phi` and `gen_img` hold T2 indices; keys and
-        injectivity are checked on side 2's positions (`back2`)."""
-        m2 = self.T2.order
-        mul2 = self.T2._mul_flat
-        back2 = self.back2
-        plan = self.plan
-        levels = plan.levels
+        side 1's positions.  `phi` holds side-2 positions; `gen_img[j]` is
+        generator j's column among its candidates, so right[j][gen_img[j]]
+        is the right multiplication by its image."""
+        levels = self.plan.levels
         k = len(levels)
+        right = self.right
         key2, want = self.key2, self.want
         found: list[np.ndarray] = []
 
         def descend(level: int) -> bool:
             lv = levels[level]
-            for b in map(int, cands[level]):
-                gen_img[level] = b
+            for c in cols[level]:
+                gen_img[level] = c
                 for j, parents, targets in lv.build:
-                    phi[targets] = mul2[phi[parents] * m2 + gen_img[j]]
+                    phi[targets] = right[j][gen_img[j]][phi[parents]]
                 good = True
                 for j, xs, xgs in lv.verify:
-                    if not np.array_equal(mul2[phi[xs] * m2 + gen_img[j]], phi[xgs]):
+                    if not np.array_equal(right[j][gen_img[j]][phi[xs]], phi[xgs]):
                         good = False
                         break
                 if good:
-                    loc = back2[phi[: lv.end]]
-                    good = (np.array_equal(key2[loc[lv.new_pos]], want[level])
-                            and not (np.bincount(loc, minlength=self.m) > 1).any())
+                    good = (np.array_equal(key2[phi[lv.new_pos]], want[level])
+                            and not (np.bincount(phi[: lv.end], minlength=self.m) > 1).any())
                 if good:
                     if level + 1 == k:
                         out = np.empty(self.m, dtype=np.int64)
-                        out[self.local1] = loc
+                        out[self.local1] = phi
                         found.append(out)
                         if first:
                             return True
@@ -278,9 +293,22 @@ def _side(side: Side) -> tuple[GroupTable, np.ndarray, np.ndarray]:
 
 def _back(T: GroupTable, elems: np.ndarray) -> np.ndarray:
     """Position of each of T's indices in `elems`, -1 off the subgroup."""
-    back = np.full(T.order, -1, dtype=np.int64)
+    back = np.full(T.order, -1, dtype=np.int16 if len(elems) < 2**15 else np.int32)
     back[elems] = np.arange(len(elems))
     return back
+
+
+def _right_products(T: GroupTable, elems: np.ndarray, back: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Row c: the position of elems[x] * elems[cands[c]] for every position
+    x, filled a few rows at a time in `back`'s narrow dtype."""
+    k = len(elems)
+    out = np.empty((len(cands), k), dtype=back.dtype)
+    step = max(1, _BLOCK_CELLS // k)
+    for lo in range(0, len(cands), step):
+        out[lo : lo + step] = back[T.mul[elems, elems[cands[lo : lo + step], None]]]
+    if out.min() < 0:
+        raise StructureError("search side is not closed under multiplication")
+    return out
 
 
 def _keys(colours: np.ndarray, marked: Optional[np.ndarray]) -> np.ndarray:

@@ -165,6 +165,10 @@ def orbit_labels(maps: np.ndarray) -> np.ndarray:
     larger label of every edge joining two labels under the smaller one,
     then jumps every point to its root.  Hooking roots, rather than taking
     neighbour minima, keeps the round count logarithmic on long cycles.
+    A root with several joining edges is hooked by plain assignment under
+    any one of its smaller partners: labels only decrease, so no cycle
+    forms, and an orbit's least point is never hooked, so it ends as the
+    orbit's only root.
     """
     maps = np.asarray(maps, dtype=np.int64)
     lab = np.arange(maps.shape[1], dtype=np.int64)
@@ -173,7 +177,7 @@ def orbit_labels(maps: np.ndarray) -> np.ndarray:
         join = here != there
         if not join.any():
             return lab
-        np.minimum.at(lab, np.maximum(here, there)[join], np.minimum(here, there)[join])
+        lab[np.maximum(here, there)[join]] = np.minimum(here, there)[join]
         while True:
             up = lab[lab]
             if np.array_equal(up, lab):

@@ -1,14 +1,20 @@
-"""Indexed finite groups backed by a dense multiplication table.
+"""Indexed finite groups: elements 0..order-1 with 0 the identity, and
+products read as mul[x, y] with integer x and y that broadcast.
 
-Elements are integers 0..order-1 with 0 the identity.  The table makes
-subgroup closure, normalizers and conjugacy sweeps cheap integer work, which
-is what keeps whole-lattice searches inside holomorphs tractable.
+A dense table holds every product, order^2 cells.  A factored table
+(`FactoredMul`) holds only a few kept product rows and reads each product
+through two of them, for groups whose elements factor through a small set
+of rows, as a holomorph's elements factor as translation after
+automorphism.  Every method here reads products through that one indexing
+form, so subgroup closure, normalizers and conjugacy sweeps are the same
+integer work on either form; only `validate` and `acts`, which check every
+cell, take whole rows and columns of a dense table.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,35 +48,84 @@ def spot_check(elems: np.ndarray, mul: np.ndarray) -> None:
         raise StructureError("product table disagrees with composition")
 
 
+class FactoredMul:
+    """Products of a group whose element x acts as kept row `left[x]` after
+    kept row `right[x]`: x y = rows[left[x], rows[right[x], y]].
+
+    Indexed like a dense table, mul[x, y] with integer x and y that
+    broadcast; each product costs two lookups in the kept rows.
+    """
+
+    __slots__ = ("rows", "order", "_flat", "_left", "_right")
+
+    def __init__(self, rows: np.ndarray, left: np.ndarray, right: np.ndarray):
+        self.rows = rows
+        self.order = rows.shape[1]
+        self._flat = rows.ravel()
+        # row offsets into the flat kept rows
+        self._left = left.astype(np.intp) * self.order
+        self._right = right.astype(np.intp) * self.order
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.rows.dtype
+
+    @property
+    def itemsize(self) -> int:
+        return self.rows.itemsize
+
+    def __getitem__(self, xy):
+        x, y = xy
+        return self._flat[self._left[x] + self._flat[self._right[x] + y]]
+
+
 class GroupTable:
     """A finite group as index arithmetic: mul[a, b], inv[a], identity 0.
 
+    `mul` is a dense (order, order) array or a `FactoredMul`; a factored
+    table takes its inverses `inv` from the caller, who knows the law.
     `name` labels the group in messages and reports.  `gens`, when given,
     is the generating list `generators()` returns as is (order, repeats and
     identity kept); `validate` checks that it generates.
     """
 
     __slots__ = (
-        "order", "mul", "inv", "elem_order", "name", "_mul_flat", "_gens", "_colours",
-        "_valid", "_aut",
+        "order", "mul", "inv", "elem_order", "name", "_gens", "_colours", "_valid", "_aut",
     )
 
-    def __init__(self, mul: np.ndarray, name: str = "", gens: Optional[Sequence[int]] = None):
-        m = mul.shape[0]
-        if mul.shape != (m, m):
-            raise StructureError("multiplication table must be square")
-        self.order = m
-        self.mul = mul
-        self._mul_flat = mul.ravel()
-        # the identity 0 is the least entry of any row that holds it; each
-        # row must hold it once, counted a block of rows at a time
-        inv = mul.argmin(1).astype(mul.dtype)
-        unique = (mul[np.arange(m), inv] == 0).all() and all(
-            np.count_nonzero(mul[lo : lo + _ROW_BLOCK] == 0) == min(_ROW_BLOCK, m - lo)
-            for lo in range(0, m, _ROW_BLOCK)
-        )
+    def __init__(
+        self,
+        mul: Union[np.ndarray, FactoredMul],
+        name: str = "",
+        gens: Optional[Sequence[int]] = None,
+        inv: Optional[np.ndarray] = None,
+    ):
+        if isinstance(mul, FactoredMul):
+            m = mul.order
+            # every product row composes two kept rows, so it is a
+            # permutation once they are; x x^-1 = x^-1 x = 0 checks `inv`
+            rng = np.arange(m)
+            unique = (
+                inv is not None
+                and all((np.sort(mul.rows[lo : lo + _ROW_BLOCK], axis=1) == rng).all()
+                        for lo in range(0, len(mul.rows), _ROW_BLOCK))
+                and (mul[rng, inv] == 0).all() and (mul[inv, rng] == 0).all()
+            )
+        else:
+            m = mul.shape[0]
+            if mul.shape != (m, m):
+                raise StructureError("multiplication table must be square")
+            # the identity 0 is the least entry of any row that holds it; each
+            # row must hold it once, counted a block of rows at a time
+            inv = mul.argmin(1).astype(mul.dtype)
+            unique = (mul[np.arange(m), inv] == 0).all() and all(
+                np.count_nonzero(mul[lo : lo + _ROW_BLOCK] == 0) == min(_ROW_BLOCK, m - lo)
+                for lo in range(0, m, _ROW_BLOCK)
+            )
         if not unique:
             raise StructureError("table row lacks a unique inverse")
+        self.order = m
+        self.mul = mul
         self.inv = inv
         self.elem_order = self._element_orders()
         self.name = name
@@ -146,7 +201,7 @@ class GroupTable:
     # -- group laws ----------------------------------------------------------
 
     def validate(self, what: str) -> None:
-        """Raise StructureError unless the table is a group with identity 0.
+        """Raise StructureError unless the dense table is a group with identity 0.
 
         Associativity is Light's test: the elements a with (x a) y = x (a y)
         for all x, y are closed under products in any bracketing, so
@@ -207,7 +262,7 @@ class GroupTable:
         while len(todo):
             if k >= m:
                 raise StructureError("table element has no finite order")
-            power = self._mul_flat[power * m + todo].astype(np.int64)
+            power = self.mul[power, todo].astype(np.int64)
             k += 1
             done = power == 0
             out[todo[done]] = k
@@ -347,9 +402,7 @@ class GroupTable:
         ok = np.ones(m, dtype=bool)
         rng = np.arange(m, dtype=np.int64)
         for g in gens:
-            col = self.mul[rng, g].astype(np.int64)
-            conj = self._mul_flat[col * m + self.inv[rng].astype(np.int64)]
-            ok &= member[conj]
+            ok &= member[self.conj_many(rng, g)]
         return rng[ok]
 
     def centralizer_of(self, gens: Sequence[int]) -> np.ndarray:
@@ -449,13 +502,12 @@ class GroupTable:
 
     def _powers(self, e: int, elems: np.ndarray) -> np.ndarray:
         """x^e for every x in `elems`, by repeated squaring."""
-        m = self.order
         out = np.zeros(len(elems), dtype=np.int64)
         sq = elems
         while e:
             if e & 1:
-                out = self._mul_flat[out * m + sq].astype(np.int64)
-            sq = self._mul_flat[sq * m + sq].astype(np.int64)
+                out = self.mul[out, sq].astype(np.int64)
+            sq = self.mul[sq, sq].astype(np.int64)
             e >>= 1
         return out
 

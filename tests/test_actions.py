@@ -21,7 +21,7 @@ from hgcensus.actions import (
     trivial_brace,
     ybe_solution,
 )
-from hgcensus.catalog import from_perm_generators, groups_of_order
+from hgcensus.catalog import from_perm_generators, groups_of_order, regular_representation
 from hgcensus.classify import stab_respecting_iso
 from hgcensus.errors import ConsistencyError, StructureError
 from hgcensus.holomorph import build_holomorph
@@ -107,7 +107,7 @@ def test_brace_transport_of_the_two_translation_actions():
     ctx = build_holomorph(g)
     left = brace_from_regular(ctx, ctx.left)
     assert np.array_equal(left.add, left.circ)  # same operation twice
-    right = brace_from_regular(ctx, ctx.right)
+    right = brace_from_regular(ctx, regular_representation(ctx.group, "right"))
     assert np.array_equal(right.circ, g.mul.T)  # opposite multiplication
     assert not np.array_equal(right.add, right.circ)
 
@@ -210,7 +210,7 @@ def test_realize_regular_subgroup_rejects_nonmorphism():
 def _s3_right_brace() -> SkewBrace:
     """S3 with its opposite multiplication as circle: add != circ."""
     ctx = build_holomorph(groups_of_order(6)[1])
-    return brace_from_regular(ctx, ctx.right)
+    return brace_from_regular(ctx, regular_representation(ctx.group, "right"))
 
 
 @cache

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hgcensus import holomorph
 from hgcensus.actions import cocycle_decompose
-from hgcensus.catalog import groups_of_order
-from hgcensus.errors import BudgetError, ConsistencyError
+from hgcensus.catalog import groups_of_order, regular_representation
+from hgcensus.enumeration import enumerate_transitive_classes
+from hgcensus.errors import BudgetError, ConsistencyError, StructureError
 from hgcensus.holomorph import build_holomorph
 from hgcensus.perm import compose, is_transitive, row_index
+from hgcensus.table import FactoredMul, GroupTable
 
 
 def test_image_matrix_rows_are_the_sorted_holomorph_elements():
@@ -51,9 +56,9 @@ def test_contains_both_translation_actions():
         ctx = build_holomorph(g)
         hol = ctx.hol.elements
         assert (row_index(ctx.left.elements, hol) >= 0).all()
-        assert (row_index(ctx.right.elements, hol) >= 0).all()
+        assert (row_index(regular_representation(g, "right").elements, hol) >= 0).all()
         right = ctx.perms[ctx.right_indices]
-        assert np.array_equal(right, ctx.right.elements)
+        assert np.array_equal(right, regular_representation(g, "right").elements)
         assert not (row_index(right, ctx.aut.elements) >= 0).all()
 
 
@@ -75,7 +80,7 @@ def test_index_round_trip_and_translation_index_sets():
     assert np.array_equal(row_index(perms, ctx.perms), np.arange(len(perms)))
     right = ctx.right_indices
     assert len(right) == g.order
-    assert np.array_equal(perms[right], ctx.right.elements)
+    assert np.array_equal(perms[right], regular_representation(g, "right").elements)
     stab = np.flatnonzero(ctx.perms[:, 0] == 0)
     assert np.array_equal(perms[stab], ctx.aut.elements)
 
@@ -118,3 +123,84 @@ def test_product_law_spot_checks_reject_a_latin_non_group_table():
     bad[[x, x, b, b], [x, d, x, d]] = t[[x, x, b, b], [d, x, d, x]]
     with pytest.raises(ConsistencyError, match="product law"):
         ctx._verify(bad, auts)
+
+
+def _law_rows(ctx, xs: np.ndarray) -> np.ndarray:
+    """Rows xs of the holomorph table straight from the product law
+    (a . alpha)(b . beta) = (a alpha(b)) . (alpha beta), as rows of perms."""
+    n_aut = ctx.aut.order
+    a, k = np.divmod(ctx._raw.astype(np.int64), n_aut)
+    auts, aut_mul = ctx.aut.elements, ctx.aut.table().mul
+    point = ctx.group.mul[a[xs, None], auts[k[xs, None], a]]
+    return ctx._rank[point * n_aut + aut_mul[k[xs, None], k]]
+
+
+def _factored(ctx, monkeypatch):
+    """The table of `ctx` in its factored form, whatever its size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(holomorph, "_DENSE_MAX", 0)
+        T = ctx.table()
+    assert isinstance(T.mul, FactoredMul)
+    return T
+
+
+def test_factored_table_equals_the_dense_table(monkeypatch):
+    # every holomorph at degrees 2-15 and 41, cell for cell, in row blocks
+    for n in [*range(2, 16), 41]:
+        for g in groups_of_order(n):
+            dense = build_holomorph(g).table()
+            assert isinstance(dense.mul, np.ndarray), g.name
+            T = _factored(build_holomorph(g), monkeypatch)
+            m = T.order
+            xs = np.arange(m)
+            for lo in range(0, m, 256):
+                block = xs[lo : lo + 256, None]
+                assert np.array_equal(T.mul[block, xs], dense.mul[lo : lo + 256]), g.name
+            assert np.array_equal(T.inv, dense.inv) and np.array_equal(T.elem_order, dense.elem_order), g.name
+
+
+@pytest.mark.parametrize(("degree", "name"), [(30, "D15"), (77, "C77")])
+def test_large_holomorph_tables_keep_only_their_rows(degree, name):
+    g = next(x for x in groups_of_order(degree) if x.name == name)
+    ctx = build_holomorph(g)
+    T = ctx.table()
+    m = T.order
+    assert m > holomorph._DENSE_MAX and isinstance(T.mul, FactoredMul)
+    assert T.mul.rows.shape == (g.order + ctx.aut.order, m)
+    xs = np.arange(m)
+    for lo in range(0, m, 64):
+        block = xs[lo : lo + 64]
+        assert np.array_equal(T.mul[block[:, None], xs], _law_rows(ctx, block)), lo
+    assert (T.mul[xs, T.inv] == 0).all() and (T.mul[T.inv, xs] == 0).all()
+
+
+def test_corrupted_kept_rows_are_rejected(monkeypatch):
+    g = groups_of_order(6)[1]  # S3
+    ctx = build_holomorph(g)
+    T = _factored(ctx, monkeypatch)
+    a, k = np.divmod(ctx._raw, ctx.aut.order)
+    rows = T.mul.rows
+    GroupTable(FactoredMul(rows, a, g.order + k), inv=T.inv)
+    repeat = rows.copy()
+    repeat[4, 7] = repeat[4, 8]  # kept row 4 is no longer a permutation
+    # translation row 2 still a permutation, but lambda_2 lambda_2^-1 is no longer 0
+    swapped = rows.copy()
+    zero = int(np.flatnonzero(rows[2] == 0)[0])
+    swapped[2, [zero, zero + 1]] = rows[2, [zero + 1, zero]]
+    for bad in (repeat, swapped):
+        with pytest.raises(StructureError, match="unique inverse"):
+            GroupTable(FactoredMul(bad, a, g.order + k), inv=T.inv)
+
+
+def test_large_holomorph_enumeration_never_holds_a_square_table():
+    g = next(x for x in groups_of_order(77) if x.name == "C77")
+    ctx = build_holomorph(g)
+    m = len(ctx.perms)
+    tracemalloc.start()
+    try:
+        records = enumerate_transitive_classes(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20
+    assert peak < m * m * 2 / 4, peak
