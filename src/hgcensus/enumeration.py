@@ -5,9 +5,9 @@ trivial subgroup, each stored class representative H is extended to
 <H, x> for one x per orbit of the candidate space under two-sided
 H-multiplication and normalizer conjugation (extensions by elements of
 the same orbit land in the same conjugacy class).  Every conjugate of a
-discovered subgroup is registered by a digest of its sorted indices, so
-repeat classes are recognized in O(1) regardless of which conjugate shows
-up.
+discovered subgroup is registered by the exact bytes of its sorted
+indices, so repeat classes are recognized in O(1) regardless of which
+conjugate shows up, and two distinct subgroups never share a key.
 
 <H, x> = <H, x^j> for every j coprime to the order of x, so once <H, x0>
 is closed, every orbit holding a generator of <x0> is done: a later orbit
@@ -23,8 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from hashlib import blake2b
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +35,11 @@ from .table import GroupTable
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 1800.0
 
+# Largest normalizer index [G : N(H)] whose cosets are swept one at a time,
+# each led by the least element not yet covered; a larger index labels the
+# cosets with `orbit_labels` in a logarithmic number of rounds instead.
+_SWEEP_INDEX = 64
+
 
 @dataclass
 class SubgroupClass:
@@ -44,16 +48,12 @@ class SubgroupClass:
     indices: np.ndarray  # sorted element indices of the canonical member
     gens: list[int]
     normalizer: np.ndarray
-    normalizer_gens: list[int]  # generate `normalizer`
+    normalizer_gens: list[int]  # generate `normalizer`: `gens`, then greedy extras from the normalizer
     class_size: int
 
     @property
     def order(self) -> int:
         return len(self.indices)
-
-
-def _digest(indices: np.ndarray) -> bytes:
-    return blake2b(indices.astype(np.int32).tobytes(), digest_size=16).digest()
 
 
 def subgroup_classes(
@@ -62,6 +62,14 @@ def subgroup_classes(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> list[SubgroupClass]:
     """All subgroup conjugacy classes of the tabled group.
+
+    Each new class H, met through its sorted elements and generators, gets
+    its normalizer N(H) and N(H)'s generators: H's own `gens`, then a greedy
+    pass over N(H)'s sorted elements from H (or the table's generators when
+    N(H) is the whole group).  Its conjugates g H g^-1 come one per coset
+    g N(H), each led by its least element: H alone when normal, a sweep
+    over the least uncovered element up to index `_SWEEP_INDEX`, else
+    `orbit_labels`.  The class keeps the lex-least conjugate.
 
     Raises SearchBudgetError when more than `node_budget` candidates are
     tried or `time_budget` seconds elapse.  A candidate skipped because its
@@ -73,6 +81,7 @@ def subgroup_classes(
     spent = 0
 
     rng = np.arange(m, dtype=np.int64)
+    key_dtype = np.int16 if m < 2**15 else np.int32
     # the members of x's cyclic family, the generators of <x>, are
     # by_family[first[x]:last[x]]
     family = _cyclic_families(T)
@@ -84,21 +93,20 @@ def subgroup_classes(
     queue: deque[int] = deque()
 
     def register(elems: np.ndarray, gens: list[int]) -> Optional[int]:
-        d = _digest(elems)
-        if d in registry:
+        if elems.astype(key_dtype).tobytes() in registry:
             return None
         cid = len(classes)
         norm = T.normalizer_of(elems, gens)
-        norm_gens = T.small_generating_set(norm)
-        # a conjugate g H g^-1 depends only on the coset gN; the cosets are
-        # the orbits of right multiplication by N, each led by its least element
-        lab = orbit_labels(T.mul[rng, np.array(norm_gens, dtype=np.int64)[:, None]])
-        reps = np.flatnonzero(lab == rng)
+        if len(norm) == m:
+            norm_gens = gens + T.generators()
+        else:
+            norm_gens = T.small_generating_set(norm, start=(elems, gens))
+        reps = _coset_leaders(T, norm, norm_gens)
         if len(reps) * len(norm) != m:
             raise ConsistencyError("conjugate count does not match normalizer index")
         conjs = np.sort(T.conj_many(reps[:, None], elems), axis=1)
-        for row in conjs:
-            registry[_digest(row)] = cid
+        for row in conjs.astype(key_dtype):
+            registry[row.tobytes()] = cid
         best = np.lexsort(conjs.T[::-1])[0]  # distinct cosets give distinct rows
         g = int(reps[best])
         classes.append(
@@ -121,11 +129,7 @@ def subgroup_classes(
         elems, gens = cls.indices, cls.gens
         if cls.order == m:
             continue
-        # left and right multiplication by H and conjugation by N_G(H) preserve
-        # H and send <H, x> to a conjugate of it: one extension per orbit
-        h = np.array(gens, dtype=np.int64)[:, None]
-        ng = np.array(cls.normalizer_gens, dtype=np.int64)[:, None]
-        lab = orbit_labels(np.concatenate([T.mul[h, rng], T.mul[rng, h], T.conj_many(ng, rng)]))
+        lab = orbit_labels(_candidate_maps(T, gens, cls.normalizer_gens))
         in_h = np.zeros(m, dtype=bool)
         in_h[elems] = True
         done = np.zeros(m, dtype=bool)  # orbit labels whose extension is closed
@@ -145,6 +149,42 @@ def subgroup_classes(
 
     order_key = [(c.order, tuple(c.indices.tolist())) for c in classes]
     return [classes[i] for i in sorted(range(len(classes)), key=lambda i: order_key[i])]
+
+
+def _coset_leaders(T: GroupTable, norm: np.ndarray, norm_gens: Sequence[int]) -> np.ndarray:
+    """The least element of each left coset g N, in increasing order: a
+    conjugate g H g^-1 of a subgroup H with normalizer N depends only on
+    g N.  The cosets are swept from the least uncovered element while
+    there are at most `_SWEEP_INDEX` of them (a normal H takes one step),
+    else labelled as the orbits of right multiplication by N's generators."""
+    m = T.order
+    if m // len(norm) > _SWEEP_INDEX:
+        lab = orbit_labels(T.mul[np.arange(m), np.array(norm_gens, dtype=np.int64)[:, None]])
+        return np.flatnonzero(lab == np.arange(m))
+    covered = np.zeros(m, dtype=bool)
+    reps = []
+    g = 0
+    while not covered[g]:
+        reps.append(g)
+        covered[T.mul[g, norm]] = True
+        g = int(covered.argmin())  # the least uncovered element, else 0
+    return np.array(reps, dtype=np.int64)
+
+
+def _candidate_maps(T: GroupTable, gens: Sequence[int], normalizer_gens: Sequence[int]) -> np.ndarray:
+    """Maps whose orbits are the candidate orbits of a subgroup H.
+
+    Left and right multiplication by H and conjugation by N_G(H) preserve H
+    and send <H, x> to a conjugate of it, so one extension per orbit
+    suffices.  Conjugation by h in H is left multiplication by h after
+    right multiplication by h^-1, so besides H's generators `gens` only the
+    normalizer's extras, `normalizer_gens` past its prefix `gens`, need a
+    conjugation row.
+    """
+    rng = np.arange(T.order, dtype=np.int64)
+    h = np.array(gens, dtype=np.int64)[:, None]
+    extra = np.array(normalizer_gens[len(gens):], dtype=np.int64)[:, None]
+    return np.concatenate([T.mul[h, rng], T.mul[rng, h], T.conj_many(extra, rng)])
 
 
 def _cyclic_families(T: GroupTable) -> np.ndarray:

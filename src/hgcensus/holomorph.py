@@ -29,7 +29,7 @@ import numpy as np
 from .catalog import automorphism_group, regular_representation
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
-from .table import FactoredMul, GroupTable, check_budget, spot_check
+from .table import FactoredMul, GroupTable, check_budget, sample_indices, spot_check
 
 _SPOT_CHECKS = 100
 
@@ -94,9 +94,8 @@ class HolomorphContext:
         if not np.array_equal(perms[perms[:, 0] == 0], auts):
             raise ConsistencyError(f"{self.group.name}: point stabilizer is not the automorphism group")
         # (a . alpha)(b . beta) = (a alpha(b)) . (alpha beta) on sampled pairs
-        rng = np.random.default_rng(20260819)
-        a, b = rng.integers(0, self.n, size=(2, _SPOT_CHECKS))
-        alpha, beta = auts[rng.integers(0, len(auts), size=(2, _SPOT_CHECKS))]
+        a, b = (sample_indices(_SPOT_CHECKS, self.n, stream) for stream in (3, 4))
+        alpha, beta = (auts[sample_indices(_SPOT_CHECKS, len(auts), stream)] for stream in (5, 6))
         k = np.arange(_SPOT_CHECKS)[:, None]
         x = t[a[:, None], alpha]
         y = t[b[:, None], beta]

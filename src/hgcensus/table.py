@@ -40,10 +40,16 @@ def check_budget(m: int) -> None:
         raise BudgetError("group too large to table densely", spent=m, budget=DEFAULT_TABLE_BUDGET)
 
 
+def sample_indices(count: int, bound: int, stream: int) -> np.ndarray:
+    """`count` fixed pseudo-random indices in [0, bound): the splitmix64
+    `_mix` of 0..count-1 with the stream number, reduced mod `bound`."""
+    return (_mix(np.arange(count, dtype=np.uint64), np.uint64(stream)) % np.uint64(bound)).astype(np.int64)
+
+
 def spot_check(elems: np.ndarray, mul: np.ndarray) -> None:
     """Compare 200 sampled products of the table with composition of the
     image rows: (p_a . p_b)(x) = p_a[p_b[x]] must be row mul[a, b]."""
-    a, b = np.random.default_rng(5).integers(0, len(elems), size=(200, 2)).T
+    a, b = sample_indices(200, len(elems), 1), sample_indices(200, len(elems), 2)
     if not np.array_equal(elems[a[:, None], elems[b]], elems[mul[a, b]]):
         raise StructureError("product table disagrees with composition")
 
@@ -368,23 +374,31 @@ class GroupTable:
             if np.count_nonzero(member) > most:
                 return None
 
-    def small_generating_set(self, elems: np.ndarray) -> list[int]:
+    def small_generating_set(
+        self, elems: np.ndarray, start: Optional[tuple[np.ndarray, Sequence[int]]] = None
+    ) -> list[int]:
         """Greedy generators for the subgroup on `elems`.
 
         `elems` lists the subgroup's elements in preference order: each one
         not yet generated becomes the next generator.  Sorted order gives
-        the default set.
+        the default set.  `start`, the sorted elements and generators of a
+        subgroup of it, seeds the pass: the result is then those generators
+        followed by the elements that enlarged it.
         """
-        return self._fold(elems.tolist(), stop=len(elems))[1]
+        return self._fold(elems.tolist(), stop=len(elems), start=start)[1]
 
-    def _fold(self, seeds: Iterable[int], stop: int = 0) -> tuple[np.ndarray, list[int]]:
-        """`extend_subgroup` folded over the seeds: the sorted subgroup they
-        generate and the seeds that enlarged it, ending early once the
-        subgroup has `stop` elements."""
-        elems = np.array([0], dtype=np.int64)
-        gens: list[int] = []
+    def _fold(
+        self, seeds: Iterable[int], stop: int = 0, start: Optional[tuple[np.ndarray, Sequence[int]]] = None
+    ) -> tuple[np.ndarray, list[int]]:
+        """`extend_subgroup` folded over the seeds from the subgroup `start`
+        (elements and generators, default the trivial one): the sorted
+        subgroup they generate and its generators, those of `start` followed
+        by the seeds that enlarged it, ending early once the subgroup has
+        `stop` elements."""
+        elems, gens = start if start is not None else (np.array([0], dtype=np.int64), [])
+        gens = list(gens)
         member = np.zeros(self.order, dtype=bool)
-        member[0] = True
+        member[elems] = True
         for x in seeds:
             if len(elems) == stop:
                 break

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -369,3 +371,17 @@ def test_enumerate_frees_each_census_before_the_next_degree(tmp_path, capsys, mo
     finally:
         gc.enable()
     assert rc == 0 and len(built) == 3
+
+
+# the benchmark's pinned artifact digests, read and never written here
+_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+_ENGINE_VERSION_LINE = re.compile(rb'^  "engine_version": .*$', re.MULTILINE)
+
+
+@pytest.mark.parametrize("degree", [*range(2, 17), 41, 77])
+def test_artifacts_match_the_pinned_reference_digests(census, degree):
+    # the bytes `enumerate` writes, with the engine_version line masked as
+    # the benchmark masks it, hash to the digest pinned for the degree
+    pinned = json.loads(_REFERENCE.read_text())["artifacts"][f"degree-{degree:03d}.json"]
+    text = _dump_canonical(_census_payload(census(degree), RunConfig(degrees=[degree])))
+    assert hashlib.sha256(_ENGINE_VERSION_LINE.sub(b"", text.encode())).hexdigest() == pinned

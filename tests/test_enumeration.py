@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from hgcensus.catalog import groups_of_order
-from hgcensus.enumeration import _cyclic_families, enumerate_transitive_classes, subgroup_classes
+from hgcensus.enumeration import (
+    _SWEEP_INDEX,
+    _candidate_maps,
+    _coset_leaders,
+    _cyclic_families,
+    enumerate_transitive_classes,
+    subgroup_classes,
+)
 from hgcensus.errors import SearchBudgetError
 from hgcensus.expected import EXPECTED
 from hgcensus.holomorph import build_holomorph
-from hgcensus.perm import is_transitive
+from hgcensus.perm import is_transitive, orbit_labels
 from hgcensus.table import GroupTable
 
 
@@ -122,3 +129,49 @@ def test_cyclic_families_match_closing_every_element(order, name):
     for y, c in enumerate(cyclic):
         least.setdefault(c, y)
     assert _cyclic_families(T).tolist() == [least[c] for c in cyclic]
+
+
+@pytest.mark.parametrize("degree", [*range(2, 13), 41])
+def test_normalizer_gens_extend_the_class_gens(degree):
+    for g in groups_of_order(degree):
+        T = build_holomorph(g).table()
+        for c in subgroup_classes(T):
+            assert c.normalizer_gens[: len(c.gens)] == c.gens, g.name
+            assert np.array_equal(T.closure_of(c.normalizer_gens), c.normalizer), g.name
+            if len(c.normalizer) == T.order:
+                assert c.class_size == 1, g.name
+
+
+def _full_maps(T: GroupTable, c) -> np.ndarray:
+    """H's left and right multiplications plus conjugation by every
+    normalizer generator, `gens` included: the reference map set."""
+    rng = np.arange(T.order)
+    h = np.array(c.gens, dtype=np.int64)[:, None]
+    ng = np.array(c.normalizer_gens, dtype=np.int64)[:, None]
+    return np.concatenate([T.mul[h, rng], T.mul[rng, h], T.conj_many(ng, rng)])
+
+
+@pytest.mark.parametrize(
+    "order,name", [(8, "Q8"), (8, "D4"), (12, "C12"), (41, "C41"), (8, "C2xC2xC2")]
+)
+def test_candidate_maps_give_the_full_orbit_partition(order, name):
+    T = _ctx_of(order, name).table()
+    rng = np.arange(T.order)
+    sensitive = 0  # classes whose partition needs the last extra's row
+    indices = set()
+    for c in subgroup_classes(T):
+        maps = _candidate_maps(T, c.gens, c.normalizer_gens)
+        assert len(maps) == len(c.gens) + len(c.normalizer_gens)
+        lab = orbit_labels(_full_maps(T, c))
+        assert np.array_equal(orbit_labels(maps), lab)
+        if len(c.normalizer_gens) > len(c.gens):
+            sensitive += not np.array_equal(orbit_labels(maps[:-1]), lab)
+        # the coset leaders of N, on either branch, lead the orbits of
+        # right multiplication by N's generators
+        right = T.mul[rng, np.array(c.normalizer_gens, dtype=np.int64)[:, None]]
+        leaders = np.flatnonzero(orbit_labels(right) == rng)
+        assert np.array_equal(_coset_leaders(T, c.normalizer, c.normalizer_gens), leaders)
+        indices.add(T.order // len(c.normalizer))
+    assert sensitive > 0
+    if name == "C2xC2xC2":  # both branches: cosets swept and cosets labelled
+        assert min(indices - {1}) <= _SWEEP_INDEX < max(indices)
