@@ -37,8 +37,12 @@ DEFAULT_TIME_BUDGET = 1800.0
 
 # Largest normalizer index [G : N(H)] whose cosets are swept one at a time,
 # each led by the least element not yet covered; a larger index labels the
-# cosets with `orbit_labels` in a logarithmic number of rounds instead.
-_SWEEP_INDEX = 64
+# cosets with `orbit_labels` in a logarithmic number of rounds instead.  A
+# sweep step costs about 5-8 us on the holomorphs of degrees 2-15, 41 and
+# 77, a labelling 70-520 us; summed over the indices their searches meet,
+# the total is least at 48, within 1 % of it from 32 to 48 and about 3 %
+# above it at 24 or 64.
+_SWEEP_INDEX = 48
 
 
 @dataclass
@@ -48,7 +52,7 @@ class SubgroupClass:
     indices: np.ndarray  # sorted element indices of the canonical member
     gens: list[int]
     normalizer: np.ndarray
-    normalizer_gens: list[int]  # generate `normalizer`: `gens`, then greedy extras from the normalizer
+    normalizer_gens: list[int]  # generate `normalizer`: `gens`, then greedy extras from its sorted elements
     class_size: int
 
     @property
@@ -65,11 +69,11 @@ def subgroup_classes(
 
     Each new class H, met through its sorted elements and generators, gets
     its normalizer N(H) and N(H)'s generators: H's own `gens`, then a greedy
-    pass over N(H)'s sorted elements from H (or the table's generators when
-    N(H) is the whole group).  Its conjugates g H g^-1 come one per coset
-    g N(H), each led by its least element: H alone when normal, a sweep
-    over the least uncovered element up to index `_SWEEP_INDEX`, else
-    `orbit_labels`.  The class keeps the lex-least conjugate.
+    pass over N(H)'s sorted elements from H.  Its conjugates g H g^-1 come
+    one per coset g N(H), each led by its least element: H alone when
+    normal, a sweep over the least uncovered element up to index
+    `_SWEEP_INDEX`, else `orbit_labels`.  The class keeps the lex-least
+    conjugate.
 
     Raises SearchBudgetError when more than `node_budget` candidates are
     tried or `time_budget` seconds elapse.  A candidate skipped because its
@@ -97,10 +101,7 @@ def subgroup_classes(
             return None
         cid = len(classes)
         norm = T.normalizer_of(elems, gens)
-        if len(norm) == m:
-            norm_gens = gens + T.generators()
-        else:
-            norm_gens = T.small_generating_set(norm, start=(elems, gens))
+        norm_gens = T.small_generating_set(norm, start=(elems, gens))
         reps = _coset_leaders(T, norm, norm_gens)
         if len(reps) * len(norm) != m:
             raise ConsistencyError("conjugate count does not match normalizer index")
