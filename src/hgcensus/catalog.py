@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import StructureError, UnsupportedOrderError
+from .errors import ConsistencyError, StructureError, UnsupportedOrderError
 from .iso import IsoSearch
 from .perm import PermGroup, parse_cycles, row_index
 from .table import GroupTable
@@ -83,15 +83,20 @@ def opposite_group(g: GroupTable) -> GroupTable:
 def automorphism_group(g: GroupTable) -> PermGroup:
     """All automorphisms, as permutations of the element indices, lex-sorted.
 
-    `IsoSearch` from the table onto itself backtracks over images of its
-    own generator choice; candidate images are pruned by element colours
-    (`GroupTable.colours`) and partial-product checks.  Every element but
-    the identity is listed as a generator.  Cached on the table.
+    The orbit-stabilizer chain count of `IsoSearch` from the table onto
+    itself keeps the automorphisms it found; they are the generators, and
+    `perm.closure` gives the elements, which must number exactly the count.
+    Cached on the table.
     """
     if g._aut is None:
-        maps = np.array(IsoSearch(g, g).run("all"))
-        maps = maps[np.lexsort(maps.T[::-1])]
-        g._aut = PermGroup(maps[1:], g.order, elements=maps)
+        search = IsoSearch(g, g)
+        count = search.run("count")
+        aut = PermGroup(search.witnesses, g.order)
+        if aut.order != count:
+            raise ConsistencyError(
+                f"{g.name}: the chain counts {count} automorphisms, its witnesses generate {aut.order}"
+            )
+        g._aut = aut
     return g._aut
 
 

@@ -17,13 +17,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .actions import brace_from_regular, bracoid_from_subgroup, ybe_solution
-from .catalog import groups_of_order, invariants
+from .catalog import catalog_orders, groups_of_order, invariants
 from .counts import DegreeCensus, DegreeReportRow, build_degree_census
 from .degree2pq import build_family, witness_M_series, witness_four_types
 from .enumeration import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
@@ -78,11 +78,15 @@ class RunConfig:
     emit_actions: bool = False
 
     def validate(self) -> None:
+        """Check the options, every degree against the catalog included,
+        before any command computes or reads anything."""
         if not self.degrees:
             raise StructureError("no degrees requested")
         for d in self.degrees:
             if d < 2:
                 raise StructureError(f"degree {d} is below 2")
+            if d not in catalog_orders():
+                raise UnsupportedOrderError(d, catalog_orders())
         if self.node_budget <= 0:
             raise StructureError("node budget must be positive")
         if self.time_budget <= 0:
@@ -427,6 +431,7 @@ def _require_payload(cfg: RunConfig, degree: int) -> dict:
 def cmd_diff(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    cfg.validate()
     matched = mismatched = unknown = disputed = 0
     for degree in cfg.degrees:
         payload = _require_payload(cfg, degree)
@@ -481,6 +486,7 @@ def cmd_actions(
 ) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    replace(cfg, degrees=[degree]).validate()
     payload = _require_payload(cfg, degree)
     actions_dir = cfg.cache_dir / "actions"
     actions_dir.mkdir(parents=True, exist_ok=True)

@@ -38,7 +38,12 @@ so far fixes g_1..g_{i-1}, so a found witness puts the whole orbit of b
 under them into the orbit of g_i and a failed search rules the whole orbit
 of b out; no other point of that orbit is searched.  Between different
 sides the isomorphisms form one coset of Aut(side 2, marked2), so the
-count is 0 or that group's chain count.
+count is 0 or that group's chain count.  A one-sided count keeps the
+witnesses it found (`witnesses`): each lies outside the group the earlier
+ones generate, and together they are a strong generating set of
+Aut(T, marked), so `catalog.automorphism_group` closes them instead of
+listing every map.  Mode "all" lists every map by backtracking; nothing in
+the engine calls it, and it stays as the tests' reference listing.
 """
 
 from __future__ import annotations
@@ -138,6 +143,7 @@ class IsoSearch:
     ):
         self.T1, self.elems1, colours1 = _side(side1)
         self.T2, self.elems2, self.colours2 = _side(side2)
+        self.witnesses: list[np.ndarray] = []  # kept by a one-sided count
         self.m = len(self.elems1)
         self.feasible = self.m == len(self.elems2)
         if not self.feasible:
@@ -176,7 +182,8 @@ class IsoSearch:
         self.right = [tables[a] for a in lo.tolist()]
 
     def run(self, mode: str = "count"):
-        """mode "count" -> int; "first" -> map array or None; "all" -> list of maps."""
+        """mode "count" -> int; "first" -> map array or None; "all" -> list of
+        maps, the tests' reference listing (the engine counts instead)."""
         if mode == "count":
             return self._count()
         if not self.feasible:
@@ -237,6 +244,7 @@ class IsoSearch:
                 else:
                     dead[orbit] = True
             count *= int((lab == lab[gi]).sum())
+        self.witnesses = found
         return count
 
     def _descend(

@@ -44,7 +44,10 @@ def parse_cycles(text: str, degree: int) -> Perm:
     if not body.startswith("(") or not body.endswith(")"):
         raise StructureError(f"bad cycle notation: {text!r}")
     for chunk in body[1:-1].split(")("):
-        points = [int(tok) for tok in chunk.replace(",", " ").split()]
+        try:
+            points = [int(tok) for tok in chunk.replace(",", " ").split()]
+        except ValueError:
+            raise StructureError(f"bad cycle notation: {text!r}") from None
         if len(points) != len(set(points)):
             raise StructureError(f"repeated point in cycle: {text!r}")
         for pt in points:

@@ -138,7 +138,7 @@ class GroupTable:
         self._gens: Optional[list[int]] = None if gens is None else list(gens)
         self._colours: Optional[np.ndarray] = None
         self._valid = False
-        self._aut: Optional[PermGroup] = None  # filled by `catalog.automorphism_group`
+        self._aut: Optional[PermGroup] = None  # closed chain witnesses (`catalog.automorphism_group`)
 
     # -- construction ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from hgcensus.catalog import (
     opposite_group,
     regular_representation,
 )
-from hgcensus.errors import StructureError, UnsupportedOrderError
+from hgcensus.errors import ConsistencyError, StructureError, UnsupportedOrderError
 from hgcensus.expected import EXPECTED
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import closure, compose, is_transitive, parse_cycles, row_index
@@ -139,6 +139,52 @@ def test_automorphisms_fix_identity_and_preserve_products():
         for s in g.generators():
             for b in range(g.order):
                 assert alpha[t[s, b]] == t[alpha[s], alpha[b]]
+
+
+def _catalog_groups() -> list[GroupTable]:
+    return [g for n in catalog_orders() for g in groups_of_order(n)]
+
+
+def test_automorphism_group_equals_the_backtracking_listing():
+    # every catalog group, C2^4 (|Aut| = 20160) included
+    groups = _catalog_groups()
+    assert len(groups) == 59
+    for g in groups:
+        maps = np.array(IsoSearch(g, g).run("all"))
+        assert np.array_equal(automorphism_group(g).elements, maps[np.lexsort(maps.T[::-1])]), g.name
+
+
+def test_automorphism_generators_are_chain_witnesses_that_each_double_the_group():
+    for g in _catalog_groups():
+        aut = automorphism_group(g)
+        gens = aut.generators
+        assert np.array_equal(closure(gens.tolist(), g.order), aut.elements), g.name
+        assert len(gens) <= np.log2(aut.order), g.name
+        # each witness lies outside the group the earlier ones generate, so
+        # by Lagrange each at least doubles it
+        for i in range(len(gens)):
+            assert row_index(gens[i : i + 1], closure(gens[:i].tolist(), g.order))[0] < 0, (g.name, i)
+
+
+def _count_doubled(count):
+    return lambda self: 2 * count(self)
+
+
+def _last_witness_dropped(count):
+    def run(self):
+        n = count(self)
+        self.witnesses = self.witnesses[:-1]
+        return n
+    return run
+
+
+@pytest.mark.parametrize("corrupt", [_count_doubled, _last_witness_dropped])
+def test_automorphism_group_rejects_a_count_its_witnesses_do_not_reach(monkeypatch, corrupt):
+    d4 = {g.name: g for g in groups_of_order(8)}["D4"]
+    fresh = GroupTable(d4.mul.copy(), "D4", d4.generators())  # no cached Aut
+    monkeypatch.setattr(IsoSearch, "_count", corrupt(IsoSearch._count))
+    with pytest.raises(ConsistencyError, match="witnesses generate"):
+        automorphism_group(fresh)
 
 
 def _relabeled(g: GroupTable, sigma: tuple[int, ...]) -> GroupTable:

@@ -14,8 +14,10 @@ import pytest
 
 from hgcensus import __version__, build_degree_census, cli
 from hgcensus.actions import brace_from_regular, bracoid_from_subgroup, ybe_solution
+from hgcensus.catalog import groups_of_order
 from hgcensus.cli import SCHEMA_VERSION, RunConfig, _census_payload, _dump_canonical, main, parse_degrees
 from hgcensus.errors import StructureError
+from hgcensus.iso import IsoSearch
 from hgcensus.perm import PermGroup, format_cycles, parse_cycles
 
 
@@ -290,10 +292,60 @@ def test_actions_before_enumerate_fails_with_guidance(tmp_path, capsys):
 
 
 def test_unsupported_degree_is_a_clean_error(tmp_path, capsys):
-    rc, _, err = _run(capsys, "enumerate", "--degrees", "17", "--format", "csv",
+    # checked before any work: degree 5 is neither computed nor written
+    cache = tmp_path / "cache"
+    rc, out, err = _run(capsys, "enumerate", "--degrees", "5,17", "--format", "csv",
+                        "--cache-dir", str(cache))
+    assert rc == 2
+    assert "error:" in err and "order 17" in err
+    assert out == ""
+    assert not cache.exists()  # no degree-005.json, no timings.json
+
+
+@pytest.mark.parametrize("argv", [["diff", "--degrees", "1"], ["actions", "--degree", "1", "--all-braces"],
+                                  ["diff", "--degrees", "5,17"], ["actions", "--degree", "17", "--all-braces"]])
+def test_diff_and_actions_refuse_a_bad_degree_without_advising_enumerate(tmp_path, capsys, argv):
+    rc, _, err = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert rc == 2
+    assert "error:" in err and "enumerate" not in err
+
+
+def test_malformed_cycle_notation_in_the_cache_is_a_clean_error(tmp_path, capsys):
+    _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
+         "--cache-dir", str(tmp_path))
+    path = tmp_path / "degree-004.json"
+    payload = json.loads(path.read_text())
+    (cls,) = [c for c in payload["classes"] if c["label"] == "d4-o4-s1-c1"]
+    cls["members"][0]["generators"][0] = "(0 1) (2 3)"
+    path.write_text(json.dumps(payload))
+    rc, _, err = _run(capsys, "actions", "--degree", "4", "--class", "d4-o4-s1-c1",
                       "--cache-dir", str(tmp_path))
     assert rc == 2
-    assert "error:" in err
+    assert "error: bad cycle notation" in err
+
+
+def test_census_and_export_never_list_automorphisms_by_backtracking(tmp_path, capsys, monkeypatch):
+    # the backtracking listing is the tests' reference only; Aut(N) is
+    # rebuilt under the guard for each command, since tables cache it
+    listing = IsoSearch.run
+
+    def run(self, mode="count"):
+        if mode == "all":
+            raise AssertionError("backtracking automorphism listing on an engine path")
+        return listing(self, mode)
+
+    monkeypatch.setattr(IsoSearch, "run", run)
+    for g in groups_of_order(8):
+        monkeypatch.setattr(g, "_aut", None)
+    rc, _, _ = _run(capsys, "enumerate", "--degrees", "8", "--format", "csv",  # build_degree_census(8)
+                    "--cache-dir", str(tmp_path))
+    assert rc == 0
+    label = json.loads((tmp_path / "degree-008.json").read_text())["classes"][-1]["label"]
+    for g in groups_of_order(8):
+        monkeypatch.setattr(g, "_aut", None)
+    rc, out, _ = _run(capsys, "actions", "--degree", "8", "--class", label,
+                      "--cache-dir", str(tmp_path))
+    assert rc == 0 and out
 
 
 def test_verify_2pq_reports_all_witnesses(capsys):

@@ -86,6 +86,9 @@ def test_parse_cycles_rejects_bad_input():
         parse_cycles("(0 1)(1 2)", 3)  # repeated point
     with pytest.raises(StructureError):
         parse_cycles("(0 9)", 3)  # point out of range
+    for text in ("(0 1) (2 3)", "(a b)", "(0 1)(2 x)"):  # a token that is not an integer
+        with pytest.raises(StructureError, match="bad cycle notation"):
+            parse_cycles(text, 4)
 
 
 def test_closure_symmetric_group():
