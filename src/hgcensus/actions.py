@@ -5,19 +5,25 @@ This module materializes that action as a verified table (a skew bracoid),
 splits it into its translation and automorphism parts, transports regular
 actions onto the carrier of N (a skew brace), derives the set-theoretic
 Yang-Baxter map of a brace, and realizes N as a regular subgroup of the
-symmetric group on the points of an external acting group.  N is the
-holomorph context's `group`, its catalog `GroupTable`, whose `mul` is the
-carrier's first operation.
+symmetric group on the points of an external acting group.  N is given
+by its catalog `GroupTable`, whose `mul` is the carrier's first operation.
 
+The bracoid and brace builders read nothing of Hol(N) but N's table: M lies
+in Hol(N) exactly when the compatibility law holds on M's generators (see
+`SkewBracoid.validate`), so no holomorph is built.  Each builds one table
+whose generators are M's own: a bracoid M's table (`PermGroup.table`), a
+brace its circle table.
 Every action, homomorphism and compatibility law here is checked on the
 generators of a table that has passed Light's test (`GroupTable.acts`),
 and a skew brace is validated as the regular bracoid of its circle group.
+Tables are never changed in place and record a passed `validate`, so N's
+catalog table, validated at load, is not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,24 +95,27 @@ class SkewBracoid:
 
 @dataclass
 class SkewBrace:
-    """One carrier with two compatible group operations sharing identity 0."""
+    """One carrier with two compatible group operations sharing identity 0,
+    held as the tables `add` and `circ` of the two operations."""
 
-    order: int
-    add: np.ndarray
-    circ: np.ndarray
+    add: GroupTable
+    circ: GroupTable
+
+    @property
+    def order(self) -> int:
+        return self.add.order
 
     def validate(self) -> None:
         """A brace is the regular bracoid of its circle group on the additive one."""
-        add = GroupTable(self.add)
-        add.validate("brace additive table")
-        SkewBracoid(GroupTable(self.circ), add, self.circ, True).validate()
+        self.add.validate("brace additive table")
+        SkewBracoid(self.circ, self.add, self.circ.mul, True).validate()
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "skew_brace",
             "order": int(self.order),
-            "additive": self.add.astype(int).tolist(),
-            "circle": self.circ.astype(int).tolist(),
+            "additive": self.add.mul.tolist(),
+            "circle": self.circ.mul.tolist(),
         }
 
 
@@ -146,24 +155,30 @@ class YBESolution:
         return {
             "kind": "ybe_solution",
             "order": int(n),
-            "r": [[int(self.r[x, y, 0]), int(self.r[x, y, 1])]
-                  for x in range(n) for y in range(n)],
+            "r": self.r.reshape(n * n, 2).tolist(),
             "sigma": self.sigma.astype(int).tolist(),
             "rho": self.rho.astype(int).tolist(),
         }
 
 
+def _table_of(N: Union[GroupTable, HolomorphContext]) -> GroupTable:
+    """N's table.  A holomorph context is taken too and stands for its
+    `group`: `perfbench/traced.py` replays the export with one."""
+    return N.group if isinstance(N, HolomorphContext) else N
+
+
 def bracoid_from_subgroup(
-    ctx: HolomorphContext,
+    N: Union[GroupTable, HolomorphContext],
     M: PermGroup,
     delta: Optional[tuple[GroupTable, Sequence[Sequence[int]]]] = None,
 ) -> SkewBracoid:
-    """Evaluation action of a transitive holomorph subgroup, as a bracoid.
+    """Evaluation action of a transitive subgroup M of Hol(N), as a bracoid.
 
-    With `delta` omitted the acting group is M itself and the result is
-    reduced.  Otherwise `delta = (G, images)` supplies a surjection from a
-    group G, given by its table, onto M, `images[i]` being the holomorph
-    element assigned to G's element i.
+    N is given by its table.  With `delta` omitted the acting group is M
+    itself, tabled on M's own generators, and the result is reduced.
+    Otherwise `delta = (G, images)` supplies a surjection from a group G,
+    given by its table, onto M, `images[i]` being the holomorph element
+    assigned to G's element i.  Validation proves M lies in Hol(N).
     """
     if not is_transitive(M):
         raise StructureError("bracoid requires a transitive subgroup")
@@ -184,7 +199,7 @@ def bracoid_from_subgroup(
         if not np.array_equal(image, M.elements):
             raise StructureError("delta is not a surjection onto the subgroup")
         reduced = len(image) == acting.order
-    b = SkewBracoid(acting, ctx.group, action, reduced)
+    b = SkewBracoid(acting, _table_of(N), action, reduced)
     b.validate()
     return b
 
@@ -221,28 +236,29 @@ def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, 
     return pi, gamma
 
 
-def brace_from_regular(ctx: HolomorphContext, M: PermGroup) -> SkewBrace:
-    """Transport a regular subgroup's multiplication onto the carrier of N.
+def brace_from_regular(N: Union[GroupTable, HolomorphContext], M: PermGroup) -> SkewBrace:
+    """Transport a regular subgroup of Hol(N) onto the carrier of N.
 
-    The bijection is evaluation at the identity point; the carrier keeps N's
-    own multiplication as the first operation and gains the subgroup's as the
-    second.
+    The bijection is evaluation at the identity point: point x stands for
+    the element of M sending 0 to x.  The carrier keeps N's table as the
+    first operation and gains M's multiplication as the second, a table
+    whose generators are M's own.  Validation proves M lies in Hol(N).
     """
-    n = ctx.n
-    rows = M.elements.astype(np.int32)
+    N = _table_of(N)
+    n = N.order
+    rows = M.elements
     if rows.shape != (n, n) or len(np.unique(rows[:, 0])) != n:
         raise StructureError("brace transport requires a regular subgroup")
     circ = np.empty((n, n), dtype=np.int32)
     circ[rows[:, 0]] = rows
-    b = SkewBrace(n, ctx.group.mul.astype(np.int32), circ)
+    b = SkewBrace(N, GroupTable(circ, gens=M.generators[:, 0].tolist()))
     b.validate()
     return b
 
 
 def trivial_brace(group: GroupTable) -> SkewBrace:
     """Both operations equal to the group's own multiplication."""
-    t = group.mul.astype(np.int32)
-    b = SkewBrace(group.order, t, t.copy())
+    b = SkewBrace(group, group)
     b.validate()
     return b
 
@@ -250,13 +266,13 @@ def trivial_brace(group: GroupTable) -> SkewBrace:
 def ybe_solution(b: SkewBrace) -> YBESolution:
     """Yang-Baxter map of a brace: r(x, y) = (-x + x o y, first^-1 o x o y).
 
-    Inversions use the operation they belong to; products associate left to
-    right.  The braid relation and non-degeneracy are checked on all triples.
+    Inversions use the operation they belong to, read from the brace's
+    tables; products associate left to right.  The braid relation and
+    non-degeneracy are checked on all triples.
     """
     n = b.order
-    t, c = b.add.astype(np.int32, copy=False), b.circ.astype(np.int32, copy=False)
-    neg = GroupTable(t).inv
-    cinv = GroupTable(c).inv
+    t, c = b.add.mul, b.circ.mul
+    neg, cinv = b.add.inv, b.circ.inv
     x = np.arange(n)
     sigma = t[neg[:, None], c]
     tau = c[c[cinv[sigma], x[:, None]], x[None, :]]

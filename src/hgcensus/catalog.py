@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, StructureError, UnsupportedOrderError
 from .iso import IsoSearch
-from .perm import PermGroup, parse_cycles, row_index
+from .perm import PermGroup, parse_cycles
 from .table import GroupTable
 
 _SELFTEST_LIMIT = 12
@@ -42,8 +42,8 @@ def from_perm_generators(name: str, gens: Sequence[Sequence[int]], degree: int) 
     Indices follow the sorted elements, identity first, and the table's
     `generators()` are the given permutations' indices, in order.
     """
-    perms = PermGroup(gens, degree)
-    table = GroupTable(perms.table().mul, name, row_index(perms.generators, perms.elements).tolist())
+    table = PermGroup(gens, degree).table()
+    table.name = name
     table.validate(name)
     return table
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .actions import brace_from_regular, bracoid_from_subgroup, ybe_solution
 from .catalog import catalog_orders, groups_of_order, invariants
@@ -29,8 +31,8 @@ from .degree2pq import build_family, witness_M_series, witness_four_types
 from .enumeration import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
 from .errors import ConsistencyError, StructureError, UnsupportedOrderError
 from .expected import MAX_EXPECTED_DEGREE, expected_row, is_disputed, DISPUTED
-from .holomorph import HolomorphContext, build_holomorph
 from .perm import PermGroup, format_cycles, parse_cycles
+from .table import GroupTable
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "HGCENSUS_CACHE_DIR"
@@ -309,60 +311,65 @@ def _merge_timings(cache_dir: Path, new_seconds: dict[str, float]) -> None:
     _write_atomic(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
-class _MemberRebuilder:
-    """Reconstructs live subgroups from cached cycle-notation generators."""
+def _rebuild_member(degree: int, cls: dict, member: dict) -> tuple[GroupTable, PermGroup]:
+    """N's catalog table and a cached member's subgroup, checked against its class.
 
-    def __init__(self, degree: int):
-        self.degree = degree
-        self._ctx_cache: dict[str, HolomorphContext] = {}
-
-    def context(self, type_name: str) -> HolomorphContext:
-        ctx = self._ctx_cache.get(type_name)
-        if ctx is None:
-            for g in groups_of_order(self.degree):
-                if g.name == type_name:
-                    ctx = build_holomorph(g)
-                    break
-            else:
-                raise LookupError(f"no group named {type_name!r} of order {self.degree}")
-            self._ctx_cache[type_name] = ctx
-        return ctx
-
-    def subgroup(self, member: dict) -> tuple[HolomorphContext, PermGroup]:
-        ctx = self.context(member["type"])
-        gens = [parse_cycles(s, self.degree) for s in member["generators"]]
-        return ctx, PermGroup(gens, self.degree)
-
-
-def _export_class_actions(
-    cls: dict, out_dir: Path, rebuilder: _MemberRebuilder, err
-) -> list[Path]:
-    """Bracoid artifact for the class representative, brace + solution
-    artifacts for every regular member."""
-    written: list[Path] = []
-    rep_member = cls["members"][0]
-    ctx, M = rebuilder.subgroup(rep_member)
-    bracoid = bracoid_from_subgroup(ctx, M)
-    path = out_dir / f"{cls['label']}-bracoid.json"
-    _write_atomic(path, _dump_canonical(bracoid.to_json_dict()))
-    written.append(path)
-    written.extend(_export_member_braces(cls, out_dir, rebuilder))
-    err.write(f"  {cls['label']}: wrote {len(written)} artifact file(s)\n")
-    return written
+    The generators must be a list of cycle-notation strings, each lying in
+    Hol(N): x -> r(0)^-1 r(x) is an automorphism of N, a homomorphism law
+    checked on N's generators (Light's argument, as in `GroupTable.acts`),
+    so the closure stays inside Hol(N).  Their closure must have the
+    class's order and stabilizer order, and order = degree * stabilizer
+    order makes it transitive.  Anything else raises StructureError.
+    """
+    N = next((g for g in groups_of_order(degree) if g.name == member["type"]), None)
+    if N is None:
+        raise LookupError(f"no group named {member['type']!r} of order {degree}")
+    texts = member["generators"]
+    if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+        raise StructureError(f"{member['label']}: generators are not a list of cycle notations")
+    gens = np.array([parse_cycles(s, degree) for s in texts], dtype=np.int64).reshape(-1, degree)
+    t, ng = N.mul, np.array(N.generators(), dtype=np.int64)
+    psi = t[N.inv[gens[:, 0]][:, None], gens]
+    if (psi[:, t[ng]] != t[psi[:, ng][:, :, None], psi[:, None, :]]).any():
+        raise StructureError(f"{member['label']}: a generator does not lie in Hol({N.name})")
+    M = PermGroup(gens, degree)
+    stab = int(np.count_nonzero(M.elements[:, 0] == 0))
+    if (M.order, stab) != (cls["order"], cls["stabilizer_order"]) or M.order != degree * stab:
+        raise StructureError(
+            f"{member['label']}: generators give order {M.order} and stabilizer order {stab}, "
+            f"class {cls['label']} has {cls['order']} and {cls['stabilizer_order']}"
+        )
+    return N, M
 
 
-def _export_member_braces(cls: dict, out_dir: Path, rebuilder: _MemberRebuilder) -> list[Path]:
-    written: list[Path] = []
-    for member in cls["members"]:
-        if not member["regular"]:
-            continue
-        ctx, M = rebuilder.subgroup(member)
-        brace = brace_from_regular(ctx, M)
-        bpath = out_dir / f"{member['label']}-brace.json"
-        _write_atomic(bpath, _dump_canonical(brace.to_json_dict()))
-        ypath = out_dir / f"{member['label']}-ybe.json"
-        _write_atomic(ypath, _dump_canonical(ybe_solution(brace).to_json_dict()))
-        written.extend([bpath, ypath])
+def _export_actions(degree: int, classes: list[dict], cache_dir: Path, bracoids: bool) -> list[Path]:
+    """Bracoid artifact for each class representative when `bracoids`,
+    brace and solution artifacts for every regular member, written to the
+    cache's `actions` directory.
+
+    Each exported member is rebuilt once, on N's catalog table, and every
+    artifact is built and validated before the first file is written.
+    """
+    artifacts = []
+    for cls in classes:
+        for i, member in enumerate(cls["members"]):
+            rep = bracoids and i == 0
+            if not (rep or member["regular"]):
+                continue
+            N, M = _rebuild_member(degree, cls, member)
+            if rep:
+                artifacts.append((f"{cls['label']}-bracoid.json", bracoid_from_subgroup(N, M)))
+            if member["regular"]:
+                brace = brace_from_regular(N, M)
+                artifacts.append((f"{member['label']}-brace.json", brace))
+                artifacts.append((f"{member['label']}-ybe.json", ybe_solution(brace)))
+    out_dir = cache_dir / "actions"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, artifact in artifacts:
+        path = out_dir / name
+        _write_atomic(path, _dump_canonical(artifact.to_json_dict()))
+        written.append(path)
     return written
 
 
@@ -406,13 +413,8 @@ def cmd_enumerate(cfg: RunConfig, out=None, err=None) -> int:
             err.write(f"degree {payload['degree']} classes:\n")
             _print_classes(payload, err)
     if cfg.emit_actions:
-        actions_dir = cfg.cache_dir / "actions"
-        actions_dir.mkdir(parents=True, exist_ok=True)
         for payload in payloads:
-            rebuilder = _MemberRebuilder(payload["degree"])
-            count = 0
-            for cls in payload["classes"]:
-                count += len(_export_member_braces(cls, actions_dir, rebuilder))
+            count = len(_export_actions(payload["degree"], payload["classes"], cfg.cache_dir, False))
             err.write(f"degree {payload['degree']}: wrote {count} action file(s)\n")
     return 0
 
@@ -488,23 +490,17 @@ def cmd_actions(
     err = err or sys.stderr
     replace(cfg, degrees=[degree]).validate()
     payload = _require_payload(cfg, degree)
-    actions_dir = cfg.cache_dir / "actions"
-    actions_dir.mkdir(parents=True, exist_ok=True)
-    rebuilder = _MemberRebuilder(degree)
-    written: list[Path] = []
     if all_braces:
-        for cls in payload["classes"]:
-            written.extend(_export_member_braces(cls, actions_dir, rebuilder))
+        written = _export_actions(degree, payload["classes"], cfg.cache_dir, False)
     else:
-        for cls in payload["classes"]:
-            if cls["label"] == label:
-                written.extend(_export_class_actions(cls, actions_dir, rebuilder, err))
-                break
-        else:
+        cls = next((c for c in payload["classes"] if c["label"] == label), None)
+        if cls is None:
             known = ", ".join(c["label"] for c in payload["classes"])
             raise LookupError(
                 f"no class labeled {label!r} at degree {degree}; known labels: {known}"
             )
+        written = _export_actions(degree, [cls], cfg.cache_dir, True)
+        err.write(f"  {label}: wrote {len(written)} artifact file(s)\n")
     for path in written:
         out.write(f"{path}\n")
     return 0

@@ -292,15 +292,23 @@ def build_degree_census(
     hgs_total = 0
     gal_total = 0
     for cls in classes:
+        w = _class_weight(cls)
+        for _, rec in cls.members:
+            # certificate: N_A(G), of order normalizer_order / n, acts
+            # faithfully on G by conjugation and fixes G', so it embeds
+            # in Aut(G, G')
+            if rec.normalizer_order % degree or w % (rec.normalizer_order // degree):
+                raise ConsistencyError(
+                    f"class {cls.label}: normalizer order {rec.normalizer_order} / {degree} "
+                    f"does not divide |Aut(G, G')| = {w} in type {rec.type_name}"
+                )
+            weight_of[id(rec)] = Fraction(w, rec.ctx.aut.order)
         # classify checks that members share order and stabilizer order, so
         # every member of a regular class is regular
         term = hgs_count_for_class(cls)
         hgs_total += term
         if cls.regular:
             gal_total += term
-        w = _class_weight(cls)
-        for _, rec in cls.members:
-            weight_of[id(rec)] = Fraction(w, rec.ctx.aut.order)
     weights = [weight_of[id(rec)] for rec in records]
 
     partial = False

@@ -147,11 +147,16 @@ class PermGroup:
         return len(self.elements)
 
     def table(self) -> GroupTable:
-        """Multiplication table over `elements`, built on first use."""
+        """Multiplication table over `elements`, built on first use.  Its
+        `generators()` are the rows of this group's own `generators`, so
+        checks made on a table's generators run on them."""
         if self._table is None:
             from .table import GroupTable  # table imports perm
 
-            self._table = GroupTable.from_perms(self.elements)
+            gens = row_index(self.generators, self.elements)
+            if (gens < 0).any():
+                raise StructureError("a generator is not among the group's elements")
+            self._table = GroupTable.from_perms(self.elements, gens.tolist())
         return self._table
 
     def __repr__(self) -> str:

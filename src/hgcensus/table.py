@@ -143,13 +143,17 @@ class GroupTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_perms(cls, elems: np.ndarray) -> "GroupTable":
+    def from_perms(cls, elems: np.ndarray, gens: Optional[Sequence[int]] = None) -> "GroupTable":
         """Table for a set of permutations closed under composition.
 
         `elems` holds one image row per element, sorted with the identity
-        first; indices follow it.  More than `DEFAULT_TABLE_BUDGET` elements
-        raise BudgetError.  Products are located by their images of a greedy
-        base (`_base_levels`), looked up one base point at a time.
+        first; indices follow it.  `gens`, the row indices of a generating
+        set, become the table's `generators()`, so Light's test and every
+        check made on generators run on them; without it the table finds a
+        greedy set when one is first needed.  More than
+        `DEFAULT_TABLE_BUDGET` elements raise BudgetError.  Products are
+        located by their images of a greedy base (`_base_levels`), looked up
+        one base point at a time.
         """
         m = len(elems)
         check_budget(m)
@@ -170,7 +174,7 @@ class GroupTable:
         if mul.min() < 0:
             raise StructureError("elements not closed under composition")
         spot_check(arr, mul)
-        return cls(mul)
+        return cls(mul, gens=gens)
 
     @staticmethod
     def _base_levels(arr: np.ndarray) -> tuple[list[int], list[np.ndarray]]:

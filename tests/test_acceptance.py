@@ -126,7 +126,7 @@ def test_criterion_5_bracoid_axioms_and_cocycle_claims(census):
     for degree in range(2, 9):
         c = census(degree)
         for rec in c.records:
-            b = bracoid_from_subgroup(rec.ctx, rec.rep)
+            b = bracoid_from_subgroup(rec.ctx.group, rec.rep)
             b.validate()  # exhaustive triple checks over the action
             assert b.reduced
 
@@ -159,7 +159,7 @@ def test_criterion_5_ybe_braid_and_nondegeneracy(census):
         for rec in census(degree).records:
             if not rec.regular:
                 continue
-            sol = ybe_solution(brace_from_regular(rec.ctx, rec.rep))
+            sol = ybe_solution(brace_from_regular(rec.ctx.group, rec.rep))
             sol.validate()  # braid relation on all triples
             rng = np.arange(degree)
             for x in range(degree):

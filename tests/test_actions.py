@@ -37,7 +37,7 @@ def _c2_context():
 def test_reduced_bracoid_from_each_record(census):
     c = census(6)
     for rec in c.records:
-        b = bracoid_from_subgroup(rec.ctx, rec.rep)
+        b = bracoid_from_subgroup(rec.ctx.group, rec.rep)
         assert b.reduced
         assert b.degree == 6
         assert b.acting.order == rec.order
@@ -52,7 +52,7 @@ def test_nonreduced_bracoid_through_a_covering_map():
     g4 = from_perm_generators("C4m", [(1, 2, 3, 0)], 4)  # element i = rotation by i
     e, s = (0, 1), (1, 0)
     images = [e, s, e, s]
-    b = bracoid_from_subgroup(ctx, ctx.left, delta=(g4, images))
+    b = bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, images))
     assert not b.reduced
     assert b.acting.order == 4
     assert b.degree == 2
@@ -63,13 +63,13 @@ def test_bracoid_covering_map_rejections():
     g4 = from_perm_generators("C4m", [(1, 2, 3, 0)], 4)
     e, s = (0, 1), (1, 0)
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx, ctx.left, delta=(g4, [e, s, e]))  # short
+        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [e, s, e]))  # short
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx, ctx.left, delta=(g4, [s, e, s, e]))  # identity moved
+        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [s, e, s, e]))  # identity moved
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx, ctx.left, delta=(g4, [e, s, s, e]))  # not a morphism
+        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [e, s, s, e]))  # not a morphism
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx, ctx.left, delta=(g4, [e, e, e, e]))  # not onto
+        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [e, e, e, e]))  # not onto
 
 
 def test_bracoid_requires_transitive_subgroup():
@@ -77,7 +77,7 @@ def test_bracoid_requires_transitive_subgroup():
     ctx = build_holomorph(g)
     stab = PermGroup(ctx.aut.elements, 4)
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx, stab)
+        bracoid_from_subgroup(ctx.group, stab)
 
 
 def test_cocycle_decomposition_of_every_degree6_record(census):
@@ -105,18 +105,21 @@ def test_cocycle_rejects_foreign_subgroup():
 def test_brace_transport_of_the_two_translation_actions():
     g = groups_of_order(6)[1]  # S3
     ctx = build_holomorph(g)
-    left = brace_from_regular(ctx, ctx.left)
-    assert np.array_equal(left.add, left.circ)  # same operation twice
-    right = brace_from_regular(ctx, regular_representation(ctx.group, "right"))
-    assert np.array_equal(right.circ, g.mul.T)  # opposite multiplication
-    assert not np.array_equal(right.add, right.circ)
+    left = brace_from_regular(g, ctx.left)
+    assert left.add is g  # N's catalog table is the first operation
+    assert np.array_equal(left.add.mul, left.circ.mul)  # same operation twice
+    right = brace_from_regular(g, regular_representation(g, "right"))
+    assert np.array_equal(right.circ.mul, g.mul.T)  # opposite multiplication
+    assert not np.array_equal(right.add.mul, right.circ.mul)
+    # a holomorph context stands for its group
+    assert brace_from_regular(ctx, ctx.left).to_json_dict() == left.to_json_dict()
 
 
 def test_brace_transport_requires_regularity():
     g = groups_of_order(6)[1]
     ctx = build_holomorph(g)
     with pytest.raises(StructureError):
-        brace_from_regular(ctx, ctx.hol)
+        brace_from_regular(ctx.group, ctx.hol)
 
 
 def test_brace_validation_catches_broken_identity():
@@ -125,7 +128,7 @@ def test_brace_validation_catches_broken_identity():
     bad = t.copy()
     bad[[1, 2]] = bad[[2, 1]]  # rows swapped: 1 * 0 is no longer 1
     with pytest.raises((StructureError, ConsistencyError)):
-        SkewBrace(6, t, bad).validate()
+        SkewBrace(GroupTable(t), GroupTable(bad)).validate()
 
 
 def test_trivial_brace_of_abelian_group_gives_the_flip_map():
@@ -152,7 +155,7 @@ def test_ybe_solutions_from_all_degree6_braces(census):
     for rec in c.records:
         if not rec.regular:
             continue
-        sol = ybe_solution(brace_from_regular(rec.ctx, rec.rep))
+        sol = ybe_solution(brace_from_regular(rec.ctx.group, rec.rep))
         assert sol.order == 6
         d = sol.to_json_dict()
         assert len(d["r"]) == 36
@@ -210,23 +213,23 @@ def test_realize_regular_subgroup_rejects_nonmorphism():
 def _s3_right_brace() -> SkewBrace:
     """S3 with its opposite multiplication as circle: add != circ."""
     ctx = build_holomorph(groups_of_order(6)[1])
-    return brace_from_regular(ctx, regular_representation(ctx.group, "right"))
+    return brace_from_regular(ctx.group, regular_representation(ctx.group, "right"))
 
 
 @cache
 def _hol_s3_bracoid():
     """Hol(S3), order 36, acting on the 6 points of S3."""
     ctx = build_holomorph(groups_of_order(6)[1])
-    return bracoid_from_subgroup(ctx, ctx.hol)
+    return bracoid_from_subgroup(ctx.group, ctx.hol)
 
 
 @given(st.sampled_from(["add", "circ"]), st.integers(0, 5), st.integers(0, 5), st.integers(1, 5))
 def test_brace_one_cell_mutation_is_rejected(which, i, j, shift):
     b = _s3_right_brace()
-    tables = {"add": b.add.copy(), "circ": b.circ.copy()}
+    tables = {"add": b.add.mul.copy(), "circ": b.circ.mul.copy()}
     tables[which][i, j] = (tables[which][i, j] + shift) % 6
     with pytest.raises((StructureError, ConsistencyError)):
-        SkewBrace(6, tables["add"], tables["circ"]).validate()
+        SkewBrace(GroupTable(tables["add"]), GroupTable(tables["circ"])).validate()
 
 
 @given(st.integers(0, 35), st.integers(0, 5), st.integers(1, 5))
@@ -241,9 +244,10 @@ def test_bracoid_one_cell_mutation_is_rejected(g, mu, shift):
 # -- generator checks against all-elements references ----------------------
 
 
-def _rejects(b) -> bool:
+def _rejects(build) -> bool:
+    """Whether building the object, or its `validate`, raises."""
     try:
-        b.validate()
+        build().validate()
     except (StructureError, ConsistencyError):
         return True
     return False
@@ -288,7 +292,7 @@ def test_bracoid_validation_agrees_with_all_elements_reference(census, degree):
     rng = np.random.default_rng(degree)
     verdicts = set()
     for rec in census(degree).records:
-        b = bracoid_from_subgroup(rec.ctx, rec.rep)
+        b = bracoid_from_subgroup(rec.ctx.group, rec.rep)
         variants = [b.action]
         for _ in range(2):  # seeded one-cell mutations
             a = b.action.copy()
@@ -297,7 +301,7 @@ def test_bracoid_validation_agrees_with_all_elements_reference(census, degree):
             variants.append(a)
         for a in variants:
             ok = _bracoid_reference(b.acting.mul, b.target.mul, a)
-            assert _rejects(SkewBracoid(b.acting, b.target, a, b.reduced)) == (not ok)
+            assert _rejects(lambda: SkewBracoid(b.acting, b.target, a, b.reduced)) == (not ok)
             verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -309,21 +313,21 @@ def test_brace_validation_agrees_with_all_elements_reference(census, degree):
     for rec in census(degree).records:
         if not rec.regular:
             continue
-        br = brace_from_regular(rec.ctx, rec.rep)
-        variants = [("brace", br.add, br.circ)]
+        br = brace_from_regular(rec.ctx.group, rec.rep)
+        variants = [("brace", br.add.mul, br.circ.mul)]
         for _ in range(3):  # seeded relabellings fixing 0: the circle stays a group
             relabel = np.concatenate([[0], 1 + rng.permutation(degree - 1)])
-            relabelled = np.empty_like(br.circ)
-            relabelled[np.ix_(relabel, relabel)] = relabel[br.circ]
-            variants.append(("relabelled", br.add, relabelled))
+            relabelled = np.empty_like(br.circ.mul)
+            relabelled[np.ix_(relabel, relabel)] = relabel[br.circ.mul]
+            variants.append(("relabelled", br.add.mul, relabelled))
         for which in range(2):  # seeded one-cell mutations of each table
-            tables = [br.add.copy(), br.circ.copy()]
+            tables = [br.add.mul.copy(), br.circ.mul.copy()]
             x, y = rng.integers(0, degree, size=2)
             tables[which][x, y] = (tables[which][x, y] + rng.integers(1, degree)) % degree
             variants.append(("mutated", *tables))
         for kind, add, circ in variants:
             ok = _brace_reference(add, circ)
-            assert _rejects(SkewBrace(degree, add, circ)) == (not ok)
+            assert _rejects(lambda: SkewBrace(GroupTable(add), GroupTable(circ))) == (not ok)
             seen.add((kind, ok))
     assert {("brace", True), ("mutated", False)} <= seen
     # from degree 4 on, some relabelled circle groups fail compatibility only

@@ -17,6 +17,7 @@ from hgcensus.actions import brace_from_regular, bracoid_from_subgroup, ybe_solu
 from hgcensus.catalog import groups_of_order
 from hgcensus.cli import SCHEMA_VERSION, RunConfig, _census_payload, _dump_canonical, main, parse_degrees
 from hgcensus.errors import StructureError
+from hgcensus.holomorph import HolomorphContext
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import PermGroup, format_cycles, parse_cycles
 
@@ -324,6 +325,37 @@ def test_malformed_cycle_notation_in_the_cache_is_a_clean_error(tmp_path, capsys
     assert "error: bad cycle notation" in err
 
 
+# (class, member index, generators, part of the message).  Unchecked, the
+# first case wrote an order-4 bracoid under the order-12 label, and the
+# others sit in the last class `--all-braces` exports, after files an
+# unchecked export would already have written
+_TAMPERED = {
+    "order-4-group-under-an-order-12-label": ("d4-o12-s3-c1", 0, ["(0 1 2 3)"], "order 4"),
+    "order-2-group-under-an-order-4-label": ("d4-o4-s1-c2", 1, ["(0 1)(2 3)"], "order 2"),
+    "generators-not-a-list": ("d4-o4-s1-c2", 1, 5, "not a list"),
+    "generators-not-strings": ("d4-o4-s1-c2", 1, [[1, 0, 3, 2]], "not a list"),
+    # regular and cyclic of order 4, as the class says, but outside Hol(C4)
+    "generator-outside-the-holomorph": ("d4-o4-s1-c2", 0, ["(0 1 3 2)"], "does not lie in Hol(C4)"),
+}
+
+
+@pytest.mark.parametrize("case,mode", [(case, "--class") for case in _TAMPERED] + [
+    (case, "--all-braces") for case in _TAMPERED if _TAMPERED[case][0] != "d4-o12-s3-c1"])
+def test_tampered_members_are_refused_before_any_file_is_written(tmp_path, capsys, case, mode):
+    label, j, gens, message = _TAMPERED[case]
+    _run(capsys, "enumerate", "--degrees", "4", "--format", "csv", "--cache-dir", str(tmp_path))
+    path = tmp_path / "degree-004.json"
+    payload = json.loads(path.read_text())
+    (cls,) = [c for c in payload["classes"] if c["label"] == label]
+    cls["members"][j]["generators"] = gens
+    path.write_text(json.dumps(payload))
+    target = ["--class", label] if mode == "--class" else ["--all-braces"]
+    rc, out, err = _run(capsys, "actions", "--degree", "4", *target, "--cache-dir", str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert out == "" and not (tmp_path / "actions").exists()
+
+
 def test_census_and_export_never_list_automorphisms_by_backtracking(tmp_path, capsys, monkeypatch):
     # the backtracking listing is the tests' reference only; Aut(N) is
     # rebuilt under the guard for each command, since tables cache it
@@ -389,10 +421,10 @@ def test_canonical_writer_matches_json_dumps(census):
     # the writer must give the bytes of json.dumps(indent=2, sort_keys=True)
     c = census(6)
     regular = next(rec for rec in c.records if rec.regular)
-    brace = brace_from_regular(regular.ctx, regular.rep)
+    brace = brace_from_regular(regular.ctx.group, regular.rep)
     payloads = [
         _census_payload(c, RunConfig(degrees=[6])),
-        bracoid_from_subgroup(c.records[-1].ctx, c.records[-1].rep).to_json_dict(),
+        bracoid_from_subgroup(c.records[-1].ctx.group, c.records[-1].rep).to_json_dict(),
         brace.to_json_dict(),
         ybe_solution(brace).to_json_dict(),
         {},
@@ -437,3 +469,35 @@ def test_artifacts_match_the_pinned_reference_digests(census, degree):
     pinned = json.loads(_REFERENCE.read_text())["artifacts"][f"degree-{degree:03d}.json"]
     text = _dump_canonical(_census_payload(census(degree), RunConfig(degrees=[degree])))
     assert hashlib.sha256(_ENGINE_VERSION_LINE.sub(b"", text.encode())).hexdigest() == pinned
+
+
+def _export_every_class(census, cache: Path, degrees) -> None:
+    """A cache of the session's censuses, then `actions --class` for every
+    class and `actions --all-braces` for every degree, as the benchmark runs them."""
+    for d in degrees:
+        payload = _census_payload(census(d), RunConfig(degrees=[d]))
+        (cache / f"degree-{d:03d}.json").write_text(_dump_canonical(payload))
+        for target in [["--class", cls["label"]] for cls in payload["classes"]] + [["--all-braces"]]:
+            argv = ["actions", "--degree", str(d), *target, "--cache-dir", str(cache)]
+            assert main(argv) == 0, argv
+
+
+def test_action_files_match_the_pinned_reference_digests(census, tmp_path, capsys):
+    # all 383 action files of degrees 2-15 hash to the digests the benchmark pins
+    pinned = json.loads(_REFERENCE.read_text())["actions"]
+    _export_every_class(census, tmp_path, range(2, 16))
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "actions").iterdir()}
+    assert len(pinned) == 383 and written == pinned
+
+
+def test_export_builds_no_holomorph(census, tmp_path, capsys, monkeypatch):
+    # the export reads N's catalog table only: every command at degree 8
+    # succeeds with holomorph construction refused
+    census(8)  # the census itself builds them, before the guard
+
+    def refuse(self, group):
+        raise AssertionError("holomorph built on the export path")
+
+    monkeypatch.setattr(HolomorphContext, "__init__", refuse)
+    _export_every_class(census, tmp_path, [8])

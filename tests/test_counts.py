@@ -263,6 +263,24 @@ def test_oversized_holomorph_stops_degree_16_before_any_holomorph(monkeypatch):
     assert c.contexts == [] and c.records == []
 
 
+def test_a_weight_the_normalizer_does_not_divide_is_refused(monkeypatch):
+    # |N_A(G)| = normalizer_order / n divides |Aut(G, G')|; halving a class
+    # weight that equals some member's |N_A(G)| breaks that at degree 4
+    weight = counts._class_weight
+    halved = []
+
+    def fault(cls):
+        w = weight(cls)
+        if not halved and w % 2 == 0 and any(w == rec.normalizer_order // 4 for _, rec in cls.members):
+            halved.append(cls.label)
+        return w // 2 if cls.label in halved else w
+
+    monkeypatch.setattr(counts, "_class_weight", fault)
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        build_degree_census(4)
+    assert halved == ["d4-o4-s1-c1"]
+
+
 @pytest.mark.parametrize("degree", [*range(2, 13), 41])
 def test_class_weight_equals_the_search_on_record_tables(census, record_table, degree):
     # the weight searches the leader inside its holomorph table; the oracle
