@@ -18,6 +18,10 @@ generators of a table that has passed Light's test (`GroupTable.acts`),
 and a skew brace is validated as the regular bracoid of its circle group.
 Tables are never changed in place and record a passed `validate`, so N's
 catalog table, validated at load, is not checked again.
+
+Each artifact's `payload()` holds its tables as the integer arrays it was
+built and checked on, for the writer in `cli`; `to_json_dict()` is the
+same payload with nested lists.
 """
 
 from __future__ import annotations
@@ -83,14 +87,17 @@ class SkewBracoid:
             g = int(gens[np.argmax(bad)])
             raise ConsistencyError(f"bracoid: compatibility law fails for acting element {g}")
 
-    def to_json_dict(self) -> dict:
+    def payload(self) -> dict:
         return {
             "kind": "skew_bracoid",
             "acting_order": int(self.acting.order),
             "degree": int(self.degree),
             "reduced": bool(self.reduced),
-            "action": self.action.astype(int).tolist(),
+            "action": self.action,
         }
+
+    def to_json_dict(self) -> dict:
+        return _as_lists(self.payload())
 
 
 @dataclass
@@ -110,13 +117,16 @@ class SkewBrace:
         self.add.validate("brace additive table")
         SkewBracoid(self.circ, self.add, self.circ.mul, True).validate()
 
-    def to_json_dict(self) -> dict:
+    def payload(self) -> dict:
         return {
             "kind": "skew_brace",
             "order": int(self.order),
-            "additive": self.add.mul.tolist(),
-            "circle": self.circ.mul.tolist(),
+            "additive": self.add.mul,
+            "circle": self.circ.mul,
         }
+
+    def to_json_dict(self) -> dict:
+        return _as_lists(self.payload())
 
 
 @dataclass
@@ -150,15 +160,23 @@ class YBESolution:
                 f"braid relation fails at {tuple(int(v) for v in np.argwhere(bad)[0])}"
             )
 
-    def to_json_dict(self) -> dict:
+    def payload(self) -> dict:
         n = self.order
         return {
             "kind": "ybe_solution",
             "order": int(n),
-            "r": self.r.reshape(n * n, 2).tolist(),
-            "sigma": self.sigma.astype(int).tolist(),
-            "rho": self.rho.astype(int).tolist(),
+            "r": self.r.reshape(n * n, 2),
+            "sigma": self.sigma,
+            "rho": self.rho,
         }
+
+    def to_json_dict(self) -> dict:
+        return _as_lists(self.payload())
+
+
+def _as_lists(payload: dict) -> dict:
+    """An artifact's payload with every array as nested lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
 
 
 def _table_of(N: Union[GroupTable, HolomorphContext]) -> GroupTable:

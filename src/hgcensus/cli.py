@@ -5,7 +5,10 @@ indent), so identical configuration and code reproduce identical bytes.
 Wall-clock timings are deliberately kept out of those artifacts; they go
 to a sidecar log, `timings.json`, which is the one file in the cache
 directory that is not deterministic.  Every file is written through a
-temporary file and a rename, so a reader never sees half of one.
+temporary file and a rename, so a reader never sees half of one, and a
+regular file already holding the same bytes is left in place.  Action
+artifacts give the writer their integer tables as arrays, each written
+with one `str.format` over a template of its shape.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -133,8 +137,10 @@ def _degree_path(cache_dir: Path, degree: int) -> Path:
 
 def _dump_canonical(payload: dict) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte
-    for byte.  That call takes Python's pure-Python encoder; this writer
-    hands every scalar to the C encoder and joins lists of plain ints in C."""
+    for byte, where every numpy array stands for its `.tolist()`.  That call
+    takes Python's pure-Python encoder; this writer hands every scalar to
+    the C encoder and writes each integer array with one `str.format` of
+    its cells, so no nested list is built or scanned."""
     return _canonical(payload, "\n") + "\n"
 
 
@@ -149,21 +155,51 @@ def _canonical(value, pad: str) -> str:
             for k, v in sorted(value.items())
         )
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu" and value.ndim:
+            return _layout(value.shape, pad).format(*value.ravel().tolist())
+        return _canonical(value.tolist(), pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
-            items = map(str, value)
-        else:
-            items = (_canonical(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return "[" + inner + ("," + inner).join(_canonical(v, inner) for v in value) + pad + "]"
     return json.dumps(value)
 
 
+def _layout(shape: tuple[int, ...], pad: str) -> str:
+    """The indented JSON of an array of this shape with a `{}` for each
+    cell, in row-major order: the whole array is then one `str.format`."""
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    item = _layout(shape[1:], inner) if len(shape) > 1 else "{}"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
+
+
+def _same_bytes(path: Path, data: bytes) -> bool:
+    """Whether `path` is a regular file holding exactly `data`.  Only a
+    regular file of that size is opened, so a FIFO there is never read."""
+    try:
+        st = os.stat(path)
+        return stat.S_ISREG(st.st_mode) and st.st_size == len(data) and path.read_bytes() == data
+    except OSError:
+        return False
+
+
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file and a rename; a file already holding
+    these bytes is left in place, so a deterministic artifact written again
+    costs one read and no rename."""
+    data = text.encode()
+    if _same_bytes(path, data):
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _row_dict(row: DegreeReportRow) -> dict:
@@ -368,7 +404,7 @@ def _export_actions(degree: int, classes: list[dict], cache_dir: Path, bracoids:
     written = []
     for name, artifact in artifacts:
         path = out_dir / name
-        _write_atomic(path, _dump_canonical(artifact.to_json_dict()))
+        _write_atomic(path, _dump_canonical(artifact.payload()))
         written.append(path)
     return written
 

@@ -42,8 +42,9 @@ count is 0 or that group's chain count.  A one-sided count keeps the
 witnesses it found (`witnesses`): each lies outside the group the earlier
 ones generate, and together they are a strong generating set of
 Aut(T, marked), so `catalog.automorphism_group` closes them instead of
-listing every map.  Mode "all" lists every map by backtracking; nothing in
-the engine calls it, and it stays as the tests' reference listing.
+listing every map.  The engine never lists every map; the tests' reference
+listing (`all_maps` in their `conftest.py`) runs `_descend` without
+stopping at the first.
 """
 
 from __future__ import annotations
@@ -182,22 +183,20 @@ class IsoSearch:
         self.right = [tables[a] for a in lo.tolist()]
 
     def run(self, mode: str = "count"):
-        """mode "count" -> int; "first" -> map array or None; "all" -> list of
-        maps, the tests' reference listing (the engine counts instead)."""
+        """mode "count" -> int; "first" -> map array or None."""
         if mode == "count":
             return self._count()
+        if mode != "first":
+            raise ValueError(f"unknown search mode {mode!r}")
         if not self.feasible:
-            return None if mode == "first" else []
+            return None
         if self.m == 1:
-            one = np.zeros(1, dtype=np.int64)
-            return one if mode == "first" else [one]
+            return np.zeros(1, dtype=np.int64)
         phi = np.full(self.plan.total, -1, dtype=np.intp)
         phi[0] = 0
         cols = [range(len(c)) for c in self.cands]
-        maps = self._descend(cols, 0, phi, [0] * len(cols), mode == "first")
-        if mode == "first":
-            return maps[0] if maps else None
-        return maps
+        maps = self._descend(cols, 0, phi, [0] * len(cols), True)
+        return maps[0] if maps else None
 
     def _count(self) -> int:
         """Number of marked isomorphisms, by the orbit-stabilizer chain."""

@@ -11,6 +11,7 @@ instead of truncating.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -94,13 +95,16 @@ def closure(
     for g in gens:
         if len(g) != degree or not is_perm(g):
             raise StructureError(f"not a permutation of degree {degree}: {g}")
+    # itemgetter(*g)(cur) is compose(cur, g); below two points every
+    # permutation is the identity, and itemgetter would return a scalar
+    steps = [itemgetter(*g) for g in gens] if degree > 1 else []
     e = tuple(range(degree))
     seen = {e}
     frontier = deque([e])
     while frontier:
         cur = frontier.popleft()
-        for g in gens:
-            nxt = compose(cur, g)
+        for step in steps:
+            nxt = step(cur)
             if nxt not in seen:
                 if len(seen) >= budget:
                     raise ClosureBudgetError(

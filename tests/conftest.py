@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from hgcensus import build_degree_census
 from hgcensus.errors import StructureError
+from hgcensus.iso import IsoSearch
 from hgcensus.perm import orbit_labels
 from hgcensus.table import GroupTable
 
@@ -93,6 +94,25 @@ def subtable():
 def record_table():
     """The k x k table and stabilizer mask of a transitive record."""
     return _record_table
+
+
+def _all_maps(search: IsoSearch) -> list[np.ndarray]:
+    """Every map a search admits, listed by backtracking without stopping
+    at the first: the listing the engine's chain counts are checked against."""
+    if not search.feasible:
+        return []
+    if search.m == 1:
+        return [np.zeros(1, dtype=np.int64)]
+    phi = np.full(search.plan.total, -1, dtype=np.intp)
+    phi[0] = 0
+    cols = [range(len(c)) for c in search.cands]
+    return search._descend(cols, 0, phi, [0] * len(cols), False)
+
+
+@pytest.fixture(scope="session")
+def all_maps():
+    """The reference listing of every isomorphism a search admits."""
+    return _all_maps
 
 
 @pytest.fixture(scope="session")

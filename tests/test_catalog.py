@@ -145,12 +145,12 @@ def _catalog_groups() -> list[GroupTable]:
     return [g for n in catalog_orders() for g in groups_of_order(n)]
 
 
-def test_automorphism_group_equals_the_backtracking_listing():
+def test_automorphism_group_equals_the_backtracking_listing(all_maps):
     # every catalog group, C2^4 (|Aut| = 20160) included
     groups = _catalog_groups()
     assert len(groups) == 59
     for g in groups:
-        maps = np.array(IsoSearch(g, g).run("all"))
+        maps = np.array(all_maps(IsoSearch(g, g)))
         assert np.array_equal(automorphism_group(g).elements, maps[np.lexsort(maps.T[::-1])]), g.name
 
 

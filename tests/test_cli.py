@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import builtins
 import gc
 import hashlib
+import io
 import json
+import os
 import re
+import stat
 import weakref
 from pathlib import Path
 
@@ -357,16 +361,17 @@ def test_tampered_members_are_refused_before_any_file_is_written(tmp_path, capsy
 
 
 def test_census_and_export_never_list_automorphisms_by_backtracking(tmp_path, capsys, monkeypatch):
-    # the backtracking listing is the tests' reference only; Aut(N) is
-    # rebuilt under the guard for each command, since tables cache it
-    listing = IsoSearch.run
+    # the backtracking listing (a descent that does not stop at the first
+    # map) is the tests' reference only; Aut(N) is rebuilt under the guard
+    # for each command, since tables cache it
+    descend = IsoSearch._descend
 
-    def run(self, mode="count"):
-        if mode == "all":
+    def guarded(self, cols, start, phi, gen_img, first):
+        if not first:
             raise AssertionError("backtracking automorphism listing on an engine path")
-        return listing(self, mode)
+        return descend(self, cols, start, phi, gen_img, first)
 
-    monkeypatch.setattr(IsoSearch, "run", run)
+    monkeypatch.setattr(IsoSearch, "_descend", guarded)
     for g in groups_of_order(8):
         monkeypatch.setattr(g, "_aut", None)
     rc, _, _ = _run(capsys, "enumerate", "--degrees", "8", "--format", "csv",  # build_degree_census(8)
@@ -410,11 +415,16 @@ def test_list_classes_goes_to_stderr(tmp_path, capsys):
 
 
 def test_emit_actions_during_enumerate(tmp_path, capsys):
-    rc, _, _ = _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
-                    "--emit-actions", "--cache-dir", str(tmp_path))
+    rc, _, err = _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
+                      "--emit-actions", "--cache-dir", str(tmp_path))
     assert rc == 0
     braces = list((tmp_path / "actions").glob("*-brace.json"))
     assert len(braces) == 4  # brace count at this order
+    assert "degree 4: wrote 8 action file(s)" in err
+    # a second run finds every file in place and still counts it
+    rc, _, err = _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
+                      "--emit-actions", "--cache-dir", str(tmp_path))
+    assert rc == 0 and "degree 4: wrote 8 action file(s)" in err
 
 
 def test_canonical_writer_matches_json_dumps(census):
@@ -422,11 +432,13 @@ def test_canonical_writer_matches_json_dumps(census):
     c = census(6)
     regular = next(rec for rec in c.records if rec.regular)
     brace = brace_from_regular(regular.ctx.group, regular.rep)
+    bracoid = bracoid_from_subgroup(c.records[-1].ctx.group, c.records[-1].rep)
+    solution = ybe_solution(brace)
     payloads = [
         _census_payload(c, RunConfig(degrees=[6])),
-        bracoid_from_subgroup(c.records[-1].ctx.group, c.records[-1].rep).to_json_dict(),
+        bracoid.to_json_dict(),
         brace.to_json_dict(),
-        ybe_solution(brace).to_json_dict(),
+        solution.to_json_dict(),
         {},
         {"empty_list": [], "empty_dict": {}, "none": None, "float": 0.1, "neg": -2.5e-300},
         {"bools": [True, False, 1, 0], "mixed": [1, None, [2, [], {}], {"b": "é\n", "a": (3, 4)}]},
@@ -435,6 +447,94 @@ def test_canonical_writer_matches_json_dumps(census):
     ]
     for p in payloads:
         assert _dump_canonical(p) == json.dumps(p, indent=2, sort_keys=True) + "\n"
+    # arrays are written as their .tolist(), which is what to_json_dict holds
+    a = np.arange(-7, 8).reshape(3, 5)
+    arrays = [np.arange(5), a[:0], a[:, :0], np.zeros((2, 0, 3), dtype=np.int64),
+              np.arange(24).reshape(2, 3, 4), a > 0, a / 2, np.array(4)]
+    for dtype in (np.int16, np.int32, np.int64, np.uint8):
+        b = np.abs(a).astype(dtype)
+        arrays += [b, b.T, b[:1], b[:, :1], b[::2, ::-2]]
+    assert not arrays[-4].flags.c_contiguous  # a transposed view
+    artifacts = [bracoid, brace, solution]
+    assert not solution.rho.flags.c_contiguous  # rho is tau.T
+    for p in [x.payload() for x in artifacts] + [{"x": x, "n": 1} for x in arrays]:
+        lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in p.items()}
+        assert _dump_canonical(p) == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+    for x in artifacts:
+        assert x.to_json_dict() == {k: v.tolist() if isinstance(v, np.ndarray) else v
+                                    for k, v in x.payload().items()}
+
+
+def test_identical_bytes_leave_the_file_in_place(tmp_path):
+    path = tmp_path / "a.json"
+    cli._write_atomic(path, "[1, 2]\n")  # a missing file is created
+    assert path.read_text() == "[1, 2]\n"
+    before = path.stat()
+    cli._write_atomic(path, "[1, 2]\n")
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    cli._write_atomic(path, "[1, 3]\n")  # same size, other bytes: replaced
+    assert path.read_text() == "[1, 3]\n" and path.stat().st_ino != before.st_ino
+    cli._write_atomic(path, "[1]\n")
+    assert path.read_text() == "[1]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+@pytest.mark.parametrize("text", ["{}\n", ""])  # a FIFO's size is 0
+def test_a_fifo_at_the_target_is_replaced_unopened(tmp_path, monkeypatch, text):
+    # reading a FIFO with no writer would block: the writer must not open it
+    path = tmp_path / "a.json"
+    os.mkfifo(path)
+    opened = []
+
+    def guard(real):
+        def open_(file, *args, **kwargs):
+            if Path(os.fsdecode(file)) == path:
+                opened.append(file)
+                raise AssertionError("the FIFO was opened")
+            return real(file, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(io, "open", guard(io.open))
+    monkeypatch.setattr(builtins, "open", guard(builtins.open))
+    monkeypatch.setattr(os, "open", guard(os.open))
+    cli._write_atomic(path, text)
+    monkeypatch.undo()
+    assert not opened
+    assert stat.S_ISREG(path.stat().st_mode) and path.read_text() == text
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.json"
+    path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+def test_class_then_all_braces_lists_every_file_and_rewrites_none(census, tmp_path, capsys):
+    d = 6
+    payload = _census_payload(census(d), RunConfig(degrees=[d]))
+    (tmp_path / f"degree-{d:03d}.json").write_text(_dump_canonical(payload))
+    cls = next(c for c in payload["classes"] if c["regular"])
+    regular = [f"{m['label']}-{kind}.json" for c in payload["classes"]
+               for m in c["members"] if m["regular"] for kind in ("brace", "ybe")]
+    own = [f"{cls['label']}-bracoid.json"] + [n for n in regular if n.startswith(cls["label"] + "-")]
+    cache = ["--cache-dir", str(tmp_path)]
+    rc, out, _ = _run(capsys, "actions", "--degree", str(d), "--class", cls["label"], *cache)
+    assert rc == 0 and out.splitlines() == [str(tmp_path / "actions" / n) for n in own]
+    kept = {n: (tmp_path / "actions" / n).stat() for n in own}
+    rc, out, _ = _run(capsys, "actions", "--degree", str(d), "--all-braces", *cache)
+    assert rc == 0 and out.splitlines() == [str(tmp_path / "actions" / n) for n in regular]
+    for n, st in kept.items():  # written again with the same bytes: left in place
+        now = (tmp_path / "actions" / n).stat()
+        assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns), n
 
 
 def test_enumerate_frees_each_census_before_the_next_degree(tmp_path, capsys, monkeypatch):

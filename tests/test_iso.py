@@ -31,11 +31,11 @@ def test_same_order_different_groups_are_not_isomorphic():
     assert IsoSearch(S3, C6).run("count") == 0
 
 
-def test_different_orders_infeasible():
+def test_different_orders_infeasible(all_maps):
     s = IsoSearch(C4, S3)
     assert not s.feasible
     assert s.run("count") == 0
-    assert s.run("all") == []
+    assert all_maps(s) == []
 
 
 def test_identity_map_found_on_equal_tables():
@@ -59,8 +59,8 @@ def test_automorphisms_of_elementary_abelian_rank3():
     assert IsoSearch(E8, E8).run("count") == 168
 
 
-def test_all_maps_are_distinct_bijections():
-    maps = IsoSearch(V4, V4).run("all")
+def test_all_maps_are_distinct_bijections(all_maps):
+    maps = all_maps(IsoSearch(V4, V4))
     assert len(maps) == 6
     seen = {tuple(m.tolist()) for m in maps}
     assert len(seen) == 6
@@ -94,23 +94,23 @@ def test_marked_count_mismatch_is_infeasible():
     assert not s.feasible
 
 
-def test_marked_maps_respect_the_marking(subtable):
+def test_marked_maps_respect_the_marking(subtable, all_maps):
     T = _table_of(["(0 1 2 3)", "(4 5)"], 6)
     cyc = next(s for s in T.all_subgroups()
                if len(s) == 4 and subtable(T, s)[0].elem_order.max() == 4)
     marked = set(cyc.tolist())
-    for m in IsoSearch(T, T, marked1=cyc, marked2=cyc).run("all"):
+    for m in all_maps(IsoSearch(T, T, marked1=cyc, marked2=cyc)):
         assert {int(m[i]) for i in cyc} == marked
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
-def test_chain_count_equals_listed_maps_on_every_class(census, record_table, degree):
+def test_chain_count_equals_listed_maps_on_every_class(census, record_table, all_maps, degree):
     # |Aut(G, G')| by the orbit-stabilizer chain against the full list
     for cls in census(degree).classes:
         T, mask = record_table(cls.members[0][1])
         idx = np.flatnonzero(mask)
         search = IsoSearch(T, T, marked1=idx, marked2=idx)
-        assert search.run("count") == len(search.run("all")), cls.label
+        assert search.run("count") == len(all_maps(search)), cls.label
 
 
 def test_chain_count_equals_automorphism_group_order():
@@ -134,17 +134,17 @@ def _relabeled(T: GroupTable, perm: np.ndarray) -> GroupTable:
     return GroupTable(mul)
 
 
-def test_count_between_isomorphic_tables_is_the_target_aut_order():
+def test_count_between_isomorphic_tables_is_the_target_aut_order(all_maps):
     rng = np.random.default_rng(3)
     for T in (S3, C6, _table_of(["(0 1 2 3)", "(4 5)"], 6)):
         perm = np.concatenate([[0], 1 + rng.permutation(T.order - 1)])
         T2 = _relabeled(T, perm)
         assert not np.array_equal(T2.mul, T.mul)
         assert IsoSearch(T, T2).run("count") == IsoSearch(T2, T2).run("count")
-        assert IsoSearch(T, T2).run("count") == len(IsoSearch(T, T2).run("all"))
+        assert IsoSearch(T, T2).run("count") == len(all_maps(IsoSearch(T, T2)))
         sub = next(s for s in T.all_subgroups() if 1 < len(s) < T.order)
         marked = IsoSearch(T, T2, marked1=sub, marked2=np.sort(perm[sub]))
-        assert marked.run("count") == len(marked.run("all")) > 0
+        assert marked.run("count") == len(all_maps(marked)) > 0
 
 
 def _colour_test_tables(census, record_table) -> list[GroupTable]:
@@ -199,15 +199,16 @@ def test_constant_colours_change_no_count_or_partition(census, record_table, mon
     assert partition(classify_degree(c.records)) == want_partition
 
 
-def test_search_is_freed_without_the_cycle_collector():
+def test_search_is_freed_without_the_cycle_collector(all_maps):
     # no reference cycle keeps a finished search, and with it both tables, alive
     T = groups_of_order(8)[2]
     marked = T.closure_of([T.generators()[0]])
+    runs = {"count": lambda s: s.run("count"), "first": lambda s: s.run("first"), "all": all_maps}
     gc.disable()
     try:
-        for mode in ("count", "first", "all"):
+        for mode, run in runs.items():
             search = IsoSearch(T, T, marked1=marked, marked2=marked)
-            search.run(mode)
+            run(search)
             ref = weakref.ref(search)
             del search
             assert ref() is None, mode

@@ -100,6 +100,16 @@ def test_closure_symmetric_group():
     assert elems[0].tolist() == [0, 1, 2, 3]
 
 
+def test_closure_below_two_points_and_without_generators():
+    # one point: every generator is the identity, and the group is trivial
+    assert closure([(0,), (0,)], 1).tolist() == [[0]]
+    assert closure([], 1).tolist() == [[0]]
+    assert closure([], 4).tolist() == [[0, 1, 2, 3]]
+    assert closure([], 0).shape == (1, 0)
+    with pytest.raises(StructureError):
+        closure([(1,)], 1)
+
+
 def test_closure_respects_budget():
     gens = [parse_cycles("(0 1)", 6), parse_cycles("(0 1 2 3 4 5)", 6)]
     with pytest.raises(ClosureBudgetError):
