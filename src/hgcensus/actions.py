@@ -8,12 +8,12 @@ Yang-Baxter map of a brace, and realizes N as a regular subgroup of the
 symmetric group on the points of an external acting group.  N is given
 by its catalog `GroupTable`, whose `mul` is the carrier's first operation.
 
-The bracoid and brace builders read nothing of Hol(N) but N's table: M lies
-in Hol(N) exactly when the compatibility law holds on M's generators (see
-`SkewBracoid.validate`), so no holomorph is built.  Each builds one table
-whose generators are M's own: a bracoid M's table (`PermGroup.table`), a
-brace its circle table.
-Every action, homomorphism and compatibility law here is checked on the
+No function here builds Hol(N) or reads more of it than N's table.  M lies
+in Hol(N) exactly when its generators pass `holomorph.in_holomorph`, which
+is the compatibility law (see `SkewBracoid.validate`); `cocycle_decompose`
+puts every element of M through the same test.  The bracoid and brace
+builders each build one table whose generators are M's own: a bracoid M's
+table (`PermGroup.table`), a brace its circle table.  Every action, homomorphism and compatibility law here is checked on the
 generators of a table that has passed Light's test (`GroupTable.acts`),
 and a skew brace is validated as the regular bracoid of its circle group.
 Tables are never changed in place and record a passed `validate`, so N's
@@ -33,7 +33,7 @@ import numpy as np
 
 from .classify import is_stab_respecting_iso
 from .errors import ConsistencyError, StructureError
-from .holomorph import HolomorphContext
+from .holomorph import HolomorphContext, in_holomorph
 from .perm import PermGroup, is_transitive, row_index
 from .table import GroupTable
 
@@ -64,9 +64,9 @@ class SkewBracoid:
         that table has passed Light's test (see `GroupTable.acts`).  For
         compatibility fix g, let c = a[g](e) and psi = c^-1 a[g]: g satisfies
         g(mu nu) = g(mu) g(e)^-1 g(nu) exactly when psi is an automorphism
-        of the target, that is, when a[g] lies in its holomorph.  The
-        passing elements are the preimage of the holomorph under the
-        homomorphism g -> a[g], a subgroup, so generators again suffice.
+        of the target, that is, when a[g] lies in its holomorph
+        (`in_holomorph`).  The passing elements are the preimage of the
+        holomorph under g -> a[g], a subgroup, so generators suffice.
         """
         T, a = self.acting, self.action
         n = self.target.order
@@ -78,11 +78,8 @@ class SkewBracoid:
             raise StructureError("bracoid: action is not a group action")
         if len(np.unique(a[:, 0])) != n:
             raise StructureError("bracoid: action is not transitive")
-        t, tinv = self.target.mul, self.target.inv
         gens = np.array(T.generators(), dtype=np.int64)
-        row = a[gens]
-        left = t[row, tinv[row[:, 0]][:, None]]  # g(mu) g(e)^-1
-        bad = (row[:, t] != t[left[:, :, None], row[:, None, :]]).any(axis=(1, 2))
+        bad = ~in_holomorph(self.target, a[gens])
         if bad.any():
             g = int(gens[np.argmax(bad)])
             raise ConsistencyError(f"bracoid: compatibility law fails for acting element {g}")
@@ -222,26 +219,23 @@ def bracoid_from_subgroup(
     return b
 
 
-def cocycle_decompose(ctx: HolomorphContext, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Split each element into its translation and automorphism parts.
+def cocycle_decompose(N: GroupTable, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Split each element of M, a subgroup of Hol(N) for N's table, into
+    its translation and automorphism parts.
 
     Returns (pi, gamma) over M's sorted elements: pi[i] is the point the
     element sends the identity to, gamma[i] the image row of its stabilizer
-    part.  Verifies gamma lands in the automorphism group, that the gamma
-    rows multiply like M (on generators, see `GroupTable.acts`), the
-    twisted product law for generators against every element, and exact
-    recomposition of the action.
+    part.  Verifies M lies in Hol(N) (`in_holomorph`), so that every gamma
+    row is an automorphism, that the gamma rows multiply like M (on
+    generators, see `GroupTable.acts`), the twisted product law for
+    generators against every element, and exact recomposition of the action.
     """
-    if M.degree != ctx.n:
-        raise StructureError("subgroup does not live in this holomorph")
     P = M.elements.astype(np.int32)
-    if (row_index(P, ctx.perms) < 0).any():
+    if M.degree != N.order or not in_holomorph(N, P).all():
         raise StructureError("subgroup does not live in this holomorph")
-    t = ctx.group.mul
+    t = N.mul
     pi = P[:, 0].copy()
-    gamma = t[ctx.group.inv[pi][:, None], P].astype(np.int32)
-    if (row_index(gamma, ctx.aut.elements) < 0).any():
-        raise ConsistencyError("stabilizer part is not an automorphism")
+    gamma = t[N.inv[pi][:, None], P].astype(np.int32)
     T = M.table()
     if not T.acts(gamma, "subgroup table"):
         raise ConsistencyError("automorphism parts do not multiply")
@@ -302,10 +296,10 @@ def ybe_solution(b: SkewBrace) -> YBESolution:
 def realize_regular_subgroup(
     G: PermGroup,
     M: PermGroup,
-    ctx: HolomorphContext,
+    N: GroupTable,
     phi: np.ndarray,
 ) -> PermGroup:
-    """Regular image of N on the points of an external acting group.
+    """Regular image of N, given by its table, on the points of an external acting group.
 
     `phi` is an index map over sorted elements: G's element i goes to M's
     element phi[i].  It must be an isomorphism of the transitive group G
@@ -318,7 +312,7 @@ def realize_regular_subgroup(
     P, Q = G.elements, M.elements
     if not is_stab_respecting_iso(phi, G.table(), P, Q):
         raise StructureError("map is not a stabilizer-respecting isomorphism onto the subgroup")
-    n = ctx.n
+    n = N.order
     if P.shape[1] != n or n * int((P[:, 0] == 0).sum()) != len(P):
         raise StructureError("coset space size does not match the carrier")
     bar = np.full(n, -1, dtype=np.int64)
@@ -328,13 +322,13 @@ def realize_regular_subgroup(
     if not np.array_equal(np.sort(bar), np.arange(n)):
         raise StructureError("point correspondence is not a bijection")
 
-    alphas = np.argsort(bar)[ctx.group.mul[:, bar]]  # bar^-1 . lambda_a . bar
+    alphas = np.argsort(bar)[N.mul[:, bar]]  # bar^-1 . lambda_a . bar
     if len(np.unique(alphas[:, 0])) != n:
         raise ConsistencyError("realized image is not regular")
     for g in G.generators:
         if (row_index(g[alphas[:, np.argsort(g)]], alphas) < 0).any():
             raise ConsistencyError("realized image is not normalized by the acting group")
-    gens = alphas[ctx.group.generators()]
+    gens = alphas[N.generators()]
     return PermGroup(gens, n, elements=alphas[np.lexsort(alphas.T[::-1])])
 
 

@@ -21,9 +21,6 @@ from .iso import IsoSearch
 from .perm import PermGroup, parse_cycles
 from .table import GroupTable
 
-_SELFTEST_LIMIT = 12
-
-
 @dataclass(frozen=True)
 class GroupInvariants:
     """Cheap isomorphism invariants; equal under any relabeling."""
@@ -60,24 +57,6 @@ def invariants(gt: GroupTable) -> GroupInvariants:
         abelian=gt.is_abelian(),
         exponent=gt.exponent(),
     )
-
-
-def regular_representation(g: GroupTable, side: str = "left") -> PermGroup:
-    """Left action a: x -> a*x, or right action a: x -> x*a, on 0..n-1.
-
-    Row a of either action sends 0 to a, so the rows come sorted.
-    """
-    if side == "left":
-        perms = g.mul
-    elif side == "right":
-        perms = g.mul.T
-    else:
-        raise StructureError(f"side must be 'left' or 'right', got {side!r}")
-    return PermGroup(perms[g.generators()], g.order, elements=perms)
-
-
-def opposite_group(g: GroupTable) -> GroupTable:
-    return GroupTable(g.mul.T.copy(), g.name + "_op", g.generators())
 
 
 def automorphism_group(g: GroupTable) -> PermGroup:
@@ -166,7 +145,7 @@ def groups_of_order(n: int) -> list[GroupTable]:
     if n not in cat:
         raise UnsupportedOrderError(n, catalog_orders())
     groups = cat[n]
-    if n <= _SELFTEST_LIMIT and n not in _checked_orders:
+    if n not in _checked_orders:
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 if IsoSearch(groups[i], groups[j]).run("first") is not None:
@@ -181,8 +160,6 @@ __all__ = [
     "from_perm_generators",
     "GroupInvariants",
     "invariants",
-    "regular_representation",
-    "opposite_group",
     "automorphism_group",
     "groups_of_order",
     "catalog_orders",

@@ -35,6 +35,7 @@ from .degree2pq import build_family, witness_M_series, witness_four_types
 from .enumeration import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
 from .errors import ConsistencyError, StructureError, UnsupportedOrderError
 from .expected import MAX_EXPECTED_DEGREE, expected_row, is_disputed, DISPUTED
+from .holomorph import in_holomorph
 from .perm import PermGroup, format_cycles, parse_cycles
 from .table import GroupTable
 
@@ -351,11 +352,10 @@ def _rebuild_member(degree: int, cls: dict, member: dict) -> tuple[GroupTable, P
     """N's catalog table and a cached member's subgroup, checked against its class.
 
     The generators must be a list of cycle-notation strings, each lying in
-    Hol(N): x -> r(0)^-1 r(x) is an automorphism of N, a homomorphism law
-    checked on N's generators (Light's argument, as in `GroupTable.acts`),
-    so the closure stays inside Hol(N).  Their closure must have the
-    class's order and stabilizer order, and order = degree * stabilizer
-    order makes it transitive.  Anything else raises StructureError.
+    Hol(N) (`holomorph.in_holomorph`), so the closure stays inside Hol(N).
+    Their closure must have the class's order and stabilizer order, and
+    order = degree * stabilizer order makes it transitive.  Anything else
+    raises StructureError.
     """
     N = next((g for g in groups_of_order(degree) if g.name == member["type"]), None)
     if N is None:
@@ -364,9 +364,7 @@ def _rebuild_member(degree: int, cls: dict, member: dict) -> tuple[GroupTable, P
     if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
         raise StructureError(f"{member['label']}: generators are not a list of cycle notations")
     gens = np.array([parse_cycles(s, degree) for s in texts], dtype=np.int64).reshape(-1, degree)
-    t, ng = N.mul, np.array(N.generators(), dtype=np.int64)
-    psi = t[N.inv[gens[:, 0]][:, None], gens]
-    if (psi[:, t[ng]] != t[psi[:, ng][:, :, None], psi[:, None, :]]).any():
+    if not in_holomorph(N, gens).all():
         raise StructureError(f"{member['label']}: a generator does not lie in Hol({N.name})")
     M = PermGroup(gens, degree)
     stab = int(np.count_nonzero(M.elements[:, 0] == 0))

@@ -28,7 +28,7 @@ from .errors import BudgetError, ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext, build_holomorph
 from .iso import IsoSearch
 from .perm import orbit_labels
-from .table import DEFAULT_TABLE_BUDGET
+from .table import check_budget
 
 # cap on distinct invariant point-blocks walked per record before the
 # intermediate-lattice search is declared out of budget
@@ -274,14 +274,14 @@ def build_degree_census(
     """
     groups = groups_of_order(degree)
     unknown = DegreeReportRow(degree, len(groups), *(None,) * 7, partial=True)
-    # |Hol(N)| = n |Aut(N)|: a holomorph whose dense table the enumeration
-    # would refuse stops the degree before any holomorph is built
-    for g in groups:
-        if degree * IsoSearch(g, g).run("count") > DEFAULT_TABLE_BUDGET:
-            return DegreeCensus(unknown, [], [], [], [], [], [], [])
-    contexts = [build_holomorph(g) for g in groups]
+    contexts: list[HolomorphContext] = []
     records: list[TransitiveClassRecord] = []
     try:
+        # |Hol(N)| = n |Aut(N)|: a holomorph whose dense table the
+        # enumeration would refuse stops the degree before any is built
+        for g in groups:
+            check_budget(degree * IsoSearch(g, g).run("count"))
+        contexts = [build_holomorph(g) for g in groups]
         for ctx in contexts:
             records.extend(enumerate_transitive_classes(ctx, node_budget, time_budget))
     except BudgetError:

@@ -1,4 +1,4 @@
-"""Groups of order 2pq, their holomorphs, and verified witness subgroups.
+"""Groups of order 2pq, their automorphisms, and verified witness subgroups.
 
 For distinct odd primes p > q there are four groups of order 2pq, six when
 p is 1 mod q.  Each is built from a small faithful permutation action, its
@@ -9,8 +9,9 @@ carriers are constructed generator-by-generator and checked.
 A named automorphism is given by the images of the named generators
 x, r, s, which are the group table's `generators()` in that order.  One
 word walk expands it to an index array over the group's elements,
-accepted only if that array is a row of the verified Aut(N); maps compose
-and take powers by array indexing.
+accepted only if `holomorph.in_holomorph` passes it, as every witness
+generator must; no holomorph is built.  Maps compose and take powers by
+array indexing.
 
 Named automorphism keys, by what the map does:
   scale_x        multiplies the direct cyclic factor (identity elsewhere)
@@ -29,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import from_perm_generators
+from .catalog import automorphism_group, from_perm_generators
 from .classify import is_stab_respecting_iso, stab_respecting_iso
 from .errors import ConsistencyError, StructureError
-from .holomorph import HolomorphContext, build_holomorph
+from .holomorph import in_holomorph
 from .iso import IsoSearch
 from .perm import PermGroup, is_transitive, row_index
 from .table import GroupTable
@@ -90,10 +91,10 @@ def _map_power(a: np.ndarray, e: int) -> np.ndarray:
 
 @dataclass
 class GroupData:
-    """One order-2pq group with its context and named maps."""
+    """One order-2pq group with its automorphism group and named maps."""
 
     group: GroupTable
-    ctx: HolomorphContext
+    aut: PermGroup
     gen_index: dict[str, int]
     autos: dict[str, np.ndarray]
 
@@ -113,7 +114,7 @@ class GroupData:
         elements and fixing the others, as an index array.
 
         One word walk over the generators expands the images; the array is
-        accepted only if it is a row of Aut(N).
+        accepted only if it is an automorphism of N (`in_holomorph`).
         """
         t = self.group.mul
         pairs = [(g, images.get(k, g)) for k, g in self.gen_index.items()]
@@ -126,7 +127,7 @@ class GroupData:
                 if phi[ag] < 0:
                     phi[ag] = t[phi[a], b]
                     walk.append(ag)
-        if row_index(phi[None, :], self.ctx.aut.elements)[0] < 0:
+        if not in_holomorph(self.group, phi)[0]:
             raise StructureError(f"{self.group.name}: {images} extends to no automorphism")
         return phi
 
@@ -156,7 +157,7 @@ def _member(name: str, gens: dict[str, list[int]]) -> GroupData:
     """A family group from permutation generators in their x/r/s roles."""
     perms = list(gens.values())
     g = from_perm_generators(name, perms, len(perms[0]))
-    return GroupData(g, build_holomorph(g), dict(zip(gens, g.generators())), {})
+    return GroupData(g, automorphism_group(g), dict(zip(gens, g.generators())), {})
 
 
 def build_family(p: int, q: int) -> Degree2pqFamily:
@@ -245,13 +246,13 @@ def _verify_family(fam: Degree2pqFamily) -> None:
     for i, gd in enumerate(fam.members):
         if gd.group.order != fam.order:
             raise ConsistencyError(f"{gd.group.name}: wrong order")
-        if gd.ctx.aut.order != expected_aut[i]:
+        if gd.aut.order != expected_aut[i]:
             raise ConsistencyError(
-                f"{gd.group.name}: automorphism group has order {gd.ctx.aut.order}, "
+                f"{gd.group.name}: automorphism group has order {gd.aut.order}, "
                 f"expected {expected_aut[i]}"
             )
         gen_group = PermGroup(list(gd.autos.values()), fam.order)
-        if gen_group.order != gd.ctx.aut.order:
+        if gen_group.order != gd.aut.order:
             raise ConsistencyError(f"{gd.group.name}: named maps do not generate Aut")
 
 
@@ -268,27 +269,28 @@ def _power_inverting_r(gd: GroupData, key: str) -> np.ndarray:
     return cur
 
 
-def _subgroup(ctx: HolomorphContext, gens: list[np.ndarray]) -> PermGroup:
-    g = PermGroup(gens, ctx.n)
-    if (row_index(g.elements, ctx.perms) < 0).any():
+def _subgroup(gd: GroupData, gens: list[np.ndarray]) -> PermGroup:
+    if not in_holomorph(gd.group, gens).all():  # their closure stays in Hol(N)
         raise ConsistencyError("witness subgroup escapes the holomorph")
-    return g
+    return PermGroup(gens, gd.group.order)
 
 
-def _hol_normalizer_order(ctx: HolomorphContext, sub: PermGroup) -> int:
+def _hol_normalizer_order(gd: GroupData, sub: PermGroup) -> int:
     """Number of holomorph elements h with h g h^-1 in `sub` for every generator g.
 
+    The holomorph's rows a . alpha come unsorted from N's table and Aut(N).
     A conjugate stays in the holomorph, whose elements are fixed by their
-    images of `ctx.base`, so membership is decided on those columns alone.
+    images of 0 and N's generators, so membership is decided on those alone.
     """
-    hol = ctx.perms
+    hol = gd.group.mul[:, gd.aut.elements].reshape(-1, gd.group.order)
+    base = [0] + gd.group.generators()
     rows = np.arange(len(hol))[:, None]
     conj = np.empty_like(hol)
-    members = sub.elements[:, ctx.base]
+    members = sub.elements[:, base]
     ok = np.ones(len(hol), dtype=bool)
     for g in sub.generators:
         conj[rows, hol] = hol[:, g]  # h g h^-1 sends h(x) to h(g(x))
-        ok &= row_index(conj[:, ctx.base], members) >= 0
+        ok &= row_index(conj[:, base], members) >= 0
     return int(ok.sum())
 
 
@@ -316,10 +318,10 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
 
     for name, gd in (("M2", n2), ("M3", n3)):
         psi_inv = _power_inverting_r(gd, "scale_rot")
-        sub = _subgroup(gd.ctx, [gd.embed("x"), gd.embed("r"), gd.embed("s")[psi_inv]])
+        sub = _subgroup(gd, [gd.embed("x"), gd.embed("r"), gd.embed("s")[psi_inv]])
         _assert_regular(sub, fam.order, name)
         _assert_abstract_type(sub.table(), n1.group, name)
-        norm = _hol_normalizer_order(gd.ctx, sub)
+        norm = _hol_normalizer_order(gd, sub)
         if norm != full:
             raise ConsistencyError(f"{name}: normalizer order {norm}, expected {full}")
         out[name] = WitnessReport(name, gd.group.name, sub, norm, n1.group.name)
@@ -331,10 +333,10 @@ def witness_four_types(fam: Degree2pqFamily) -> dict[str, WitnessReport]:
         ("J3", _crt(1, p, -1, q), n3.group),
     ):
         psi4 = n4.auto(r=n4.power("r", unit))
-        sub = _subgroup(n4.ctx, [n4.embed("r"), n4.embed("s")[psi4]])
+        sub = _subgroup(n4, [n4.embed("r"), n4.embed("s")[psi4]])
         _assert_regular(sub, fam.order, name)
         _assert_abstract_type(sub.table(), model, name)
-        norm = _hol_normalizer_order(n4.ctx, sub)
+        norm = _hol_normalizer_order(n4, sub)
         expected = {"M4": full, "J2": q * full, "J3": p * full}[name]
         if norm != expected:
             raise ConsistencyError(f"{name}: normalizer order {norm}, expected {expected}")
@@ -370,24 +372,24 @@ def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
     subs: list[tuple[str, PermGroup, np.ndarray]] = []
 
     n1 = fam.members[0]
-    subs.append(("M1", _subgroup(n1.ctx, [n1.embed("x"), n1.autos["scale_p_part"]]),
+    subs.append(("M1", _subgroup(n1, [n1.embed("x"), n1.autos["scale_p_part"]]),
                  n1.autos["scale_p_part"]))
 
     n2 = fam.members[1]
     psi_inv2 = _power_inverting_r(n2, "scale_rot")
-    subs.append(("M2", _subgroup(n2.ctx, [n2.embed("x"), n2.embed("r"), n2.embed("s")[psi_inv2],
+    subs.append(("M2", _subgroup(n2, [n2.embed("x"), n2.embed("r"), n2.embed("s")[psi_inv2],
                                           n2.autos["scale_x"]]),
                  n2.autos["scale_x"]))
 
     n3 = fam.members[2]
     phi3 = _map_power(n3.autos["shift_refl"], p - 2)  # p-2 shifts realize the -2 twist
-    subs.append(("M3", _subgroup(n3.ctx, [n3.embed("x"), n3.embed("r")[phi3], n3.embed("s"),
+    subs.append(("M3", _subgroup(n3, [n3.embed("x"), n3.embed("r")[phi3], n3.embed("s"),
                                           n3.autos["scale_rot"]]),
                  n3.autos["scale_rot"]))
 
     n4 = fam.members[3]
     phi4 = _map_power(n4.autos["shift_refl"], p * q - 2)
-    subs.append(("M4", _subgroup(n4.ctx, [n4.embed("r")[phi4], n4.embed("s"),
+    subs.append(("M4", _subgroup(n4, [n4.embed("r")[phi4], n4.embed("s"),
                                           n4.autos["scale_rot_p"]]),
                  n4.autos["scale_rot_p"]))
 
@@ -395,12 +397,12 @@ def witness_M_series(fam: Degree2pqFamily) -> list[WitnessReport]:
         kinv = pow(fam.k, -1, p)
         n5 = fam.members[4]
         psi_k5 = n5.auto(r=n5.power("r", kinv))
-        subs.append(("M5", _subgroup(n5.ctx, [n5.embed("x"), n5.embed("s"), n5.embed("r")[psi_k5],
+        subs.append(("M5", _subgroup(n5, [n5.embed("x"), n5.embed("s"), n5.embed("r")[psi_k5],
                                               n5.autos["scale_rot"]]),
                      n5.autos["scale_rot"]))
         n6 = fam.members[5]
         psi_k6 = n6.auto(r=n6.power("r", kinv))
-        subs.append(("M6", _subgroup(n6.ctx, [n6.embed("s"), n6.embed("r")[psi_k6],
+        subs.append(("M6", _subgroup(n6, [n6.embed("s"), n6.embed("r")[psi_k6],
                                               n6.autos["scale_rot"]]),
                      n6.autos["scale_rot"]))
 

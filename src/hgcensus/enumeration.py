@@ -5,9 +5,10 @@ trivial subgroup, each stored class representative H is extended to
 <H, x> for one x per orbit of the candidate space under two-sided
 H-multiplication and normalizer conjugation (extensions by elements of
 the same orbit land in the same conjugacy class).  Every conjugate of a
-discovered subgroup is registered by the exact bytes of its sorted
-indices, so repeat classes are recognized in O(1) regardless of which
-conjugate shows up, and two distinct subgroups never share a key.
+discovered subgroup, one per coset of its normalizer (`_coset_leaders`
+sweeps them), is registered by the exact bytes of its sorted indices, so
+repeat classes are recognized in O(1) regardless of which conjugate
+shows up, and two distinct subgroups never share a key.
 
 <H, x> = <H, x^j> for every j coprime to the order of x, so once <H, x0>
 is closed, every orbit holding a generator of <x0> is done: a later orbit
@@ -35,15 +36,6 @@ from .table import GroupTable
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 1800.0
 
-# Largest normalizer index [G : N(H)] whose cosets are swept one at a time,
-# each led by the least element not yet covered; a larger index labels the
-# cosets with `orbit_labels` in a logarithmic number of rounds instead.  A
-# sweep step costs about 5-8 us on the holomorphs of degrees 2-15, 41 and
-# 77, a labelling 70-520 us; summed over the indices their searches meet,
-# the total is least at 48, within 1 % of it from 32 to 48 and about 3 %
-# above it at 24 or 64.
-_SWEEP_INDEX = 48
-
 
 @dataclass
 class SubgroupClass:
@@ -70,10 +62,8 @@ def subgroup_classes(
     Each new class H, met through its sorted elements and generators, gets
     its normalizer N(H) and N(H)'s generators: H's own `gens`, then a greedy
     pass over N(H)'s sorted elements from H.  Its conjugates g H g^-1 come
-    one per coset g N(H), each led by its least element: H alone when
-    normal, a sweep over the least uncovered element up to index
-    `_SWEEP_INDEX`, else `orbit_labels`.  The class keeps the lex-least
-    conjugate.
+    one per coset g N(H), each led by its least element (`_coset_leaders`).
+    The class keeps the lex-least conjugate.
 
     Raises SearchBudgetError when more than `node_budget` candidates are
     tried or `time_budget` seconds elapse.  A candidate skipped because its
@@ -102,7 +92,7 @@ def subgroup_classes(
         cid = len(classes)
         norm = T.normalizer_of(elems, gens)
         norm_gens = T.small_generating_set(norm, start=(elems, gens))
-        reps = _coset_leaders(T, norm, norm_gens)
+        reps = _coset_leaders(T, norm)
         if len(reps) * len(norm) != m:
             raise ConsistencyError("conjugate count does not match normalizer index")
         conjs = np.sort(T.conj_many(reps[:, None], elems), axis=1)
@@ -152,16 +142,12 @@ def subgroup_classes(
     return [classes[i] for i in sorted(range(len(classes)), key=lambda i: order_key[i])]
 
 
-def _coset_leaders(T: GroupTable, norm: np.ndarray, norm_gens: Sequence[int]) -> np.ndarray:
+def _coset_leaders(T: GroupTable, norm: np.ndarray) -> np.ndarray:
     """The least element of each left coset g N, in increasing order: a
     conjugate g H g^-1 of a subgroup H with normalizer N depends only on
-    g N.  The cosets are swept from the least uncovered element while
-    there are at most `_SWEEP_INDEX` of them (a normal H takes one step),
-    else labelled as the orbits of right multiplication by N's generators."""
+    g N.  The cosets are swept, each from the least element not yet
+    covered, so a normal H takes one step."""
     m = T.order
-    if m // len(norm) > _SWEEP_INDEX:
-        lab = orbit_labels(T.mul[np.arange(m), np.array(norm_gens, dtype=np.int64)[:, None]])
-        return np.flatnonzero(lab == np.arange(m))
     covered = np.zeros(m, dtype=bool)
     reps = []
     g = 0

@@ -10,13 +10,14 @@ factorization is spot-checked at build time.
 Inside the engine the holomorph is one integer image matrix `perms`: row i
 holds the point images of element i, rows in lexicographic order.  Table
 indices, subgroup classes and records all refer to these row numbers.  The
-`hol` group holds `perms` itself as its elements; `left` holds the
-translation rows of N's table.  The same factorization gives the product
-table, and this module is the only place that knows it: x = a . alpha
-multiplies as x y = a (alpha y), so `table()` builds the n translation rows
-and |Aut N| automorphism rows from N's table and Aut(N)'s, never looking up
-an image row.  A small holomorph fills out its m x m table from them; a
-large one keeps only those rows (`table.FactoredMul`).
+`hol` group holds `perms` itself as its elements; whether a row lies in
+Hol(N) is decided from N's table alone, by `in_holomorph`.  The same
+factorization gives the product table, and this module is the only place
+that knows it: x = a . alpha multiplies as x y = a (alpha y), so `table()`
+builds the n translation rows and |Aut N| automorphism rows from N's table
+and Aut(N)'s, never looking up an image row.  A small holomorph fills out
+its m x m table from them; a large one keeps only those rows
+(`table.FactoredMul`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import automorphism_group, regular_representation
+from .catalog import automorphism_group
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
 from .table import FactoredMul, GroupTable, check_budget, sample_indices, spot_check
@@ -54,8 +55,6 @@ class HolomorphContext:
         self.group = group
         self.n = group.order
         self.aut = automorphism_group(group)
-        # images of 0 and the generator points determine a holomorph element
-        self.base = [0] + [g for g in group.generators() if g != 0]
         t = group.mul
         auts = self.aut.elements.astype(t.dtype, copy=False)
         # raw row a*|A| + k is the translation by a after automorphism k
@@ -104,14 +103,9 @@ class HolomorphContext:
             raise ConsistencyError(f"{self.group.name}: holomorph product law fails")
 
     @cached_property
-    def left(self) -> PermGroup:
-        """Left translations x -> a*x."""
-        return regular_representation(self.group, "left")
-
-    @cached_property
     def hol(self) -> PermGroup:
         """The holomorph as a permutation group whose elements are `perms`."""
-        gens = np.concatenate([self.left.generators, self.aut.generators])
+        gens = np.concatenate([self.group.mul[self.group.generators()], self.aut.generators])
         return PermGroup(gens, self.n, elements=self.perms)
 
     @cached_property
@@ -179,4 +173,20 @@ def build_holomorph(group: GroupTable) -> HolomorphContext:
     return HolomorphContext(group)
 
 
-__all__ = ["HolomorphContext", "build_holomorph"]
+def in_holomorph(N: GroupTable, rows) -> np.ndarray:
+    """Whether each row, the images of N's points, lies in Hol(N): whether
+    it is a bijection r with psi = r(0)^-1 r, which fixes 0, an automorphism
+    of N.  After N passes `validate` (Light's test) the g with
+    psi(g x) = psi(g) psi(x) for all x form a subgroup, so the law is
+    checked on N's generators only, as in `GroupTable.acts`."""
+    N.validate(N.name)
+    n = N.order
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
+    ok = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+    rows = np.where(ok[:, None], rows, np.arange(n))  # keep indexing in range
+    t, g = N.mul, np.array(N.generators(), dtype=np.int64)
+    psi = t[N.inv[rows[:, 0]][:, None], rows]
+    return ok & (psi[:, t[g]] == t[psi[:, g][:, :, None], psi[:, None, :]]).all(axis=(1, 2))
+
+
+__all__ = ["HolomorphContext", "build_holomorph", "in_holomorph"]

@@ -26,11 +26,6 @@ Perm = tuple[int, ...]
 DEFAULT_ELEMENT_BUDGET = 500_000
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Composite p after q: (p . q)(x) = p(q(x))."""
-    return tuple(p[i] for i in q)
-
-
 def is_perm(images: Sequence[int]) -> bool:
     n = len(images)
     return sorted(images) == list(range(n))
@@ -95,7 +90,7 @@ def closure(
     for g in gens:
         if len(g) != degree or not is_perm(g):
             raise StructureError(f"not a permutation of degree {degree}: {g}")
-    # itemgetter(*g)(cur) is compose(cur, g); below two points every
+    # itemgetter(*g)(cur) is cur after g; below two points every
     # permutation is the identity, and itemgetter would return a scalar
     steps = [itemgetter(*g) for g in gens] if degree > 1 else []
     e = tuple(range(degree))

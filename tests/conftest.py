@@ -1,8 +1,11 @@
-"""Shared fixtures.
+"""Shared fixtures and oracles.
 
-Census construction dominates the suite's runtime, so results are cached
-per (degree, options) for the whole session and shared across modules.
-Property tests run under one deterministic hypothesis profile.
+`compose`, `regular_representation` and `opposite_group` are plain
+permutation and table helpers that only tests use; test modules import
+them from here.  Census construction dominates the suite's runtime, so
+results are cached per (degree, options) for the whole session and shared
+across modules.  Property tests run under one deterministic hypothesis
+profile.
 """
 
 from __future__ import annotations
@@ -14,13 +17,37 @@ from hypothesis import settings
 from hgcensus import build_degree_census
 from hgcensus.errors import StructureError
 from hgcensus.iso import IsoSearch
-from hgcensus.perm import orbit_labels
+from hgcensus.perm import Perm, PermGroup, orbit_labels
 from hgcensus.table import GroupTable
 
 # fixed examples and no per-example deadline: the suite stays deterministic
 # and does not flake on a loaded host
 settings.register_profile("hgcensus", deadline=None, derandomize=True)
 settings.load_profile("hgcensus")
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Composite p after q: (p . q)(x) = p(q(x)), the oracle for products
+    of image rows."""
+    return tuple(p[i] for i in q)
+
+
+def regular_representation(g: GroupTable, side: str = "left") -> PermGroup:
+    """Left action a: x -> a*x, or right action a: x -> x*a, on 0..n-1.
+
+    Row a of either action sends 0 to a, so the rows come sorted.
+    """
+    if side == "left":
+        perms = g.mul
+    elif side == "right":
+        perms = g.mul.T
+    else:
+        raise StructureError(f"side must be 'left' or 'right', got {side!r}")
+    return PermGroup(perms[g.generators()], g.order, elements=perms)
+
+
+def opposite_group(g: GroupTable) -> GroupTable:
+    return GroupTable(g.mul.T.copy(), g.name + "_op", g.generators())
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import compose
 from hgcensus import build_degree_census
 from hgcensus.actions import (
     bracoid_from_subgroup,
@@ -33,7 +34,6 @@ from hgcensus.degree2pq import build_family, witness_M_series, witness_four_type
 from hgcensus.enumeration import subgroup_classes
 from hgcensus.errors import BudgetError
 from hgcensus.holomorph import build_holomorph
-from hgcensus.perm import compose
 
 # reference rows, degrees 2..13: (types, hgs_total, sbracoids_total, gal_hgs,
 # sbraces, ac_hgs, ac_sbracoids, bc_hgs)
@@ -130,7 +130,7 @@ def test_criterion_5_bracoid_axioms_and_cocycle_claims(census):
             b.validate()  # exhaustive triple checks over the action
             assert b.reduced
 
-            pi, gamma = cocycle_decompose(rec.ctx, rec.rep)
+            pi, gamma = cocycle_decompose(rec.ctx.group, rec.rep)
             perms = [tuple(p) for p in rec.rep.elements.tolist()]
             assert len(pi) == rec.order
             aut_set = {tuple(p) for p in rec.ctx.aut.elements.tolist()}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import regular_representation
 from hgcensus.actions import (
     SkewBrace,
     SkewBracoid,
@@ -21,7 +22,7 @@ from hgcensus.actions import (
     trivial_brace,
     ybe_solution,
 )
-from hgcensus.catalog import from_perm_generators, groups_of_order, regular_representation
+from hgcensus.catalog import from_perm_generators, groups_of_order
 from hgcensus.classify import stab_respecting_iso
 from hgcensus.errors import ConsistencyError, StructureError
 from hgcensus.holomorph import build_holomorph
@@ -52,7 +53,7 @@ def test_nonreduced_bracoid_through_a_covering_map():
     g4 = from_perm_generators("C4m", [(1, 2, 3, 0)], 4)  # element i = rotation by i
     e, s = (0, 1), (1, 0)
     images = [e, s, e, s]
-    b = bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, images))
+    b = bracoid_from_subgroup(ctx.group, regular_representation(ctx.group), delta=(g4, images))
     assert not b.reduced
     assert b.acting.order == 4
     assert b.degree == 2
@@ -62,14 +63,15 @@ def test_bracoid_covering_map_rejections():
     ctx = _c2_context()
     g4 = from_perm_generators("C4m", [(1, 2, 3, 0)], 4)
     e, s = (0, 1), (1, 0)
+    left = regular_representation(ctx.group)
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [e, s, e]))  # short
+        bracoid_from_subgroup(ctx.group, left, delta=(g4, [e, s, e]))  # short
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [s, e, s, e]))  # identity moved
+        bracoid_from_subgroup(ctx.group, left, delta=(g4, [s, e, s, e]))  # identity moved
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [e, s, s, e]))  # not a morphism
+        bracoid_from_subgroup(ctx.group, left, delta=(g4, [e, s, s, e]))  # not a morphism
     with pytest.raises(StructureError):
-        bracoid_from_subgroup(ctx.group, ctx.left, delta=(g4, [e, e, e, e]))  # not onto
+        bracoid_from_subgroup(ctx.group, left, delta=(g4, [e, e, e, e]))  # not onto
 
 
 def test_bracoid_requires_transitive_subgroup():
@@ -83,36 +85,35 @@ def test_bracoid_requires_transitive_subgroup():
 def test_cocycle_decomposition_of_every_degree6_record(census):
     c = census(6)
     for rec in c.records:
-        pi, gamma = cocycle_decompose(rec.ctx, rec.rep)
+        pi, gamma = cocycle_decompose(rec.ctx.group, rec.rep)
         assert len(pi) == rec.order
         aut_rows = {tuple(p) for p in rec.ctx.aut.elements.tolist()}
         for row in gamma:
             assert tuple(int(v) for v in row) in aut_rows
         if rec.regular:
             assert sorted(pi.tolist()) == list(range(6))
-        if np.array_equal(rec.rep.elements, rec.ctx.left.elements):
+        if np.array_equal(rec.rep.elements, regular_representation(rec.ctx.group).elements):
             # pure translations have trivial stabilizer parts
             assert (gamma == np.arange(6)).all()
 
 
 def test_cocycle_rejects_foreign_subgroup():
-    ctx6 = build_holomorph(groups_of_order(6)[0])
     s3_natural = PermGroup([parse_cycles("(0 1 2)", 3), parse_cycles("(0 1)", 3)], 3)
     with pytest.raises(StructureError):
-        cocycle_decompose(ctx6, s3_natural)
+        cocycle_decompose(groups_of_order(6)[0], s3_natural)
 
 
 def test_brace_transport_of_the_two_translation_actions():
     g = groups_of_order(6)[1]  # S3
     ctx = build_holomorph(g)
-    left = brace_from_regular(g, ctx.left)
+    left = brace_from_regular(g, regular_representation(g))
     assert left.add is g  # N's catalog table is the first operation
     assert np.array_equal(left.add.mul, left.circ.mul)  # same operation twice
     right = brace_from_regular(g, regular_representation(g, "right"))
     assert np.array_equal(right.circ.mul, g.mul.T)  # opposite multiplication
     assert not np.array_equal(right.add.mul, right.circ.mul)
     # a holomorph context stands for its group
-    assert brace_from_regular(ctx, ctx.left).to_json_dict() == left.to_json_dict()
+    assert brace_from_regular(ctx, regular_representation(g)).to_json_dict() == left.to_json_dict()
 
 
 def test_brace_transport_requires_regularity():
@@ -166,10 +167,11 @@ def test_ybe_solutions_from_all_degree6_braces(census):
 
 def test_realize_regular_subgroup_identity_map(census):
     for rec in census(6).records:
-        if rec.regular and np.array_equal(rec.rep.elements, rec.ctx.left.elements):
+        left = regular_representation(rec.ctx.group)
+        if rec.regular and np.array_equal(rec.rep.elements, left.elements):
             phi = np.arange(rec.order)
-            out = realize_regular_subgroup(rec.rep, rec.rep, rec.ctx, phi)
-            assert np.array_equal(out.elements, rec.ctx.left.elements)
+            out = realize_regular_subgroup(rec.rep, rec.rep, rec.ctx.group, phi)
+            assert np.array_equal(out.elements, left.elements)
 
 
 def test_realize_regular_subgroup_across_types(census):
@@ -187,7 +189,7 @@ def test_realize_regular_subgroup_across_types(census):
     )
     phi = stab_respecting_iso(ra.rep, rb.rep)
     assert phi is not None
-    realized = realize_regular_subgroup(ra.rep, rb.rep, rb.ctx, phi)
+    realized = realize_regular_subgroup(ra.rep, rb.rep, rb.ctx.group, phi)
     n = rb.ctx.n
     assert realized.order == n
     assert len({p[0] for p in realized.elements.tolist()}) == n
@@ -199,11 +201,11 @@ def test_realize_regular_subgroup_across_types(census):
 
 def test_realize_regular_subgroup_rejects_nonmorphism():
     g = groups_of_order(4)[0]
-    ctx = build_holomorph(g)
+    left = regular_representation(g)
     phi = np.arange(g.order)
     phi[[1, 2]] = phi[[2, 1]]
     with pytest.raises(StructureError):
-        realize_regular_subgroup(ctx.left, ctx.left, ctx, phi)
+        realize_regular_subgroup(left, left, g, phi)
 
 
 # -- one-cell mutations: every validator must notice -----------------------

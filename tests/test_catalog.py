@@ -9,18 +9,18 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from conftest import compose, opposite_group, regular_representation
+from hgcensus import catalog
 from hgcensus.catalog import (
     automorphism_group,
     catalog_orders,
     groups_of_order,
     invariants,
-    opposite_group,
-    regular_representation,
 )
 from hgcensus.errors import ConsistencyError, StructureError, UnsupportedOrderError
 from hgcensus.expected import EXPECTED
 from hgcensus.iso import IsoSearch
-from hgcensus.perm import closure, compose, is_transitive, parse_cycles, row_index
+from hgcensus.perm import closure, is_transitive, parse_cycles, row_index
 from hgcensus.table import GroupTable
 
 # the reference table's type column doubles as the group count per order
@@ -68,6 +68,17 @@ def test_catalog_groups_are_pairwise_nonisomorphic():
                 assert IsoSearch(groups[i], groups[j]).run("count") == 0, (
                     f"{groups[i].name} vs {groups[j].name}"
                 )
+
+
+def test_every_catalog_order_is_self_tested_for_repeats(monkeypatch):
+    # an order above 12 that lists one group twice
+    groups = groups_of_order(14)
+    cat = dict(catalog._load_catalog())
+    cat[14] = [groups[0], *groups]
+    monkeypatch.setattr(catalog, "_catalog_cache", cat)
+    monkeypatch.setattr(catalog, "_checked_orders", set())
+    with pytest.raises(StructureError, match="isomorphic"):
+        groups_of_order(14)
 
 
 def test_regular_representation_is_regular():

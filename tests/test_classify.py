@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hgcensus.catalog import groups_of_order, invariants, regular_representation
+from conftest import compose, regular_representation
+from hgcensus.catalog import groups_of_order, invariants
 from hgcensus.classify import classify_degree, stab_respecting_iso
 from hgcensus.enumeration import enumerate_transitive_classes
 from hgcensus.errors import ConsistencyError
 from hgcensus.holomorph import build_holomorph
 from hgcensus.iso import IsoSearch
-from hgcensus.perm import PermGroup, compose, parse_cycles
+from hgcensus.perm import PermGroup, parse_cycles
 
 
 def _degree_records(n: int):

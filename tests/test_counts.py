@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hgcensus import build_degree_census, counts
-from hgcensus.catalog import regular_representation
+from conftest import regular_representation
+from hgcensus import build_degree_census, counts, table
 from hgcensus.counts import (
     DegreeReportRow,
     bijective_correspondence,
@@ -30,7 +30,7 @@ def test_aut_stab_order_matches_plain_aut_count_when_unconstrained(census):
     seen = 0
     for cls in census(6).classes:
         for _, rec in cls.members:
-            if rec.regular and np.array_equal(rec.rep.elements, rec.ctx.left.elements):
+            if rec.regular and np.array_equal(rec.rep.elements, regular_representation(rec.ctx.group).elements):
                 hgs_count_for_class(cls)
                 assert cls.aut_marked_order == rec.ctx.aut.order
                 seen += 1
@@ -117,7 +117,7 @@ def test_translation_records_and_the_containment_test(census):
         if np.array_equal(rec.rep.elements, regular_representation(rec.ctx.group, "right").elements):
             assert is_almost_classical(rec)  # contains itself
         if (rec.type_name == "S3" and rec.regular
-                and np.array_equal(rec.rep.elements, rec.ctx.left.elements)):
+                and np.array_equal(rec.rep.elements, regular_representation(rec.ctx.group).elements)):
             # left translations of a nonabelian group miss the right ones
             assert not is_almost_classical(rec)
 
@@ -137,7 +137,7 @@ def test_field_count_of_regular_records_is_subgroup_count(census):
         if rec.regular:
             n_subs = len(rec.rep.table().all_subgroups())
             assert intermediate_field_count(rec) == n_subs
-            if np.array_equal(rec.rep.elements, rec.ctx.left.elements):
+            if np.array_equal(rec.rep.elements, regular_representation(rec.ctx.group).elements):
                 assert n_subs == subgroup_counts[rec.type_name]
 
 
@@ -258,6 +258,17 @@ def test_oversized_holomorph_stops_degree_16_before_any_holomorph(monkeypatch):
     monkeypatch.setattr(counts, "build_holomorph", refuse)
     c = build_degree_census(16)
     assert c.row.types == 14
+    assert c.row.partial
+    assert c.row.cells()[1:] == (None,) * 7
+    assert c.contexts == [] and c.records == []
+
+
+def test_the_budget_pre_check_reads_the_table_budget_where_it_is_kept(monkeypatch):
+    # |Hol(C2^3)| = 1344 exceeds a budget of 1000 set on the table module,
+    # so degree 8 stops at the automorphism counts, before any holomorph
+    monkeypatch.setattr(table, "DEFAULT_TABLE_BUDGET", 1000)
+    c = build_degree_census(8)
+    assert c.row.types == 5
     assert c.row.partial
     assert c.row.cells()[1:] == (None,) * 7
     assert c.contexts == [] and c.records == []

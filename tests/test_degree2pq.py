@@ -10,6 +10,7 @@ from hgcensus.catalog import automorphism_group, groups_of_order
 from hgcensus.classify import stab_respecting_iso
 from hgcensus.degree2pq import build_family, witness_M_series, witness_four_types
 from hgcensus.errors import ConsistencyError, StructureError
+from hgcensus.holomorph import build_holomorph
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import is_transitive, row_index
 
@@ -36,7 +37,7 @@ def test_automorphism_order_formulas_at_5_3():
         p * (p - 1) * (q - 1),
         p * q * (p - 1) * (q - 1),
     ]
-    assert [gd.ctx.aut.order for gd in fam.members] == want
+    assert [gd.aut.order for gd in fam.members] == want
 
 
 def test_family_members_match_the_order30_catalog():
@@ -76,15 +77,18 @@ def test_four_type_witnesses_at_5_3():
 
 def test_witness_normalizer_orders_match_the_holomorph_table():
     # every Hol(N) at (5, 3) fits the table budget, so the base-column
-    # lookup can be checked against the dense table's normalizer
+    # count over unsorted rows can be checked against the dense table's
+    # normalizer, on a holomorph built here as the oracle
     fam = build_family(5, 3)
-    ctx_of = {gd.group.name: gd.ctx for gd in fam.members}
+    gd_of = {gd.group.name: gd for gd in fam.members}
+    ctx_of = {gd.group.name: build_holomorph(gd.group) for gd in fam.members}
     for rep in [*witness_four_types(fam).values(), *witness_M_series(fam)]:
         ctx = ctx_of[rep.host]
         idx = np.sort(row_index(rep.subgroup.elements, ctx.perms))
+        assert (idx >= 0).all(), rep.name
         gens = row_index(rep.subgroup.generators, ctx.perms).tolist()
         want = len(ctx.table().normalizer_of(idx, gens))
-        assert degree2pq._hol_normalizer_order(ctx, rep.subgroup) == want, rep.name
+        assert degree2pq._hol_normalizer_order(gd_of[rep.host], rep.subgroup) == want, rep.name
         assert rep.normalizer_order in (None, want), rep.name
 
 
@@ -120,7 +124,7 @@ def test_six_member_family_at_7_3():
         p * (p - 1),
         p * (p - 1),
     ]
-    assert [gd.ctx.aut.order for gd in fam.members] == want
+    assert [gd.aut.order for gd in fam.members] == want
     # extra members have the twist-by-k presentation and order 42
     for gd in fam.members[4:]:
         assert gd.group.order == 42

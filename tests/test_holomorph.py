@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from conftest import compose, regular_representation
 from hgcensus import holomorph
 from hgcensus.actions import cocycle_decompose
-from hgcensus.catalog import groups_of_order, regular_representation
+from hgcensus.catalog import groups_of_order
 from hgcensus.enumeration import enumerate_transitive_classes
 from hgcensus.errors import BudgetError, ConsistencyError, StructureError
-from hgcensus.holomorph import build_holomorph
-from hgcensus.perm import compose, is_transitive, row_index
+from hgcensus.holomorph import build_holomorph, in_holomorph
+from hgcensus.perm import is_transitive, row_index
 from hgcensus.table import FactoredMul, GroupTable
 
 
@@ -27,6 +29,24 @@ def test_image_matrix_rows_are_the_sorted_holomorph_elements():
                 {compose(tuple(g.mul[a].tolist()), alpha) for a in range(n) for alpha in auts}
             )
             assert [tuple(row) for row in ctx.perms.tolist()] == want, g.name
+
+
+def test_the_holomorph_law_matches_membership_in_the_built_holomorph():
+    # every permutation of degrees 2-6 against the sorted element rows
+    for n in range(2, 7):
+        every = np.array(list(permutations(range(n))))
+        for g in groups_of_order(n):
+            want = row_index(every, build_holomorph(g).perms) >= 0
+            assert np.array_equal(in_holomorph(g, every), want), g.name
+    # rows that are no bijection, or leave the points, are refused
+    g = groups_of_order(4)[0]
+    assert not in_holomorph(g, [[0, 0, 0, 0], [0, 1, 2, 4], [1, 0, 3, 3]]).any()
+
+
+@pytest.mark.parametrize("degree", [8, 12, 15, 41, 77])
+def test_the_holomorph_law_accepts_every_holomorph_element(degree):
+    for g in groups_of_order(degree):
+        assert in_holomorph(g, build_holomorph(g).perms).all(), g.name
 
 
 def test_order_is_group_times_automorphisms():
@@ -55,7 +75,7 @@ def test_contains_both_translation_actions():
     for g in groups_of_order(8):
         ctx = build_holomorph(g)
         hol = ctx.hol.elements
-        assert (row_index(ctx.left.elements, hol) >= 0).all()
+        assert (row_index(regular_representation(g).elements, hol) >= 0).all()
         assert (row_index(regular_representation(g, "right").elements, hol) >= 0).all()
         right = ctx.perms[ctx.right_indices]
         assert np.array_equal(right, regular_representation(g, "right").elements)
@@ -65,7 +85,7 @@ def test_contains_both_translation_actions():
 def test_every_element_factors_as_translation_times_automorphism():
     g = groups_of_order(12)[1]
     ctx = build_holomorph(g)
-    pi, gamma = cocycle_decompose(ctx, ctx.hol)
+    pi, gamma = cocycle_decompose(g, ctx.hol)
     auts = {tuple(alpha) for alpha in ctx.aut.elements.tolist()}
     for x, a, alpha in zip(ctx.hol.elements.tolist(), pi.tolist(), map(tuple, gamma.tolist())):
         assert alpha in auts

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import compose
 from hgcensus.errors import ClosureBudgetError, StructureError
 from hgcensus.perm import (
     PermGroup,
     closure,
-    compose,
     format_cycles,
     is_transitive,
     orbit_labels,

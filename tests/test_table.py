@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import compose
 from hgcensus import table
 from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.enumeration import enumerate_transitive_classes, subgroup_classes
 from hgcensus.errors import BudgetError, StructureError
 from hgcensus.holomorph import build_holomorph
-from hgcensus.perm import closure, compose, parse_cycles
+from hgcensus.perm import closure, parse_cycles
 from hgcensus.table import GroupTable
 
 
