@@ -59,24 +59,31 @@ def invariants(gt: GroupTable) -> GroupInvariants:
     )
 
 
-def automorphism_group(g: GroupTable) -> PermGroup:
-    """All automorphisms, as permutations of the element indices, lex-sorted.
-
-    The orbit-stabilizer chain count of `IsoSearch` from the table onto
-    itself keeps the automorphisms it found; they are the generators, and
-    `perm.closure` gives the elements, which must number exactly the count.
-    Cached on the table.
-    """
+def automorphism_order(g: GroupTable) -> int:
+    """|Aut(g)|, the orbit-stabilizer chain count of `IsoSearch` from the
+    table onto itself, run once per table.  The chain's witnesses are kept
+    on the table, unclosed, for `automorphism_group`."""
     if g._aut is None:
         search = IsoSearch(g, g)
         count = search.run("count")
-        aut = PermGroup(search.witnesses, g.order)
-        if aut.order != count:
-            raise ConsistencyError(
-                f"{g.name}: the chain counts {count} automorphisms, its witnesses generate {aut.order}"
-            )
-        g._aut = aut
-    return g._aut
+        g._aut = (count, PermGroup(search.witnesses, g.order))
+    return g._aut[0]
+
+
+def automorphism_group(g: GroupTable) -> PermGroup:
+    """All automorphisms, as permutations of the element indices, lex-sorted.
+
+    The witnesses of `automorphism_order`'s chain are the generators, and
+    `perm.closure` gives the elements, which must number exactly the count.
+    Cached on the table.
+    """
+    count = automorphism_order(g)
+    aut = g._aut[1]
+    if aut.order != count:
+        raise ConsistencyError(
+            f"{g.name}: the chain counts {count} automorphisms, its witnesses generate {aut.order}"
+        )
+    return aut
 
 
 # -- catalog file ------------------------------------------------------------
@@ -160,6 +167,7 @@ __all__ = [
     "from_perm_generators",
     "GroupInvariants",
     "invariants",
+    "automorphism_order",
     "automorphism_group",
     "groups_of_order",
     "catalog_orders",

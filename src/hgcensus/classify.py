@@ -17,7 +17,7 @@ import numpy as np
 
 from .enumeration import TransitiveClassRecord
 from .errors import ConsistencyError
-from .iso import IsoSearch
+from .iso import IsoSearch, SourcePlan
 from .perm import PermGroup
 from .table import GroupTable
 
@@ -31,6 +31,9 @@ class EquivalenceClass:
     label: str
     # filled lazily by the counting layer; |Aut(G)| resp. |Aut(G, G')|
     aut_marked_order: Optional[int] = field(default=None, repr=False)
+    # the leader's search plan from classify, held for the weight's count
+    # and dropped by it; None for a class of one record
+    _plan: Optional[SourcePlan] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -79,20 +82,33 @@ def is_stab_respecting_iso(
     return np.array_equal(rows1[:, 0] == 0, image[:, 0] == 0) and T1.acts(image, "source group")
 
 
-def _same_class(a: TransitiveClassRecord, b: TransitiveClassRecord) -> bool:
-    search = IsoSearch(a.side, b.side, marked1=a.stab_positions, marked2=b.stab_positions)
-    return search.run("first") is not None
+def _bucket_classes(
+    records: list[TransitiveClassRecord], bucket: list[int], plans: dict[int, SourcePlan]
+) -> dict[int, list[int]]:
+    """Members by leader within one bucket of record indices, in index order.
 
-
-def _bucket_classes(records: list[TransitiveClassRecord], bucket: list[int]) -> dict[int, list[int]]:
-    """Members by leader within one bucket of record indices, in index order."""
+    A leader is always side 1: its plan is built at its first comparison
+    and serves the rest of the bucket.  The plans of leaders that gained a
+    member go into `plans`, for their class weight; the others are dropped
+    with the bucket.
+    """
     members: dict[int, list[int]] = {}
+    leader_plans: dict[int, SourcePlan] = {}
     for i in bucket:
-        home = next((j for j in members if _same_class(records[j], records[i])), None)
+        rec = records[i]
+        home = None
+        for j in members:
+            if j not in leader_plans:
+                leader_plans[j] = SourcePlan(records[j].side, records[j].stab_positions)
+            search = IsoSearch(leader_plans[j], rec.side, marked2=rec.stab_positions)
+            if search.run("first") is not None:
+                home = j
+                break
         if home is None:
             members[i] = [i]
         else:
             members[home].append(i)
+    plans.update((j, plan) for j, plan in leader_plans.items() if len(members[j]) > 1)
     return members
 
 
@@ -103,7 +119,10 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
     stabilizer colours (`TransitiveClassRecord.colours`, read off the
     holomorph tables); the backtracking search runs only within a bucket,
     on the records' indices into their holomorph tables, and each bucket
-    walks its records and leaders in index order.  Output order and labels
+    walks its records and leaders in index order.  Each leader's side of
+    the search is planned once per bucket (`iso.SourcePlan`), and a class
+    of two or more records keeps its leader's plan for the class weight,
+    which drops it.  Output order and labels
     are deterministic: classes sorted by (order, stabilizer order,
     first-seen position), numbered within each (order, stabilizer order)
     group.
@@ -122,8 +141,9 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
         buckets.setdefault(key, []).append(i)
 
     class_members: dict[int, list[int]] = {}
+    plans: dict[int, SourcePlan] = {}
     for bucket in buckets.values():
-        class_members.update(_bucket_classes(records, bucket))
+        class_members.update(_bucket_classes(records, bucket, plans))
 
     ordered = sorted(
         class_members.items(),
@@ -141,6 +161,7 @@ def classify_degree(records: list[TransitiveClassRecord]) -> list[EquivalenceCla
             members=[(records[i].type_name, records[i]) for i in idxs],
             label=label,
         )
+        cls._plan = plans.pop(leader, None)
         for _, rec in cls.members:
             if rec.order != cls.order or rec.stabilizer_order != cls.stabilizer_order:
                 raise ConsistencyError("class members disagree on order data")

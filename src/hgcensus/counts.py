@@ -6,7 +6,11 @@ G' contributes, per type N, |Aut(G,G')| / |Aut(N)| times the summed
 conjugacy-class sizes of its members in Hol(N).  The per-type terms are
 theorems-integral; any fractional remainder is an engine bug and raises.
 The almost-classical and bijective-correspondence columns are
-record-level flags folded through the same weights.
+record-level flags folded through the same weights.  Work that depends on
+the class alone is done once per class: the weight, counted from the
+leader's search plan that classify kept, and the intermediate field count,
+walked on the leader's block lattice.  The Hopf subalgebra count depends
+on the type N, so it stays per record.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import groups_of_order
+from .catalog import automorphism_order, groups_of_order
 from .classify import EquivalenceClass, classify_degree
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
@@ -83,11 +87,15 @@ class DegreeReportRow:
 
 
 def _class_weight(cls: EquivalenceClass) -> int:
-    """|Aut(G, G')| for the class's abstract pair, cached on the class."""
+    """|Aut(G, G')| for the class's abstract pair, cached on the class;
+    counted from the leader's plan classify left on the class, if any,
+    which it then drops."""
     if cls.aut_marked_order is None:
         rec = cls.members[0][1]
         stab = rec.stab_positions
-        cls.aut_marked_order = int(IsoSearch(rec.side, rec.side, stab, stab).run("count"))
+        source = cls._plan or rec.side
+        cls.aut_marked_order = int(IsoSearch(source, rec.side, stab, stab).run("count"))
+        cls._plan = None
     return cls.aut_marked_order
 
 
@@ -280,7 +288,7 @@ def build_degree_census(
         # |Hol(N)| = n |Aut(N)|: a holomorph whose dense table the
         # enumeration would refuse stops the degree before any is built
         for g in groups:
-            check_budget(degree * IsoSearch(g, g).run("count"))
+            check_budget(degree * automorphism_order(g))
         contexts = [build_holomorph(g) for g in groups]
         for ctx in contexts:
             records.extend(enumerate_transitive_classes(ctx, node_budget, time_budget))
@@ -326,9 +334,15 @@ def build_degree_census(
         bc_hgs = None
     else:
         try:
+            # a stabilizer-respecting isomorphism carries blocks onto
+            # blocks, so every member has its leader's field count
+            fields_of: dict[int, int] = {}
+            for cls in classes:
+                fields = intermediate_field_count(cls.members[0][1])
+                fields_of.update((id(rec), fields) for _, rec in cls.members)
             for i, rec in enumerate(records):
-                ok, fields, hopfs = bijective_correspondence(rec)
-                bc_flags[i] = ok
+                fields, hopfs = fields_of[id(rec)], hopf_subalgebra_count(rec)
+                bc_flags[i] = fields == hopfs
                 bc_counts[i] = (fields, hopfs)
             bc_hgs = _as_int(
                 _sum_weighted(records, weights, bc_flags), "correspondence count", degree

@@ -13,6 +13,10 @@ for every position x, c running over the side-2 elements with that key.
 Partial maps hold side-2 positions, so every build and verify step is one
 gather in such a row, whatever the form or order of the side's table.
 
+Side 1's half of a search (keys, generator choice, breadth tree) is a
+`SourcePlan`, built from that side and its marked set alone, so a caller
+that searches from one side many times passes the plan as side 1.
+
 Backtracking over generator images.  Every element carries one key,
 2 * colour + mark: the colour is invariant under every isomorphism, and
 the mark is an exact low bit for membership in an optional marked subset
@@ -24,9 +28,9 @@ engine; a further invariant, such as cycle type on the points, would be
 one more key column next to the mark.  Partial maps are extended level by
 level along a precomputed breadth tree and every (element, generator)
 product is verified before descending, so dead branches die early.  That
-check is the only pruning besides the keys: a test on the orders of short
-words such as g_j g_i would only repeat conditions the verified products
-already enforce.
+check and the keys are the only pruning inside a search: a test on the
+orders of short words such as g_j g_i would only repeat conditions the
+verified products already enforce.
 
 Counts never list the maps.  For the generator sequence g_1..g_k,
 |Aut(T, marked)| is the product over i of the orbit size of g_i under the
@@ -36,9 +40,15 @@ down to 1, each candidate image b of g_i costing one "first" search with
 g_1..g_{i-1} pinned to themselves and g_i to b.  Every automorphism found
 so far fixes g_1..g_{i-1}, so a found witness puts the whole orbit of b
 under them into the orbit of g_i and a failed search rules the whole orbit
-of b out; no other point of that orbit is searched.  Between different
-sides the isomorphisms form one coset of Aut(side 2, marked2), so the
-count is 0 or that group's chain count.  A one-sided count keeps the
+of b out; no other point of that orbit is searched.  Before any search,
+the keys refute candidates: an automorphism fixing g_j and sending g_i to
+b sends g_i g_j to b g_j and g_j g_i to g_j b, and keeps every key, so a b
+with key(b g_j) != key(g_i g_j) or key(g_j b) != key(g_j g_i) for some
+j < i has no witness.  That costs two gathers per pinned generator, and a
+refuted b's whole orbit is refuted with it, so the chain finds the same
+witnesses and count, minus searches that could only fail.  Between
+different sides the isomorphisms form one coset of Aut(side 2, marked2),
+so the count is 0 or that group's chain count.  A one-sided count keeps the
 witnesses it found (`witnesses`): each lies outside the group the earlier
 ones generate, and together they are a strong generating set of
 Aut(T, marked), so `catalog.automorphism_group` closes them instead of
@@ -49,6 +59,7 @@ stopping at the first.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -75,9 +86,10 @@ class _Level:
         self.new_pos = new_pos      # positions first seen at this level
 
 
-class _SourcePlan:
+class _BreadthTree:
     """Breadth trees and verification pairs for one generating sequence of
-    a k-element subgroup of T.
+    a k-element subgroup of T, the subgroup on the sorted indices `elems`
+    whose keys are `key`.
 
     Positions number the subgroup's elements in discovery order: `elem_at`
     holds their table indices and `pos_of` maps a table index back to its
@@ -87,8 +99,9 @@ class _SourcePlan:
     frontier order.
     """
 
-    def __init__(self, T: GroupTable, gens: list[int], k: int):
+    def __init__(self, T: GroupTable, elems: np.ndarray, gens: list[int], key: np.ndarray):
         mul = T.mul
+        k = len(elems)
         self.gens = gens
         self.levels: list[_Level] = []
         elem_at = np.zeros(k, dtype=np.int64)
@@ -123,7 +136,32 @@ class _SourcePlan:
                     verify.append((j, xs, pos_of[mul[elem_at[xs], gens[j]]]))
             self.levels.append(_Level(total, n_old, build, verify, new_pos))
         self.total = total
-        self.elem_at = elem_at
+        back = _back(T, elems)
+        self.local = back[elem_at]  # subgroup position of each plan position
+        self.gen_pos = back[gens]
+        # keys the elements first mapped at each level must find
+        self.want = [key[self.local[lv.new_pos]] for lv in self.levels]
+
+
+class SourcePlan:
+    """Side 1 of a search, reusable by every search from that side: the
+    keys at once, and the generator choice and its `_BreadthTree` on the
+    first feasible search (`tree`)."""
+
+    def __init__(self, side: Side, marked: Optional[np.ndarray] = None):
+        self.T, self.elems, self.colours = _side(side)
+        self.key = _keys(self.colours, marked)
+
+    @cached_property
+    def tree(self) -> _BreadthTree:
+        # favor rare colours (small image buckets), then high orders
+        _, colour_of, count = np.unique(self.colours, return_inverse=True, return_counts=True)
+        elems = self.elems
+        xs = np.arange(1, len(elems))
+        orders = self.T.elem_order[elems[xs]]
+        pref = elems[xs[np.lexsort((-orders, count[colour_of[xs]]))]]
+        gens = self.T.small_generating_set(np.concatenate([[0], pref]))
+        return _BreadthTree(self.T, elems, gens, self.key)
 
 
 class IsoSearch:
@@ -131,47 +169,36 @@ class IsoSearch:
 
     A side is a `GroupTable`, searched whole, or a triple (table, sorted
     element indices, colours in that order) naming a subgroup of the table.
-    `marked1`, `marked2` and the maps returned are in positions 0..k-1 of
-    each side's sorted indices.
+    Side 1 may also be a `SourcePlan`, which brings its own marked set in
+    place of `marked1`.  `marked1`, `marked2` and the maps returned are in
+    positions 0..k-1 of each side's sorted indices.
     """
 
     def __init__(
         self,
-        side1: Side,
+        side1: Union[Side, SourcePlan],
         side2: Side,
         marked1: Optional[np.ndarray] = None,
         marked2: Optional[np.ndarray] = None,
     ):
-        self.T1, self.elems1, colours1 = _side(side1)
+        self.source = side1 if isinstance(side1, SourcePlan) else SourcePlan(side1, marked1)
         self.T2, self.elems2, self.colours2 = _side(side2)
         self.witnesses: list[np.ndarray] = []  # kept by a one-sided count
-        self.m = len(self.elems1)
+        self.m = len(self.source.elems)
         self.feasible = self.m == len(self.elems2)
         if not self.feasible:
             return
         # key 2 * colour + mark: the mark is an exact low bit
-        self.key1 = _keys(colours1, marked1)
         self.key2 = _keys(self.colours2, marked2)
         by_key = np.argsort(self.key2, kind="stable")
         sorted2 = self.key2[by_key]
-        if not np.array_equal(np.sort(self.key1), sorted2):
+        if not np.array_equal(np.sort(self.source.key), sorted2):
             self.feasible = False
             return
-        # favor rare colours (small image buckets), then high orders
-        _, colour_of, count = np.unique(colours1, return_inverse=True, return_counts=True)
-        xs = np.arange(1, self.m)
-        orders = self.T1.elem_order[self.elems1[xs]]
-        pref = self.elems1[xs[np.lexsort((-orders, count[colour_of[xs]]))]]
-        gens = self.T1.small_generating_set(np.concatenate([[0], pref]))
-        self.plan = _SourcePlan(self.T1, gens, self.m)
-        back1 = _back(self.T1, self.elems1)
-        self.local1 = back1[self.plan.elem_at]  # side-1 position of each plan position
-        self.gen_pos = back1[gens]
-        # keys the elements first mapped at each level must find
-        self.want = [self.key1[self.local1[lv.new_pos]] for lv in self.plan.levels]
+        self.plan = plan = self.source.tree
         # candidate images of each generator: side-2 positions with its key,
         # ascending; one product table per distinct key, shared by its slots
-        gen_keys = self.key1[self.gen_pos]
+        gen_keys = self.source.key[plan.gen_pos]
         lo = np.searchsorted(sorted2, gen_keys, "left")
         hi = np.searchsorted(sorted2, gen_keys, "right")
         self.cands = [by_key[a:b] for a, b in zip(lo, hi)]
@@ -204,8 +231,9 @@ class IsoSearch:
             return 0
         if self.m == 1:
             return 1
-        same = (self.T1 is self.T2 and np.array_equal(self.elems1, self.elems2)
-                and np.array_equal(self.key1, self.key2))
+        src = self.source
+        same = (src.T is self.T2 and np.array_equal(src.elems, self.elems2)
+                and np.array_equal(src.key, self.key2))
         if not same:
             # the isomorphisms are one coset of Aut(side 2, marked2)
             if self.run("first") is None:
@@ -213,25 +241,35 @@ class IsoSearch:
             side2 = (self.T2, self.elems2, self.colours2)
             marked = np.flatnonzero(self.key2 & 1)
             return IsoSearch(side2, side2, marked, marked).run("count")
-        plan = self.plan
+        plan, right, key = self.plan, self.right, self.key2
         n_gens = len(plan.gens)
         cols = [range(len(c)) for c in self.cands]
+        gen_pos = plan.gen_pos.tolist()
         # one side: generator j's own column among its candidates
-        own = [int(np.searchsorted(c, g)) for c, g in zip(self.cands, self.gen_pos.tolist())]
+        own = [int(np.searchsorted(c, g)) for c, g in zip(self.cands, gen_pos)]
         found: list[np.ndarray] = []  # automorphisms fixing gens[:i] at level i
         count = 1
         for i in range(n_gens - 1, -1, -1):
             lab = orbit_labels(np.array(found, dtype=np.int64).reshape(-1, self.m))
             dead = np.zeros(self.m, dtype=bool)  # labels of orbits with no witness
             n_fixed = plan.levels[i].n_old
-            gi = self.gen_pos[i]
-            for c, b in enumerate(self.cands[i].tolist()):
-                orbit = lab[b]
+            gi = gen_pos[i]
+            # keys of b * g_j and g_j * b must match those of g_i * g_j and
+            # g_j * g_i for every pinned g_j
+            cands = self.cands[i]
+            live = np.ones(len(cands), dtype=bool)
+            for j in range(i):
+                times_gj = right[j][own[j]]
+                live &= key[times_gj[cands]] == key[times_gj[gi]]
+                gj_times = right[i][:, gen_pos[j]]
+                live &= key[gj_times] == key[gj_times[own[i]]]
+            for c in np.flatnonzero(live).tolist():
+                orbit = lab[cands[c]]
                 if orbit == lab[gi] or dead[orbit]:
                     continue
                 # pin gens[:i] to themselves and gens[i] to b, search the rest
                 phi = np.full(plan.total, -1, dtype=np.intp)
-                phi[:n_fixed] = self.local1[:n_fixed]
+                phi[:n_fixed] = plan.local[:n_fixed]
                 pinned = cols[:i] + [[c]] + cols[i + 1 :]
                 witness = self._descend(pinned, i, phi, own[:i] + [0] * (n_gens - i), True)
                 if witness:
@@ -253,10 +291,10 @@ class IsoSearch:
         side 1's positions.  `phi` holds side-2 positions; `gen_img[j]` is
         generator j's column among its candidates, so right[j][gen_img[j]]
         is the right multiplication by its image."""
-        levels = self.plan.levels
+        levels, local = self.plan.levels, self.plan.local
         k = len(levels)
         right = self.right
-        key2, want = self.key2, self.want
+        key2, want = self.key2, self.plan.want
         found: list[np.ndarray] = []
 
         def descend(level: int) -> bool:
@@ -276,7 +314,7 @@ class IsoSearch:
                 if good:
                     if level + 1 == k:
                         out = np.empty(self.m, dtype=np.int64)
-                        out[self.local1] = phi
+                        out[local] = phi
                         found.append(out)
                         if first:
                             return True
@@ -327,4 +365,5 @@ def _keys(colours: np.ndarray, marked: Optional[np.ndarray]) -> np.ndarray:
 
 __all__ = [
     "IsoSearch",
+    "SourcePlan",
 ]

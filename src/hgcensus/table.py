@@ -138,7 +138,8 @@ class GroupTable:
         self._gens: Optional[list[int]] = None if gens is None else list(gens)
         self._colours: Optional[np.ndarray] = None
         self._valid = False
-        self._aut: Optional[PermGroup] = None  # closed chain witnesses (`catalog.automorphism_group`)
+        # |Aut| and its chain witnesses as a group (`catalog.automorphism_order`)
+        self._aut: Optional[tuple[int, PermGroup]] = None
 
     # -- construction ------------------------------------------------------
 

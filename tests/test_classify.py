@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import compose, regular_representation
+from hgcensus import classify
 from hgcensus.catalog import groups_of_order, invariants
 from hgcensus.classify import classify_degree, stab_respecting_iso
 from hgcensus.enumeration import enumerate_transitive_classes
@@ -149,3 +150,36 @@ def test_partition_matches_pairwise_searches_on_record_tables(census, record_tab
     position = {id(rec): i for i, rec in enumerate(records)}
     got = [(cls.label, [position[id(rec)] for rec in cls.records()]) for cls in classify_degree(records)]
     assert got == want
+
+
+@pytest.mark.parametrize("degree", [8, 12])
+def test_leader_plans_search_like_the_leader_side(census, monkeypatch, degree):
+    # classify plans each leader once and compares its bucket from the
+    # plan; every comparison must find what a search from the side finds
+    compared = []
+    search = classify.IsoSearch
+
+    def spy(plan, side2, marked2):
+        compared.append((plan, side2, marked2))
+        return search(plan, side2, marked2=marked2)
+
+    monkeypatch.setattr(classify, "IsoSearch", spy)
+    records = census(degree).records
+    classes = classify_degree(records)
+    assert [c.label for c in classes] == [c.label for c in census(degree).classes]
+    plans = {id(plan): plan for plan, _, _ in compared}
+    leaders = {(id(plan.T), plan.elems.tobytes()) for plan in plans.values()}
+    assert len(plans) == len(leaders) < len(compared)
+    for plan, side2, marked2 in compared:
+        marked1 = np.flatnonzero(plan.key & 1)
+        side1 = (plan.T, plan.elems, plan.colours)
+        first = search(plan, side2, marked2=marked2).run("first")
+        want = search(side1, side2, marked1, marked2).run("first")
+        assert (first is None) == (want is None)
+        if first is not None:
+            assert np.array_equal(first, want)
+        assert (search(plan, side2, marked2=marked2).run("count")
+                == search(side1, side2, marked1, marked2).run("count"))
+    # a class of two or more records keeps its leader's plan for the weight
+    for cls in classes:
+        assert (cls._plan is not None) == (len(cls.members) > 1), cls.label

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import regular_representation
-from hgcensus import build_degree_census, counts, table
+from hgcensus import build_degree_census, catalog, counts, table
 from hgcensus.counts import (
     DegreeReportRow,
     bijective_correspondence,
@@ -151,6 +151,23 @@ def test_field_count_equals_subgroups_over_the_stabilizer(census, record_table, 
         assert intermediate_field_count(rec) == over, (rec.type_name, rec.order)
 
 
+@pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])
+def test_every_member_has_its_class_field_count(census, degree):
+    # the census walks the block lattice once per class, on the leader
+    c = census(degree)
+    fields_of = {id(rec): fields for rec, (fields, _) in zip(c.records, c.bc_counts)}
+    for cls in c.classes:
+        want = intermediate_field_count(cls.members[0][1])
+        for _, rec in cls.members:
+            assert intermediate_field_count(rec) == want == fields_of[id(rec)], cls.label
+
+
+def test_no_class_holds_a_plan_once_the_census_returns():
+    c = build_degree_census(8)
+    assert any(len(cls.members) > 1 for cls in c.classes)
+    assert all(cls._plan is None for cls in c.classes)
+
+
 def test_correspondence_returns_consistent_triple(census):
     for rec, counts in zip(census(6).records, census(6).bc_counts):
         ok, fields, hopfs = bijective_correspondence(rec)
@@ -249,18 +266,47 @@ def test_weights_align_with_records(census):
     assert total == c.row.hgs_total
 
 
+def _fresh_catalog(monkeypatch) -> None:
+    """Reload the catalog for this test: its tables hold no automorphism count yet."""
+    monkeypatch.setattr(catalog, "_catalog_cache", None)
+    monkeypatch.setattr(catalog, "_checked_orders", set())
+
+
 def test_oversized_holomorph_stops_degree_16_before_any_holomorph(monkeypatch):
     # |Hol(C2^4)| = 16 * 20160 exceeds the dense-table budget; the
-    # automorphism count alone must stop the degree
+    # automorphism count alone must stop the degree, before anything
+    # closes Aut(C2^4)
     def refuse(group):
         raise AssertionError(f"built the holomorph of {group.name}")
 
+    _fresh_catalog(monkeypatch)
     monkeypatch.setattr(counts, "build_holomorph", refuse)
     c = build_degree_census(16)
     assert c.row.types == 14
     assert c.row.partial
     assert c.row.cells()[1:] == (None,) * 7
     assert c.contexts == [] and c.records == []
+    e16 = next(g for g in catalog.groups_of_order(16) if g.name == "C2xC2xC2xC2")
+    assert catalog.automorphism_order(e16) == 20160
+    assert e16._aut[1]._elements is None
+
+
+def test_each_type_counts_its_automorphisms_once(monkeypatch):
+    # the budget pre-check's chain count is the one automorphism_group closes
+    _fresh_catalog(monkeypatch)
+    groups = catalog.groups_of_order(8)
+    chains = []
+    count = IsoSearch._count
+
+    def spy(self):
+        if any(self.source.T is g for g in groups):
+            chains.append(self.source.T.name)
+        return count(self)
+
+    monkeypatch.setattr(IsoSearch, "_count", spy)
+    c = build_degree_census(8)
+    assert sorted(chains) == sorted(g.name for g in groups)
+    assert [ctx.aut.order for ctx in c.contexts] == [catalog.automorphism_order(g) for g in groups]
 
 
 def test_the_budget_pre_check_reads_the_table_budget_where_it_is_kept(monkeypatch):

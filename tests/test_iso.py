@@ -113,6 +113,16 @@ def test_chain_count_equals_listed_maps_on_every_class(census, record_table, all
         assert search.run("count") == len(all_maps(search)), cls.label
 
 
+def test_chain_count_equals_listed_maps_on_small_catalog_groups(all_maps):
+    # the one-sided chain refutes candidates by the keys of their products
+    # with the pinned generators before searching them
+    for n in catalog_orders():
+        if n <= 12:
+            for g in groups_of_order(n):
+                search = IsoSearch(g, g)
+                assert search.run("count") == len(all_maps(search)), g.name
+
+
 def test_chain_count_equals_automorphism_group_order():
     # the census pre-check sizes Hol(N) by the chain count; the holomorph
     # is built from the listed maps
