@@ -89,12 +89,16 @@ class DegreeReportRow:
 def _class_weight(cls: EquivalenceClass) -> int:
     """|Aut(G, G')| for the class's abstract pair, cached on the class;
     counted from the leader's plan classify left on the class, if any,
-    which it then drops."""
+    which it then drops.  The chain count is seeded with the leader's
+    N_A(G): conjugation by an automorphism of N that normalizes G is an
+    automorphism of G fixing G' = Stab_G(0), so its orbits lie inside
+    those the count needs."""
     if cls.aut_marked_order is None:
         rec = cls.members[0][1]
         stab = rec.stab_positions
         source = cls._plan or rec.side
-        cls.aut_marked_order = int(IsoSearch(source, rec.side, stab, stab).run("count"))
+        search = IsoSearch(source, rec.side, stab, stab, seeds=rec.aut_normalizer)
+        cls.aut_marked_order = int(search.run("count"))
         cls._plan = None
     return cls.aut_marked_order
 
@@ -302,12 +306,11 @@ def build_degree_census(
     for cls in classes:
         w = _class_weight(cls)
         for _, rec in cls.members:
-            # certificate: N_A(G), of order normalizer_order / n, acts
-            # faithfully on G by conjugation and fixes G', so it embeds
-            # in Aut(G, G')
-            if rec.normalizer_order % degree or w % (rec.normalizer_order // degree):
+            # certificate: N_A(G) acts faithfully on G by conjugation and
+            # fixes G', so it embeds in Aut(G, G')
+            if w % len(rec.aut_normalizer):
                 raise ConsistencyError(
-                    f"class {cls.label}: normalizer order {rec.normalizer_order} / {degree} "
+                    f"class {cls.label}: |N_A(G)| = {len(rec.aut_normalizer)} "
                     f"does not divide |Aut(G, G')| = {w} in type {rec.type_name}"
                 )
             weight_of[id(rec)] = Fraction(w, rec.ctx.aut.order)

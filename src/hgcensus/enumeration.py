@@ -194,22 +194,32 @@ class TransitiveClassRecord:
 
     The class is held by row indices into `ctx.perms`, which are also its
     indices into the holomorph table; `rep` and `stabilizer` are groups on
-    slices of those rows, and `colours` the representative's element
-    colours, each built on first use.  Searches run on the holomorph table
-    (`side`); the representative never gets a table of its own.
+    slices of those rows, built on first use.  `aut_normalizer` is N_A(G),
+    the point-0 stabilizer of the representative's normalizer: the
+    automorphisms of N that normalize G, sorted, `normalizer_order / n`
+    indices.
+    `colours`, the representative's element colours, are set by
+    `enumerate_transitive_classes`, one pass per holomorph.  Searches run
+    on the holomorph table (`side`); the representative never gets a table
+    of its own.
     """
 
     ctx: HolomorphContext
     indices: np.ndarray
     gens: list[int]
     class_size: int
-    normalizer_order: int
+    aut_normalizer: np.ndarray
     stabilizer_order: int
     regular: bool
 
     @property
     def order(self) -> int:
         return len(self.indices)
+
+    @property
+    def normalizer_order(self) -> int:
+        """|N_Hol(G)| = n |N_A(G)|: the normalizer is transitive, as G is."""
+        return self.ctx.n * len(self.aut_normalizer)
 
     @property
     def type_name(self) -> str:
@@ -229,8 +239,9 @@ class TransitiveClassRecord:
     @cached_property
     def colours(self) -> np.ndarray:
         """Colours of the representative's elements in index order, read
-        off the holomorph table (`GroupTable.subgroup_colours`)."""
-        return self.ctx.table().subgroup_colours(self.indices, self.gens)
+        off the holomorph table (`GroupTable.subgroup_colours`): set at
+        enumeration, and computed alone only for a record without them."""
+        return self.ctx.table().subgroup_colours([(self.indices, self.gens)])[0]
 
     @property
     def side(self) -> tuple[GroupTable, np.ndarray, np.ndarray]:
@@ -249,12 +260,14 @@ def enumerate_transitive_classes(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> list[TransitiveClassRecord]:
-    """Transitive subgroup classes of Hol, sorted by (order, canonical member)."""
-    all_classes = subgroup_classes(ctx.table(), node_budget, time_budget)
+    """Transitive subgroup classes of Hol, sorted by (order, canonical
+    member), each with its colours, which one `subgroup_colours` pass over
+    every record sets."""
+    T = ctx.table()
     img0 = ctx.perms[:, 0]
     n = ctx.n
     out = []
-    for cls in all_classes:
+    for cls in subgroup_classes(T, node_budget, time_budget):
         stab_order = int((img0[cls.indices] == 0).sum())
         if cls.order != stab_order * n:
             continue  # orbit of 0 is smaller than the whole domain
@@ -264,11 +277,13 @@ def enumerate_transitive_classes(
                 indices=cls.indices,
                 gens=cls.gens,
                 class_size=cls.class_size,
-                normalizer_order=len(cls.normalizer),
+                aut_normalizer=cls.normalizer[img0[cls.normalizer] == 0],
                 stabilizer_order=stab_order,
                 regular=cls.order == n,
             )
         )
+    for rec, colours in zip(out, T.subgroup_colours([(rec.indices, rec.gens) for rec in out])):
+        rec.colours = colours
     return out
 
 

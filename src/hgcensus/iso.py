@@ -48,13 +48,21 @@ j < i has no witness.  That costs two gathers per pinned generator, and a
 refuted b's whole orbit is refuted with it, so the chain finds the same
 witnesses and count, minus searches that could only fail.  Between
 different sides the isomorphisms form one coset of Aut(side 2, marked2),
-so the count is 0 or that group's chain count.  A one-sided count keeps the
-witnesses it found (`witnesses`): each lies outside the group the earlier
-ones generate, and together they are a strong generating set of
-Aut(T, marked), so `catalog.automorphism_group` closes them instead of
-listing every map.  The engine never lists every map; the tests' reference
-listing (`all_maps` in their `conftest.py`) runs `_descend` without
-stopping at the first.
+so the count is 0 or that group's chain count.  A one-sided count may be
+seeded (`seeds`) with a group that normalizes the searched subgroup and
+keeps its keys, as N_A(G) does for a class weight: the seeds that fix
+g_1..g_{i-1} act inside level i's stabilizer, so at the level's first
+search a greedy generating set of them joins the orbits, each generator
+proving itself first (`_seed_maps`).  Orbits under any subgroup of that
+stabilizer keep the count exact: seeds only remove searches that would
+succeed, and a failed search rules out a larger orbit.  The count keeps
+the witnesses it found (`witnesses`): each lies outside the group the
+earlier ones and the level's seeds generate.  Unseeded, they are a strong
+generating set of Aut(T, marked), so `catalog.automorphism_group`, whose
+count never seeds, closes them instead of listing every map; a seeded
+count's witnesses alone need not generate the group.  The engine never
+lists every map; the tests' reference listing (`all_maps` in their
+`conftest.py`) runs `_descend` without stopping at the first.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ConsistencyError, StructureError
 from .perm import orbit_labels
 from .table import GroupTable
 
@@ -171,7 +179,11 @@ class IsoSearch:
     element indices, colours in that order) naming a subgroup of the table.
     Side 1 may also be a `SourcePlan`, which brings its own marked set in
     place of `marked1`.  `marked1`, `marked2` and the maps returned are in
-    positions 0..k-1 of each side's sorted indices.
+    positions 0..k-1 of each side's sorted indices.  `seeds`, indices into
+    side 2's table, name a group that normalizes side 2's subgroup and
+    keeps its marked set: a count starts each level's orbits from the
+    conjugations by those of its elements that fix the level's pinned
+    generators, and checks each generator it takes (`_seed_maps`).
     """
 
     def __init__(
@@ -180,9 +192,11 @@ class IsoSearch:
         side2: Side,
         marked1: Optional[np.ndarray] = None,
         marked2: Optional[np.ndarray] = None,
+        seeds: Optional[np.ndarray] = None,
     ):
         self.source = side1 if isinstance(side1, SourcePlan) else SourcePlan(side1, marked1)
         self.T2, self.elems2, self.colours2 = _side(side2)
+        self.seeds = seeds
         self.witnesses: list[np.ndarray] = []  # kept by a one-sided count
         self.m = len(self.source.elems)
         self.feasible = self.m == len(self.elems2)
@@ -240,7 +254,7 @@ class IsoSearch:
                 return 0
             side2 = (self.T2, self.elems2, self.colours2)
             marked = np.flatnonzero(self.key2 & 1)
-            return IsoSearch(side2, side2, marked, marked).run("count")
+            return IsoSearch(side2, side2, marked, marked, self.seeds).run("count")
         plan, right, key = self.plan, self.right, self.key2
         n_gens = len(plan.gens)
         cols = [range(len(c)) for c in self.cands]
@@ -248,9 +262,12 @@ class IsoSearch:
         # one side: generator j's own column among its candidates
         own = [int(np.searchsorted(c, g)) for c, g in zip(self.cands, gen_pos)]
         found: list[np.ndarray] = []  # automorphisms fixing gens[:i] at level i
+        fixes = None  # fixes[a, j]: seed a fixes gens[:j + 1], at the first search
         count = 1
         for i in range(n_gens - 1, -1, -1):
-            lab = orbit_labels(np.array(found, dtype=np.int64).reshape(-1, self.m))
+            # this level's seed maps, None until its first search
+            seeded = None if self.seeds is not None else []
+            lab = _orbits(found, [], self.m)
             dead = np.zeros(self.m, dtype=bool)  # labels of orbits with no witness
             n_fixed = plan.levels[i].n_old
             gi = gen_pos[i]
@@ -267,6 +284,18 @@ class IsoSearch:
                 orbit = lab[cands[c]]
                 if orbit == lab[gi] or dead[orbit]:
                     continue
+                if seeded is None:
+                    # the level's first search: its seeds join the orbits
+                    # first (no search has failed yet, so none is dead)
+                    if fixes is None:
+                        pinned = self.elems2[plan.gen_pos]
+                        conj = self.T2.conj_many(self.seeds[:, None], pinned)
+                        fixes = np.logical_and.accumulate(conj == pinned, axis=1)
+                    seeded = self._seed_maps(self.seeds[fixes[:, i - 1]] if i else self.seeds, i, own)
+                    lab = _orbits(found, seeded, self.m)
+                    orbit = lab[cands[c]]
+                    if orbit == lab[gi]:
+                        continue
                 # pin gens[:i] to themselves and gens[i] to b, search the rest
                 phi = np.full(plan.total, -1, dtype=np.intp)
                 phi[:n_fixed] = plan.local[:n_fixed]
@@ -275,7 +304,7 @@ class IsoSearch:
                 if witness:
                     found.append(witness[0])
                     old_dead = np.flatnonzero(dead)
-                    lab = orbit_labels(np.array(found, dtype=np.int64))
+                    lab = _orbits(found, seeded, self.m)
                     dead = np.zeros(self.m, dtype=bool)
                     dead[lab[old_dead]] = True
                 else:
@@ -283,6 +312,35 @@ class IsoSearch:
             count *= int((lab == lab[gi]).sum())
         self.witnesses = found
         return count
+
+    def _seed_maps(self, group: np.ndarray, i: int, own: list[int]) -> list[np.ndarray]:
+        """Position maps of the conjugations by a greedy generating set of
+        `group`, seeds that fix gens[:i].  Each must prove itself before it
+        is used: it maps the subgroup into itself, keeps every key, fixes
+        gens[:i], and is a homomorphism on the plan's generators,
+        s(x g_j) = s(x) s(g_j) for every position x, read from the right
+        products; a conjugation is injective, so it is then an automorphism.
+        Raises ConsistencyError otherwise."""
+        if len(group) < 2:
+            return []
+        T, gen_pos = self.T2, self.plan.gen_pos
+        gens = np.array(T.small_generating_set(group), dtype=np.int64)
+        smaps = _back(T, self.elems2)[T.conj_many(gens[:, None], self.elems2)].astype(np.int64)
+        ok = ((smaps >= 0).all() and (self.key2[smaps] == self.key2).all()
+              and (smaps[:, gen_pos[:i]] == gen_pos[:i]).all())
+        for j, cands in enumerate(self.cands):
+            if not ok:
+                break
+            img = smaps[:, gen_pos[j]]
+            c = np.searchsorted(cands, img).clip(max=len(cands) - 1)
+            ok = ((cands[c] == img).all()
+                  and (smaps[:, self.right[j][own[j]]] == self.right[j][c[:, None], smaps]).all())
+        if not ok:
+            raise ConsistencyError(
+                f"a seed among {gens.tolist()} is not an automorphism of the searched "
+                "subgroup fixing its pinned generators"
+            )
+        return list(smaps)
 
     def _descend(
         self, cols, start: int, phi: np.ndarray, gen_img: list[int], first: bool
@@ -334,6 +392,11 @@ def _side(side: Side) -> tuple[GroupTable, np.ndarray, np.ndarray]:
         return side, np.arange(side.order, dtype=np.int64), side.colours()
     T, elems, colours = side
     return T, np.asarray(elems, dtype=np.int64), colours
+
+
+def _orbits(found: list[np.ndarray], seeded: list[np.ndarray], m: int) -> np.ndarray:
+    """Orbit labels of the m positions under the maps found and seeded."""
+    return orbit_labels(np.array(found + seeded, dtype=np.int64).reshape(-1, m))
 
 
 def _back(T: GroupTable, elems: np.ndarray) -> np.ndarray:

@@ -28,6 +28,11 @@ DEFAULT_TABLE_BUDGET = 6000
 # keeps the m-wide temporaries small next to the table itself
 _ROW_BLOCK = 128
 
+# elements and position-map cells `subgroup_colours` works on at once: one
+# pass over many subgroups, with temporaries small next to the table
+_COLOUR_POSITIONS = 8192
+_COLOUR_MAP_CELLS = 2**17
+
 # cosets `extend_subgroup` marks one at a time in Python before it hands the
 # rest of the fill to numpy levels
 _WALK_COSETS = 4
@@ -486,12 +491,13 @@ class GroupTable:
         """One non-negative int64 colour per element, preserved by every
         isomorphism: `subgroup_colours` of the whole group, computed once."""
         if self._colours is None:
-            self._colours = self.subgroup_colours(np.arange(self.order, dtype=np.int64), self.generators())
+            whole = (np.arange(self.order, dtype=np.int64), self.generators())
+            self._colours = self.subgroup_colours([whole])[0]
         return self._colours
 
-    def subgroup_colours(self, elems: np.ndarray, gens: Sequence[int]) -> np.ndarray:
-        """Colours of the subgroup on sorted `elems`, generated by `gens`,
-        one per element in `elems` order.
+    def subgroup_colours(self, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]]) -> list[np.ndarray]:
+        """Colours of each subgroup, given as (sorted elements, generators),
+        one int64 array per subgroup in its elements' order.
 
         Starts from (element order, conjugacy-class size in the subgroup),
         then three rounds mix in the colours of x^-1 and of x^p for each
@@ -501,23 +507,57 @@ class GroupTable:
         is fixed uint64 arithmetic, so colours of different tables compare
         directly; a collision only merges colours.  Equal colours are
         necessary for an element and its image.
+
+        The subgroups are coloured together, a chunk at a time
+        (`_colour_chunks`): a chunk lays its subgroups' elements side by
+        side on disjoint positions, reads inverses, orders and powers once
+        over all of them, labels every conjugacy class with one
+        `orbit_labels` call and runs the mix rounds once.
         """
-        elems = np.asarray(elems, dtype=np.int64)
-        back = np.full(self.order, -1, dtype=np.int64)
-        back[elems] = np.arange(len(elems))
-        g = np.array(gens, dtype=np.int64)
-        lab = orbit_labels(back[self.conj_many(g[:, None], elems)])
+        out: list[np.ndarray] = []
+        for chunk in _colour_chunks([len(elems) for elems, _ in subgroups], self.order):
+            out.extend(self._colour_chunk([subgroups[i] for i in chunk]))
+        return out
+
+    def _colour_chunk(self, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]]) -> list[np.ndarray]:
+        """`subgroup_colours` of one chunk.  Subgroup s holds positions
+        offsets[s]..offsets[s+1]-1, and the flat position map holds the
+        position of its element x at s * order + x, so the product at each
+        position is located by one gather pos[row + product].  Subgroups
+        with fewer generators than the widest are padded with the
+        identity, whose conjugation moves nothing."""
+        sizes = [len(elems) for elems, _ in subgroups]
+        offsets = np.cumsum([0] + sizes)
+        elems = np.concatenate([np.asarray(e, dtype=np.int64) for e, _ in subgroups])
+        owner = np.repeat(np.arange(len(subgroups)), sizes)
+        row = owner * self.order  # subgroup s's row in the flat position map
+        dtype = np.int16 if len(elems) < 2**15 else np.int32
+        pos = np.full(len(subgroups) * self.order, -1, dtype=dtype)
+        pos[row + elems] = np.arange(len(elems))
+        width = max(len(gens) for _, gens in subgroups)
+        gens = np.zeros((width, len(subgroups)), dtype=np.int64)
+        for s, (_, g) in enumerate(subgroups):
+            gens[: len(g), s] = g
+        lab = orbit_labels(pos[row + self.conj_many(gens[:, owner], elems)])
         size = np.bincount(lab, minlength=len(elems))[lab].astype(np.uint64)
         orders = self.elem_order[elems]
-        exponent = lcm(*np.unique(orders).tolist())
-        maps = [back[self.inv[elems]]] + [back[self._powers(p, elems)] for p in _prime_factors(exponent)]
+        exponent = np.lcm.reduceat(orders, offsets[:-1])
+        # (positions, their x^p) for each prime p, on the positions of the
+        # subgroups whose exponent p divides, in increasing p
+        powers = []
+        for p in sorted({p for e in set(exponent.tolist()) for p in _prime_factors(e)}):
+            divides = exponent % p == 0
+            at = slice(None) if divides.all() else np.flatnonzero(divides[owner])
+            powers.append((at, pos[row[at] + self._powers(p, elems[at])]))
+        inverse = pos[row + self.inv[elems]]
         c = _mix(orders.astype(np.uint64), size)
         for _ in range(3):
-            new = c
-            for f in maps:
-                new = _mix(new, c[f])
+            new = _mix(c, c[inverse])
+            for at, f in powers:
+                new[at] = _mix(new[at], c[f])
             c = new
-        return (c >> np.uint64(1)).astype(np.int64)
+        c = (c >> np.uint64(1)).astype(np.int64)
+        return [c[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     def _powers(self, e: int, elems: np.ndarray) -> np.ndarray:
         """x^e for every x in `elems`, by repeated squaring."""
@@ -540,6 +580,22 @@ def _prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1
     return out + [n] if n > 1 else out
+
+
+def _colour_chunks(sizes: Sequence[int], order: int) -> list[range]:
+    """Consecutive runs of subgroups coloured together: each run holds at
+    most `_COLOUR_POSITIONS` elements and a position map of at most
+    `_COLOUR_MAP_CELLS` cells (one row of `order` per subgroup), or a
+    single subgroup."""
+    runs, lo, total = [], 0, 0
+    for i, k in enumerate(sizes):
+        if i > lo and (total + k > _COLOUR_POSITIONS or (i - lo + 1) * order > _COLOUR_MAP_CELLS):
+            runs.append(range(lo, i))
+            lo, total = i, 0
+        total += k
+    if sizes:
+        runs.append(range(lo, len(sizes)))
+    return runs
 
 
 def _mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -338,11 +338,14 @@ def test_a_weight_the_normalizer_does_not_divide_is_refused(monkeypatch):
     assert halved == ["d4-o4-s1-c1"]
 
 
-@pytest.mark.parametrize("degree", [*range(2, 13), 41])
+@pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])
 def test_class_weight_equals_the_search_on_record_tables(census, record_table, degree):
-    # the weight searches the leader inside its holomorph table; the oracle
-    # searches the leader's own k x k table
+    # the weight searches the leader inside its holomorph table, seeded with
+    # its N_A(G); the oracle searches the leader's own k x k table, unseeded,
+    # for every class whose table fits next to the dense holomorph tables
     for cls in census(degree).classes:
+        if cls.order > 2048:
+            continue
         T, mask = record_table(cls.members[0][1])
         stab = np.flatnonzero(mask)
         want = IsoSearch(T, T, marked1=stab, marked2=stab).run("count")
@@ -365,3 +368,62 @@ def test_class_weight_builds_no_record_table(census):
         tracemalloc.stop()
     assert fresh.aut_marked_order == cls.aut_marked_order
     assert peak < k * k * 2, peak
+
+
+def _leader_count(cls, seeded: bool) -> int:
+    rec = cls.members[0][1]
+    stab = rec.stab_positions
+    seeds = rec.aut_normalizer if seeded else None
+    return IsoSearch(rec.side, rec.side, stab, stab, seeds=seeds).run("count")
+
+
+@pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])
+def test_seeded_and_unseeded_counts_agree(census, degree):
+    # orbits under a subgroup of each level's stabilizer keep the chain exact
+    for cls in census(degree).classes:
+        assert _leader_count(cls, True) == _leader_count(cls, False) == cls.aut_marked_order, cls.label
+
+
+def test_seeds_spare_the_weights_successful_searches(census, monkeypatch):
+    # N_A(G) puts into each orbit images a search would only confirm, so
+    # the seeded weights of degrees 2-15 find fewer witnesses by search
+    classes = [cls for degree in range(2, 16) for cls in census(degree).classes]
+    descend = IsoSearch._descend
+    found = []
+
+    def spy(self, *args):
+        maps = descend(self, *args)
+        found.append(bool(maps))
+        return maps
+
+    monkeypatch.setattr(IsoSearch, "_descend", spy)
+    successes = {}
+    for seeded in (True, False):
+        found.clear()
+        for cls in classes:
+            _leader_count(cls, seeded)
+        successes[seeded] = sum(found)
+    assert 0 < successes[True] < successes[False], successes
+
+
+def test_a_seed_that_does_not_normalize_the_class_is_refused(monkeypatch):
+    # a seed proves itself before its orbits are used: in every record's
+    # N_A(G), swap the last element for an automorphism of N outside it,
+    # which keeps |N_A(G)| for the divisibility certificate, and some
+    # level must refuse the seed
+    enumerate_ = counts.enumerate_transitive_classes
+
+    def corrupt(ctx, *args):
+        records = enumerate_(ctx, *args)
+        T, auts = ctx.table(), np.flatnonzero(ctx.perms[:, 0] == 0)
+        for rec in records:
+            member = np.zeros(T.order, dtype=bool)
+            member[rec.indices] = True
+            outside = [a for a in auts.tolist() if not member[T.conj_many(a, rec.indices)].all()]
+            if outside and len(rec.aut_normalizer) > 1:
+                rec.aut_normalizer = np.sort(np.append(rec.aut_normalizer[:-1], outside[0]))
+        return records
+
+    monkeypatch.setattr(counts, "enumerate_transitive_classes", corrupt)
+    with pytest.raises(ConsistencyError, match="seed"):
+        build_degree_census(8)

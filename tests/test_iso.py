@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hgcensus import counts
 from hgcensus.catalog import automorphism_group, catalog_orders, groups_of_order
 from hgcensus.classify import classify_degree
 from hgcensus.iso import IsoSearch
@@ -191,11 +192,14 @@ def test_constant_colours_change_no_count_or_partition(census, record_table, mon
         return [(cls.label, [id(rec) for rec in cls.records()]) for cls in classes]
 
     want_partition = partition(c.classes)
-    # patch the one colour routine, which both `colours()` and the records'
-    # colours (classify's bucket keys) call, and drop the colours already
-    # cached: on the records, and on the holomorph tables, which a record
-    # of the whole holomorph shares
-    monkeypatch.setattr(GroupTable, "subgroup_colours", lambda self, elems, gens: np.zeros(len(elems), dtype=np.int64))
+    # patch the one colour routine, which `colours()`, enumeration's batch
+    # and a lone record's colours (classify's bucket keys) all call, and
+    # drop the colours already set: on the records, and on the holomorph
+    # tables, which a record of the whole holomorph shares
+    def zeros(self, subgroups):
+        return [np.zeros(len(elems), dtype=np.int64) for elems, _ in subgroups]
+
+    monkeypatch.setattr(GroupTable, "subgroup_colours", zeros)
     for rec in c.records:
         monkeypatch.delitem(vars(rec), "colours", raising=False)
     for ctx in c.contexts:
@@ -206,7 +210,12 @@ def test_constant_colours_change_no_count_or_partition(census, record_table, mon
         idx = np.flatnonzero(mask)
         assert IsoSearch(T, T).run("count") == want, cls.label
         assert IsoSearch(T, T, marked1=idx, marked2=idx).run("count") == cls.aut_marked_order
-    assert partition(classify_degree(c.records)) == want_partition
+    assert not any(rec.colours.any() for rec in c.records)
+    classes = classify_degree(c.records)
+    assert partition(classes) == want_partition
+    # the seeded weights, searched on zero colours, count what they did
+    for cls, want in zip(classes, c.classes):
+        assert counts._class_weight(cls) == want.aut_marked_order, cls.label
 
 
 def test_search_is_freed_without_the_cycle_collector(all_maps):

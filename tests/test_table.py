@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,9 +290,39 @@ def test_subgroup_colours_on_the_holomorph_match_the_record_tables(census, recor
     records = [rec for n in range(2, 16) for rec in census(n).records]
     records += enumerate_transitive_classes(build_holomorph(groups_of_order(41)[0]))
     for rec in records:
-        colours = rec.ctx.table().subgroup_colours(rec.indices, rec.gens)
+        colours = rec.ctx.table().subgroup_colours([(rec.indices, rec.gens)])[0]
         own = record_table(rec)[0].colours()
         assert np.array_equal(colours, own), (rec.ctx.n, rec.type_name, rec.order)
+
+
+@pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])
+def test_batch_colours_equal_one_record_colours(census, record_table, conjugacy_classes, degree):
+    # enumeration colours each holomorph's records in one pass; a record
+    # coloured alone gets the same values, bit for bit, and so does the
+    # class reference on its own table wherever that table fits
+    for rec in census(degree).records:
+        alone = rec.ctx.table().subgroup_colours([(rec.indices, rec.gens)])[0]
+        assert np.array_equal(rec.colours, alone), (rec.type_name, rec.order)
+        if rec.order <= 2048:
+            own = _colours_by_classes(record_table(rec)[0], conjugacy_classes)
+            assert np.array_equal(rec.colours, own), (rec.type_name, rec.order)
+
+
+@pytest.mark.parametrize("order, name", [(8, "C2xC2xC2"), (77, "C77")])
+def test_one_holomorphs_colour_batch_stays_small(order, name):
+    # a chunk holds at most 8192 positions and 2^17 position-map cells, so
+    # the batch stays near 1 MB: Hol(C77)'s records hold 20 328 positions
+    ctx = build_holomorph(next(g for g in groups_of_order(order) if g.name == name))
+    records = enumerate_transitive_classes(ctx)
+    T = ctx.table()
+    tracemalloc.start()
+    try:
+        colours = T.subgroup_colours([(rec.indices, rec.gens) for rec in records])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(c, rec.colours) for c, rec in zip(colours, records))
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_normalizer_and_centralizer():
