@@ -33,7 +33,7 @@ from .catalog import catalog_orders, groups_of_order, invariants
 from .counts import DegreeCensus, DegreeReportRow, build_degree_census
 from .degree2pq import build_family, witness_M_series, witness_four_types
 from .enumeration import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
-from .errors import ConsistencyError, StructureError, UnsupportedOrderError
+from .errors import BudgetError, ConsistencyError, StructureError, UnsupportedOrderError
 from .expected import MAX_EXPECTED_DEGREE, expected_row, is_disputed, DISPUTED
 from .holomorph import in_holomorph
 from .perm import PermGroup, format_cycles, parse_cycles
@@ -261,12 +261,14 @@ def _census_payload(census: DegreeCensus, cfg: RunConfig) -> dict:
 
 
 def _read_payload(path: Path) -> Optional[dict]:
-    """Cached payload if present and version-compatible, else None."""
-    if not path.exists():
-        return None
+    """Cached payload if present, of the artifact's shape and
+    version-compatible, else None."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
+        return None
+    shape = {"row": dict, "flags": dict, "classes": list}
+    if not isinstance(payload, dict) or not all(isinstance(payload.get(k), t) for k, t in shape.items()):
         return None
     if payload.get("schema_version") != SCHEMA_VERSION:
         return None
@@ -282,12 +284,12 @@ def _cache_satisfies(payload: dict, cfg: RunConfig) -> bool:
     as-is; one whose skipped or budget-starved cells the current run
     would fill forces a recompute.
     """
-    flags = payload.get("flags", {})
+    flags = payload["flags"]
     if flags.get("skip_ac", False) and not cfg.skip_ac:
         return False
     if flags.get("skip_bc", False) and not cfg.skip_bc:
         return False
-    row = payload.get("row", {})
+    row = payload["row"]
     starved = row.get("hgs_total") is None or (
         row.get("bc_hgs") is None and not flags.get("skip_bc", False)
     )
@@ -337,12 +339,14 @@ def _print_classes(payload: dict, out) -> None:
 
 def _merge_timings(cache_dir: Path, new_seconds: dict[str, float]) -> None:
     path = cache_dir / "timings.json"
-    seconds: dict[str, float] = {}
-    if path.exists():
-        try:
-            seconds = json.loads(path.read_text()).get("seconds", {})
-        except (OSError, json.JSONDecodeError):
-            seconds = {}
+    try:
+        body = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        body = None
+    # a sidecar of any other shape counts as empty
+    seconds = body.get("seconds") if isinstance(body, dict) else None
+    if not isinstance(seconds, dict):
+        seconds = {}
     seconds.update(new_seconds)
     body = {"engine_version": _engine_version(), "seconds": seconds}
     _write_atomic(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
@@ -543,18 +547,20 @@ def cmd_actions(
 def cmd_verify_2pq(p: int, q: int, out=None) -> int:
     out = out or sys.stdout
     fam = build_family(p, q)
+    # every witness is built before any line is written, so a budget
+    # stop leaves no partial report
+    four = witness_four_types(fam)
+    series = witness_M_series(fam)
     out.write(
         f"family p={p} q={q}: degree {2 * p * q}, {len(fam.members)} group types, "
         f"q divides p-1: {'yes' if fam.k is not None else 'no'}\n"
     )
-    four = witness_four_types(fam)
     for name in sorted(four):
         rep = four[name]
         out.write(
             f"  {name}: host={rep.host} order={rep.subgroup.order} "
             f"normalizer={rep.normalizer_order} type={rep.abstract}\n"
         )
-    series = witness_M_series(fam)
     for rep in series:
         out.write(
             f"  {rep.name}: host={rep.host} order={rep.subgroup.order} "
@@ -658,7 +664,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_verify_2pq(args.p, args.q)
         if args.command == "catalog":
             return cmd_catalog_list(args.order)
-    except (StructureError, UnsupportedOrderError, LookupError) as exc:
+    except (StructureError, UnsupportedOrderError, LookupError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -1,12 +1,13 @@
 """Census columns for one degree: structure counts over all records.
 
-Each equivalence class of records contributes counting terms weighted by
-automorphism data: a class with abstract group G and point stabilizer
-G' contributes, per type N, |Aut(G,G')| / |Aut(N)| times the summed
-conjugacy-class sizes of its members in Hol(N).  The per-type terms are
-theorems-integral; any fractional remainder is an engine bug and raises.
+Each equivalence class of records contributes counting terms from
+automorphism data: a member of a class with abstract group G and point
+stabilizer G' adds |Aut(G,G')| / |N_A(G)| structures, an integer.  That
+is Byott's |Aut(G,G')| / |Aut(N)| times the member's conjugacy-class size
+in Hol(N), since class size times |N_A(G)| is |Aut(N)|; the divisibility
+certificate and that class-size identity are checked for every member.
 The almost-classical and bijective-correspondence columns are
-record-level flags folded through the same weights.  Work that depends on
+record-level flags folded through the same terms.  Work that depends on
 the class alone is done once per class: the weight, counted from the
 leader's search plan that classify kept, and the intermediate field count,
 walked on the leader's block lattice.  The Hopf subalgebra count depends
@@ -15,7 +16,6 @@ on the type N, so it stays per record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -103,29 +103,31 @@ def _class_weight(cls: EquivalenceClass) -> int:
     return cls.aut_marked_order
 
 
-def hgs_count_for_class(cls: EquivalenceClass, galois_only: bool = False) -> int:
-    """Structures contributed by one class, summed over types.
-
-    Per type: |Aut(G,G')| / |Aut(N)| times the total conjugacy-class
-    size of the class's members in that type's holomorph.  Each
-    per-type term must come out an integer.
-    """
+def _member_term(cls: EquivalenceClass, rec: TransitiveClassRecord) -> int:
+    """Structures one member adds: |Aut(G,G')| / |N_A(G)|."""
     weight = _class_weight(cls)
-    per_type: dict[str, list] = {}
-    for _, rec in cls.members:
-        if galois_only and not rec.regular:
-            continue
-        entry = per_type.setdefault(rec.type_name, [rec.ctx.aut.order, 0])
-        entry[1] += rec.class_size
-    total = Fraction(0)
-    for tname, (aut_n, size_sum) in sorted(per_type.items()):
-        term = Fraction(weight * size_sum, aut_n)
-        if term.denominator != 1:
-            raise ConsistencyError(
-                f"non-integral count {term} for class {cls.label} in type {tname}"
-            )
-        total += term
-    return int(total)
+    normalizer = len(rec.aut_normalizer)
+    # certificate: N_A(G) acts faithfully on G by conjugation and fixes
+    # G', so it embeds in Aut(G, G')
+    if weight % normalizer:
+        raise ConsistencyError(
+            f"class {cls.label}: |N_A(G)| = {normalizer} "
+            f"does not divide |Aut(G, G')| = {weight} in type {rec.type_name}"
+        )
+    # orbit-stabilizer in Hol(N), so the term equals Byott's
+    # |Aut(G,G')| / |Aut(N)| times the conjugacy-class size
+    if rec.class_size * normalizer != rec.ctx.aut.order:
+        raise ConsistencyError(
+            f"class {cls.label}: class size {rec.class_size} times |N_A(G)| = "
+            f"{normalizer} is not |Aut(N)| = {rec.ctx.aut.order} in type {rec.type_name}"
+        )
+    return weight // normalizer
+
+
+def hgs_count_for_class(cls: EquivalenceClass, galois_only: bool = False) -> int:
+    """Structures contributed by one class: its members' terms, over the
+    regular members only with `galois_only`."""
+    return sum(_member_term(cls, rec) for _, rec in cls.members if rec.regular or not galois_only)
 
 
 def is_almost_classical(record: TransitiveClassRecord) -> bool:
@@ -139,7 +141,7 @@ def is_almost_classical(record: TransitiveClassRecord) -> bool:
     right = ctx.right_indices
     ac = bool(np.isin(right, record.indices).all())
     if ac:
-        stab = record.indices[ctx.perms[record.indices, 0] == 0]
+        stab = record.indices[record.stab_positions]
         if not np.array_equal(np.unique(ctx.table().mul[np.ix_(right, stab)]), record.indices):
             raise ConsistencyError(
                 "translation/stabilizer factorization failed on an almost-classical record"
@@ -192,7 +194,7 @@ def intermediate_field_count(record: TransitiveClassRecord) -> int:
     ctx = record.ctx
     n = ctx.n
     gens = ctx.perms[record.gens].tolist()
-    stab = record.indices[ctx.perms[record.indices, 0] == 0]
+    stab = record.indices[record.stab_positions]
     lab = orbit_labels(ctx.perms[stab])
     zero = frozenset([0])
     atoms = {_minimal_block(gens, n, zero, x) for x in np.flatnonzero(lab == np.arange(n))[1:].tolist()}
@@ -249,25 +251,11 @@ class DegreeCensus:
     contexts: list[HolomorphContext]
     records: list[TransitiveClassRecord]
     classes: list[EquivalenceClass]
-    # per-record flags, aligned with `records`
-    weights: list[Fraction]
+    # per-record terms and flags, aligned with `records`
+    terms: list[int]
     ac_flags: list[Optional[bool]]
     bc_flags: list[Optional[bool]]
     bc_counts: list[Optional[tuple[int, int]]]
-
-
-def _sum_weighted(records, weights, flags) -> Fraction:
-    total = Fraction(0)
-    for rec, w, keep in zip(records, weights, flags):
-        if keep:
-            total += w * rec.class_size
-    return total
-
-
-def _as_int(value: Fraction, what: str, degree: int) -> int:
-    if value.denominator != 1:
-        raise ConsistencyError(f"non-integral {what} {value} at degree {degree}")
-    return int(value)
 
 
 def build_degree_census(
@@ -300,27 +288,11 @@ def build_degree_census(
         return DegreeCensus(unknown, contexts, [], [], [], [], [], [])
 
     classes = classify_degree(records)
-    weight_of: dict[int, Fraction] = {}
-    hgs_total = 0
-    gal_total = 0
-    for cls in classes:
-        w = _class_weight(cls)
-        for _, rec in cls.members:
-            # certificate: N_A(G) acts faithfully on G by conjugation and
-            # fixes G', so it embeds in Aut(G, G')
-            if w % len(rec.aut_normalizer):
-                raise ConsistencyError(
-                    f"class {cls.label}: |N_A(G)| = {len(rec.aut_normalizer)} "
-                    f"does not divide |Aut(G, G')| = {w} in type {rec.type_name}"
-                )
-            weight_of[id(rec)] = Fraction(w, rec.ctx.aut.order)
-        # classify checks that members share order and stabilizer order, so
-        # every member of a regular class is regular
-        term = hgs_count_for_class(cls)
-        hgs_total += term
-        if cls.regular:
-            gal_total += term
-    weights = [weight_of[id(rec)] for rec in records]
+    term_of = {id(rec): _member_term(cls, rec) for cls in classes for _, rec in cls.members}
+    terms = [term_of[id(rec)] for rec in records]
+
+    def total(flags) -> int:
+        return sum(t for t, keep in zip(terms, flags) if keep)
 
     partial = False
     if skip_ac:
@@ -328,14 +300,12 @@ def build_degree_census(
         ac_hgs = ac_sbr = None
     else:
         ac_flags = [is_almost_classical(rec) for rec in records]
-        ac_hgs = _as_int(_sum_weighted(records, weights, ac_flags), "almost-classical count", degree)
+        ac_hgs = total(ac_flags)
         ac_sbr = sum(1 for f in ac_flags if f)
 
-    bc_flags: list[Optional[bool]] = [None] * len(records)
     bc_counts: list[Optional[tuple[int, int]]] = [None] * len(records)
-    if skip_bc:
-        bc_hgs = None
-    else:
+    bc_hgs = None
+    if not skip_bc:
         try:
             # a stabilizer-respecting isomorphism carries blocks onto
             # blocks, so every member has its leader's field count
@@ -343,25 +313,18 @@ def build_degree_census(
             for cls in classes:
                 fields = intermediate_field_count(cls.members[0][1])
                 fields_of.update((id(rec), fields) for _, rec in cls.members)
-            for i, rec in enumerate(records):
-                fields, hopfs = fields_of[id(rec)], hopf_subalgebra_count(rec)
-                bc_flags[i] = fields == hopfs
-                bc_counts[i] = (fields, hopfs)
-            bc_hgs = _as_int(
-                _sum_weighted(records, weights, bc_flags), "correspondence count", degree
-            )
+            bc_counts = [(fields_of[id(rec)], hopf_subalgebra_count(rec)) for rec in records]
+            bc_hgs = total(fields == hopfs for fields, hopfs in bc_counts)
         except BudgetError:
-            bc_flags = [None] * len(records)
-            bc_counts = [None] * len(records)
-            bc_hgs = None
             partial = True
+    bc_flags = [None if c is None else c[0] == c[1] for c in bc_counts]
 
     row = DegreeReportRow(
         degree=degree,
         types=len(groups),
-        hgs_total=hgs_total,
+        hgs_total=sum(terms),
         sbracoids_total=len(records),
-        gal_hgs=gal_total,
+        gal_hgs=total(rec.regular for rec in records),
         sbraces=sum(1 for rec in records if rec.regular),
         ac_hgs=ac_hgs,
         ac_sbracoids=ac_sbr,
@@ -369,7 +332,7 @@ def build_degree_census(
         partial=partial or skip_ac or skip_bc,
     )
     row.validate()
-    return DegreeCensus(row, contexts, records, classes, weights, ac_flags, bc_flags, bc_counts)
+    return DegreeCensus(row, contexts, records, classes, terms, ac_flags, bc_flags, bc_counts)
 
 
 __all__ = [

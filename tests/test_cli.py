@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgcensus import __version__, build_degree_census, cli
+from hgcensus import __version__, build_degree_census, cli, table
 from hgcensus.actions import brace_from_regular, bracoid_from_subgroup, ybe_solution
 from hgcensus.catalog import groups_of_order
 from hgcensus.cli import SCHEMA_VERSION, RunConfig, _census_payload, _dump_canonical, main, parse_degrees
@@ -144,6 +144,37 @@ def test_cache_from_other_engine_code_is_recomputed(tmp_path, capsys):
     assert out == "4,2,10,8,6,4,6,6,7\n"
     assert path.read_text() == fresh
     assert not list(tmp_path.glob(".*.tmp"))  # atomic writes leave no temp files
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("degree-004.json", lambda payload: []),
+        ("degree-004.json", lambda payload: {**payload, "flags": []}),
+        ("degree-004.json", lambda payload: {**payload, "row": None}),
+        ("degree-004.json", lambda payload: {**payload, "classes": {}}),
+        ("timings.json", lambda payload: {"seconds": [1]}),
+    ],
+)
+def test_a_cache_file_of_the_wrong_shape_is_not_used(tmp_path, capsys, name, broken):
+    args = ("--degrees", "4", "--cache-dir", str(tmp_path))
+    _run(capsys, "enumerate", *args, "--format", "csv")
+    path = tmp_path / "degree-004.json"
+    fresh = path.read_text()
+    (tmp_path / name).write_text(json.dumps(broken(json.loads(fresh))))
+    if name == "timings.json":
+        path.unlink()
+    else:
+        rc, out, err = _run(capsys, "diff", *args)
+        assert (rc, out) == (2, "") and "no usable results" in err
+        rc, out, err = _run(capsys, "actions", "--degree", "4", "--all-braces",
+                            "--cache-dir", str(tmp_path))
+        assert (rc, out) == (2, "") and "no usable results" in err
+    rc, out, err = _run(capsys, "enumerate", *args, "--format", "csv")
+    assert rc == 0 and "cache hit" not in err
+    assert out == "4,2,10,8,6,4,6,6,7\n"
+    assert path.read_text() == fresh
+    assert set(json.loads((tmp_path / "timings.json").read_text())["seconds"]) == {"4"}
 
 
 def test_full_cache_satisfies_skipped_rerun(tmp_path, capsys):
@@ -397,6 +428,16 @@ def test_verify_2pq_rejects_bad_pair(capsys):
     rc, _, err = _run(capsys, "verify-2pq", "--p", "3", "--q", "5")
     assert rc == 2
     assert "error:" in err
+
+
+def test_verify_2pq_beyond_the_table_budget_is_a_clean_error(capsys, monkeypatch):
+    # the witnesses are built before any line is written, so a budget stop
+    # prints nothing to stdout
+    monkeypatch.setattr(table, "DEFAULT_TABLE_BUDGET", 100)
+    rc, out, err = _run(capsys, "verify-2pq", "--p", "5", "--q", "3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget 100" in err
 
 
 def test_catalog_list(capsys):

@@ -1,4 +1,4 @@
-"""Census counting layer: weights, integrality, flags, row assembly."""
+"""Census counting layer: weights, member terms, flags, row assembly."""
 
 from __future__ import annotations
 
@@ -252,18 +252,17 @@ def test_block_budget_stop_blanks_only_the_bc_column(census, monkeypatch):
     assert c.bc_counts == [None] * len(c.records)
     assert c.row.cells()[:-1] == full.row.cells()[:-1]
     assert full.row.bc_hgs is not None and not full.row.partial
-    assert c.ac_flags == full.ac_flags and c.weights == full.weights
+    assert c.ac_flags == full.ac_flags and c.terms == full.terms
 
 
 def test_weights_align_with_records(census):
     c = census(8)
-    assert len(c.weights) == len(c.records)
+    assert len(c.terms) == len(c.records)
     assert len(c.ac_flags) == len(c.records)
     assert len(c.bc_flags) == len(c.records)
-    assert all(w > 0 for w in c.weights)
-    # weights times conjugacy-class sizes reproduce the headline count
-    total = sum(w * rec.class_size for w, rec in zip(c.weights, c.records))
-    assert total == c.row.hgs_total
+    assert all(isinstance(t, int) and t > 0 for t in c.terms)
+    # the members' terms reproduce the headline count
+    assert sum(c.terms) == c.row.hgs_total
 
 
 def _fresh_catalog(monkeypatch) -> None:
@@ -336,6 +335,25 @@ def test_a_weight_the_normalizer_does_not_divide_is_refused(monkeypatch):
     with pytest.raises(ConsistencyError, match="does not divide"):
         build_degree_census(4)
     assert halved == ["d4-o4-s1-c1"]
+
+
+def test_a_class_size_off_by_one_is_refused(monkeypatch):
+    # class size times |N_A(G)| is |Aut(N)|: that identity makes a member's
+    # term Byott's count, so one record's class size off by one must raise
+    enumerate_ = counts.enumerate_transitive_classes
+    shifted = []
+
+    def fault(ctx, *args):
+        records = enumerate_(ctx, *args)
+        if records and not shifted:
+            records[-1].class_size += 1
+            shifted.append(records[-1].type_name)
+        return records
+
+    monkeypatch.setattr(counts, "enumerate_transitive_classes", fault)
+    with pytest.raises(ConsistencyError, match="class size"):
+        build_degree_census(8)
+    assert shifted == ["C8"]
 
 
 @pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])
