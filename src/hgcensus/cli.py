@@ -260,21 +260,56 @@ def _census_payload(census: DegreeCensus, cfg: RunConfig) -> dict:
     }
 
 
-def _read_payload(path: Path) -> Optional[dict]:
-    """Cached payload if present, of the artifact's shape and
-    version-compatible, else None."""
+# keys of a cached artifact that a cache hit, `diff`, `actions` and
+# `--list-classes` read
+_ROW_KEYS = frozenset(("degree", *DegreeReportRow.CELLS))
+_CLASS_KEYS = frozenset(("label", "order", "stabilizer_order", "regular", "members"))
+_MEMBER_KEYS = frozenset((
+    "label", "type", "class_size", "regular", "almost_classical", "bijective_correspondence", "generators",
+))
+
+
+def _missing(entry, keys: frozenset) -> Optional[str]:
+    """Why `entry` is not a dict holding every key in `keys`, else None."""
+    if not isinstance(entry, dict):
+        return "is not an object"
+    if keys <= entry.keys():
+        return None
+    return f"lacks {min(keys - entry.keys())!r}"
+
+
+def _payload_fault(payload: dict) -> str:
+    """The first entry of the row, the classes or their members that lacks
+    a key the commands read, described; "" when there is none."""
+    if fault := _missing(payload["row"], _ROW_KEYS):
+        return f"row {fault}"
+    for i, cls in enumerate(payload["classes"]):
+        if fault := _missing(cls, _CLASS_KEYS):
+            return f"class {i} {fault}"
+        if not isinstance(cls["members"], list):
+            return f"class {i} members are not a list"
+        for j, member in enumerate(cls["members"]):
+            if fault := _missing(member, _MEMBER_KEYS):
+                return f"class {i} member {j} {fault}"
+    return ""
+
+
+def _read_payload(path: Path) -> tuple[Optional[dict], str]:
+    """The cached payload at `path` and "" when it is present, of the
+    artifact's shape and version-compatible, else None and the reason."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
-        return None
+        return None, "missing or unreadable"
     shape = {"row": dict, "flags": dict, "classes": list}
     if not isinstance(payload, dict) or not all(isinstance(payload.get(k), t) for k, t in shape.items()):
-        return None
+        return None, "not of the artifact's shape"
     if payload.get("schema_version") != SCHEMA_VERSION:
-        return None
+        return None, "of another schema version"
     if payload.get("engine_version") != _engine_version():
-        return None
-    return payload
+        return None, "from other engine code"
+    fault = _payload_fault(payload)
+    return (None, fault) if fault else (payload, "")
 
 
 def _cache_satisfies(payload: dict, cfg: RunConfig) -> bool:
@@ -421,7 +456,7 @@ def cmd_enumerate(cfg: RunConfig, out=None, err=None) -> int:
     new_seconds: dict[str, float] = {}
     for degree in cfg.degrees:
         path = _degree_path(cfg.cache_dir, degree)
-        payload = _read_payload(path)
+        payload, _ = _read_payload(path)
         if payload is not None and _cache_satisfies(payload, cfg):
             err.write(f"degree {degree}: cache hit ({path.name})\n")
         else:
@@ -459,10 +494,10 @@ def cmd_enumerate(cfg: RunConfig, out=None, err=None) -> int:
 
 def _require_payload(cfg: RunConfig, degree: int) -> dict:
     path = _degree_path(cfg.cache_dir, degree)
-    payload = _read_payload(path)
+    payload, fault = _read_payload(path)
     if payload is None:
         raise LookupError(
-            f"no usable results for degree {degree} at {path}; run "
+            f"no usable results for degree {degree} at {path} ({fault}); run "
             f"`hgcensus enumerate --degrees {degree}` first"
         )
     return payload

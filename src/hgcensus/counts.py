@@ -179,6 +179,23 @@ def _minimal_block(gens: list[list[int]], n: int, seed: frozenset[int], extra: i
     return frozenset(x for x in range(n) if find(x) == root)
 
 
+def _proved_aut_normalizer(record: TransitiveClassRecord) -> np.ndarray:
+    """Rows of `ctx.perms` for the record's N_A(G), each proved first: it
+    fixes 0 and conjugates every generator of G into G.  Raises
+    ConsistencyError otherwise."""
+    ctx = record.ctx
+    T, norm = ctx.table(), record.aut_normalizer
+    member = np.zeros(T.order, dtype=bool)
+    member[record.indices] = True
+    gens = np.array(record.gens, dtype=np.int64)
+    if not ((ctx.perms[norm, 0] == 0).all() and member[T.conj_many(norm[:, None], gens)].all()):
+        raise ConsistencyError(
+            f"a seed of N_A(G) does not fix 0 and normalize a {record.order}-element "
+            f"subgroup of Hol({record.type_name})"
+        )
+    return ctx.perms[norm]
+
+
 def intermediate_field_count(record: TransitiveClassRecord) -> int:
     """Number of subgroups of the record's group containing its stabilizer.
 
@@ -187,17 +204,23 @@ def intermediate_field_count(record: TransitiveClassRecord) -> int:
     conversely each block B yields the subgroup of elements sending 0
     into B.  Blocks through 0 form a lattice generated under join by
     the minimal blocks fusing 0 with one other point, so a join-closure
-    walk over those atoms finds all of them.  A stabilizer element s maps
-    every block through 0 onto itself, so the atom of s(x) is the atom of
-    x: one atom per stabilizer orbit is enough.
+    walk over those atoms finds all of them.  An element a of N_A(G)
+    fixes 0 and normalizes G, so it maps blocks through 0 onto blocks
+    through 0, and the atom of a(x) is a applied to the atom of x: one
+    atom per N_A(G)-orbit is found by union-find, and its images under
+    N_A(G)'s rows (each proved first, `_proved_aut_normalizer`) are the
+    rest.
     """
     ctx = record.ctx
     n = ctx.n
     gens = ctx.perms[record.gens].tolist()
-    stab = record.indices[record.stab_positions]
-    lab = orbit_labels(ctx.perms[stab])
+    norm = _proved_aut_normalizer(record)
+    lab = orbit_labels(norm)
     zero = frozenset([0])
-    atoms = {_minimal_block(gens, n, zero, x) for x in np.flatnonzero(lab == np.arange(n))[1:].tolist()}
+    atoms = set()
+    for x in np.flatnonzero(lab == np.arange(n))[1:].tolist():
+        block = list(_minimal_block(gens, n, zero, x))
+        atoms.update(map(frozenset, norm[:, block].tolist()))
     blocks = {zero} | atoms
     frontier = list(atoms)
     while frontier:

@@ -16,6 +16,9 @@ representative there could only give a conjugate of <H, x0>, already
 registered, and is skipped without a closure.  The generators of each
 cyclic subgroup (`_cyclic_families`) are found once per table.  Skipped
 representatives come after x0, so every class keeps its first discoverer.
+
+A candidate x0 in N(H) needs no coset walk: <H, x0> = H<x0>, the cosets
+H x0^j below x0's first power in H (`_normalized_extension`).
 """
 
 from __future__ import annotations
@@ -123,6 +126,8 @@ def subgroup_classes(
         lab = orbit_labels(_candidate_maps(T, gens, cls.normalizer_gens))
         in_h = np.zeros(m, dtype=bool)
         in_h[elems] = True
+        in_norm = np.zeros(m, dtype=bool)
+        in_norm[cls.normalizer] = True
         done = np.zeros(m, dtype=bool)  # orbit labels whose extension is closed
         for x0 in np.flatnonzero((lab == rng) & ~in_h).tolist():
             spent += 1
@@ -133,13 +138,29 @@ def subgroup_classes(
             if done[x0]:
                 continue
             done[lab[by_family[first[x0] : last[x0]]]] = True
-            grown = T.extend_subgroup(elems, gens, x0)
+            if in_norm[x0]:
+                grown = _normalized_extension(T, elems, in_h, x0)
+            else:
+                grown = T.extend_subgroup(elems, gens, x0)
             new_id = register(grown, gens + [x0])
             if new_id is not None:
                 queue.append(new_id)
 
     order_key = [(c.order, tuple(c.indices.tolist())) for c in classes]
     return [classes[i] for i in sorted(range(len(classes)), key=lambda i: order_key[i])]
+
+
+def _normalized_extension(T: GroupTable, elems: np.ndarray, in_h: np.ndarray, x: int) -> np.ndarray:
+    """Sorted indices of <H, x> for x normalizing H, with H's sorted
+    `elems` and membership mask `in_h`: H<x> is then a group, the union of
+    the distinct cosets H x^j for j below the least k > 0 with x^k in H,
+    read off the table in one gather."""
+    powers = [0]
+    p = x
+    while not in_h[p]:
+        powers.append(p)
+        p = int(T.mul[p, x])
+    return np.sort(T.mul[elems[:, None], np.array(powers)], axis=None).astype(np.int64)
 
 
 def _coset_leaders(T: GroupTable, norm: np.ndarray) -> np.ndarray:

@@ -175,19 +175,22 @@ def orbit_labels(maps: np.ndarray) -> np.ndarray:
     A root with several joining edges is hooked by plain assignment under
     any one of its smaller partners: labels only decrease, so no cycle
     forms, and an orbit's least point is never hooked, so it ends as the
-    orbit's only root.
+    orbit's only root.  Each round gathers lab[maps] once and takes the
+    labels of the joining edges alone; jumping stops when every label is
+    a root, lab[lab] == lab.
     """
     maps = np.asarray(maps, dtype=np.int64)
     lab = np.arange(maps.shape[1], dtype=np.int64)
     while True:
-        here, there = np.broadcast_to(lab, maps.shape), lab[maps]
-        join = here != there
+        there = lab[maps]
+        join = there != lab
         if not join.any():
             return lab
-        lab[np.maximum(here, there)[join]] = np.minimum(here, there)[join]
+        here, there = np.broadcast_to(lab, maps.shape)[join], there[join]
+        lab[np.maximum(here, there)] = np.minimum(here, there)
         while True:
             up = lab[lab]
-            if np.array_equal(up, lab):
+            if (up == lab).all():
                 break
             lab = up
 

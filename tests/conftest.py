@@ -2,7 +2,8 @@
 
 `compose`, `regular_representation` and `opposite_group` are plain
 permutation and table helpers that only tests use; test modules import
-them from here.  Census construction dominates the suite's runtime, so
+them from here, as they do `fields_by_stabilizer_orbits`, the reference
+intermediate field count.  Census construction dominates the suite's runtime, so
 results are cached per (degree, options) for the whole session and shared
 across modules.  Property tests run under one deterministic hypothesis
 profile.
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import settings
 
 from hgcensus import build_degree_census
+from hgcensus.counts import _minimal_block
 from hgcensus.errors import StructureError
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import Perm, PermGroup, orbit_labels
@@ -146,3 +148,27 @@ def all_maps():
 def conjugacy_classes():
     """A table's conjugacy classes, the reference for the colours' class sizes."""
     return _conjugacy_classes
+
+
+def fields_by_stabilizer_orbits(record) -> int:
+    """Invariant blocks through 0 of a transitive record, from one atom per
+    orbit of the point stabilizer G' (an element of G' maps every block
+    through 0 onto itself) and their join closure: the reference for
+    `intermediate_field_count`, which takes one atom per N_A(G)-orbit."""
+    ctx = record.ctx
+    n = ctx.n
+    gens = ctx.perms[record.gens].tolist()
+    lab = orbit_labels(ctx.perms[record.indices[record.stab_positions]])
+    zero = frozenset([0])
+    atoms = {_minimal_block(gens, n, zero, x) for x in np.flatnonzero(lab == np.arange(n))[1:].tolist()}
+    blocks = {zero} | atoms
+    frontier = list(atoms)
+    while frontier:
+        b = frontier.pop()
+        for a in atoms:
+            if not a <= b:
+                joined = _minimal_block(gens, n, b, next(iter(a - b)))
+                if joined not in blocks:
+                    blocks.add(joined)
+                    frontier.append(joined)
+    return len(blocks)

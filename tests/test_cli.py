@@ -177,6 +177,33 @@ def test_a_cache_file_of_the_wrong_shape_is_not_used(tmp_path, capsys, name, bro
     assert set(json.loads((tmp_path / "timings.json").read_text())["seconds"]) == {"4"}
 
 
+@pytest.mark.parametrize(
+    "broken, field",
+    [
+        (lambda payload: {**payload, "row": {}}, "row lacks 'ac_hgs'"),
+        (lambda payload: {**payload, "classes": [{}]}, "class 0 lacks 'label'"),
+        (lambda payload: {**payload, "classes": [{**payload["classes"][0], "members": [{}]}]},
+         "class 0 member 0 lacks 'almost_classical'"),
+    ],
+)
+@pytest.mark.parametrize("command", [["diff", "--degrees", "4"], ["actions", "--degree", "4", "--all-braces"]])
+def test_a_cache_lacking_a_field_is_refused_by_file_and_field(tmp_path, capsys, broken, field, command):
+    # unchecked, these stopped on a bare KeyError: "error: 'types'"
+    args = ("--cache-dir", str(tmp_path))
+    _run(capsys, "enumerate", "--degrees", "4", "--format", "csv", *args)
+    path = tmp_path / "degree-004.json"
+    fresh = path.read_text()
+    path.write_text(json.dumps(broken(json.loads(fresh))))
+    rc, out, err = _run(capsys, *command, *args)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: no usable results") and str(path) in err and field in err
+    assert not (tmp_path / "actions").exists()
+    # enumerate does not serve it either: it recomputes the same bytes
+    rc, out, err = _run(capsys, "enumerate", "--degrees", "4", "--format", "csv", *args)
+    assert (rc, out) == (0, "4,2,10,8,6,4,6,6,7\n") and "cache hit" not in err
+    assert path.read_text() == fresh
+
+
 def test_full_cache_satisfies_skipped_rerun(tmp_path, capsys):
     _run(capsys, "enumerate", "--degrees", "6", "--format", "csv",
          "--cache-dir", str(tmp_path))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import regular_representation
+from conftest import fields_by_stabilizer_orbits, regular_representation
 from hgcensus import build_degree_census, catalog, counts, table
 from hgcensus.counts import (
     DegreeReportRow,
@@ -445,3 +445,30 @@ def test_a_seed_that_does_not_normalize_the_class_is_refused(monkeypatch):
     monkeypatch.setattr(counts, "enumerate_transitive_classes", corrupt)
     with pytest.raises(ConsistencyError, match="seed"):
         build_degree_census(8)
+
+
+@pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])
+def test_field_counts_from_normalizer_orbits_match_stabilizer_orbits(census, degree):
+    # one atom per N_A(G)-orbit, the rest its images, against one atom per
+    # orbit of the point stabilizer on every record
+    for rec in census(degree).records:
+        assert intermediate_field_count(rec) == fields_by_stabilizer_orbits(rec), rec.type_name
+
+
+def test_a_field_seed_that_does_not_normalize_the_group_is_refused(census):
+    # swap one element of a record's N_A(G) for an automorphism of N that
+    # does not normalize G: it would carry blocks of G to non-blocks
+    for rec in census(8).records:
+        ctx = rec.ctx
+        T, auts = ctx.table(), np.flatnonzero(ctx.perms[:, 0] == 0)
+        member = np.zeros(T.order, dtype=bool)
+        member[rec.indices] = True
+        outside = [a for a in auts.tolist() if not member[T.conj_many(a, rec.indices)].all()]
+        if outside and len(rec.aut_normalizer) > 1:
+            break
+    else:
+        pytest.fail("no record at degree 8 has an automorphism of N outside N_A(G)")
+    bad = replace(rec, aut_normalizer=np.sort(np.append(rec.aut_normalizer[:-1], outside[0])))
+    assert intermediate_field_count(rec) == fields_by_stabilizer_orbits(rec)
+    with pytest.raises(ConsistencyError, match="N_A"):
+        intermediate_field_count(bad)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import compose
-from hgcensus import table
+from hgcensus import enumeration, table
 from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.enumeration import enumerate_transitive_classes, subgroup_classes
 from hgcensus.errors import BudgetError, StructureError
@@ -200,6 +200,28 @@ def test_extend_subgroup_matches_elementwise_closure(monkeypatch):
             stopped += 1
             assert len(want) == T.order
     assert switched > 0 and stopped > 0
+
+
+def test_normalized_extensions_match_elementwise_closure(monkeypatch):
+    # replay every closure the search takes as H<x>, for x normalizing H,
+    # against the element-wise closure of H's generators and x; the
+    # trivial subgroup is normal, so the path runs on every holomorph
+    calls = []
+    extend = enumeration._normalized_extension
+
+    def record(T, elems, in_h, x):
+        out = extend(T, elems, in_h, x)
+        calls.append((T, elems, x, out))
+        return out
+
+    monkeypatch.setattr(enumeration, "_normalized_extension", record)
+    tables = _holomorph_tables([*range(2, 16), 41])
+    for T in tables:
+        subgroup_classes(T)
+        assert any(t is T for t, *_ in calls), T.name
+    for T, elems, x, got in calls:
+        want = _closure_by_elements(T, T.small_generating_set(elems) + [x])
+        assert np.array_equal(got, want) and np.isin(elems, want).all()
 
 
 def test_small_generating_set_regenerates():
