@@ -470,12 +470,15 @@ def cmd_enumerate(cfg: RunConfig, out=None, err=None) -> int:
             )
             elapsed = round(time.perf_counter() - started, 3)
             new_seconds[str(degree)] = elapsed
-            payload = _census_payload(census, cfg)
+            payload, stop = _census_payload(census, cfg), census.stop
             del census  # its holomorph tables must not stay alive through the next degree
             _write_atomic(path, _dump_canonical(payload))
             err.write(f"degree {degree}: computed in {elapsed}s -> {path.name}\n")
-            if payload["row"]["partial"]:
-                err.write(f"degree {degree}: budget or skip left cells unknown\n")
+            if stop is not None:
+                err.write(f"degree {degree}: {stop}\n")
+            skipped = [flag for flag, on in (("--skip-ac", cfg.skip_ac), ("--skip-bc", cfg.skip_bc)) if on]
+            if skipped:
+                err.write(f"degree {degree}: {' and '.join(skipped)} left cells unknown\n")
         rows.append(payload["row"])
         payloads.append(payload)
     if new_seconds:

@@ -8,13 +8,17 @@ in Hol(N), since class size times |N_A(G)| is |Aut(N)|; the divisibility
 certificate and that class-size identity are checked for every member.
 The almost-classical and bijective-correspondence columns are
 record-level flags folded through the same terms.  Work that depends on
-the class alone is done once per class: the weight, counted from the
-leader's search plan that classify kept, and the intermediate field count,
-walked on the leader's block lattice.  The Hopf subalgebra count depends
-on the type N, so it stays per record.
+the class alone is done once per class: the weight and the intermediate
+field count, walked on the leader's block lattice.  The weight is a
+member's |N_A(G)| when that member's translations are pinned (every
+automorphism of (G, G') must normalize lambda(N) or rho(N), so it lies in
+N_A(G)); otherwise it is counted from the leader's search plan that
+classify kept.  The Hopf subalgebra count depends on the type N, so it
+stays per record.  A budget stop is kept on the census (`BudgetStop`).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,19 +90,53 @@ class DegreeReportRow:
                 raise ConsistencyError(f"negative cell {name} at degree {self.degree}")
 
 
+def _pins_translations(record: TransitiveClassRecord) -> bool:
+    """Whether every automorphism of (G, G') must normalize a translation
+    subgroup R, lambda(N) or rho(N), lying in G: whether R is exactly the
+    set of elements of G whose invariant pair occurs in R.
+
+    The pair is (key 2 * colour + stabilizer mark, fixed points on the n
+    points).  An automorphism of (G, G') is conjugation by a permutation
+    of the points that fixes 0 and normalizes G; it keeps colours, the
+    mark of G' = Stab(0) and fixed-point counts, so it maps R onto R.
+    The normalizer of R in Sym(N) is Hol(N) (Greither & Pareigis 1987),
+    so the permutation lies in N_A(G), and |Aut(G, G')| = |N_A(G)|.
+    """
+    ctx = record.ctx
+    key = 2 * record.colours
+    key[record.stab_positions] += 1
+    # one integer per pair; a product that wraps can only merge pairs,
+    # which makes the test stricter
+    pair = key * (ctx.n + 1) + ctx.fixed_points[record.indices]
+    for R in (ctx.left_indices, ctx.right_indices):
+        pos = np.searchsorted(record.indices, R)
+        if (pos[-1] < record.order and np.array_equal(record.indices[pos], R)
+                and np.isin(pair, pair[pos]).sum() == ctx.n):
+            return True
+    return False
+
+
 def _class_weight(cls: EquivalenceClass) -> int:
-    """|Aut(G, G')| for the class's abstract pair, cached on the class;
-    counted from the leader's plan classify left on the class, if any,
-    which it then drops.  The chain count is seeded with the leader's
-    N_A(G): conjugation by an automorphism of N that normalizes G is an
-    automorphism of G fixing G' = Stab_G(0), so its orbits lie inside
-    those the count needs."""
+    """|Aut(G, G')| for the class's abstract pair, cached on the class.
+
+    At the first member whose translations are pinned
+    (`_pins_translations`) it is that member's |N_A(G)|, each of whose
+    rows is proved first (`_proved_aut_normalizer`).  Otherwise it is
+    counted from the leader's plan classify left on the class, if any.
+    Either way the plan is dropped.  The chain count is seeded with the
+    leader's N_A(G): conjugation by an automorphism of N that normalizes
+    G is an automorphism of G fixing G' = Stab_G(0), so its orbits lie
+    inside those the count needs."""
     if cls.aut_marked_order is None:
-        rec = cls.members[0][1]
-        stab = rec.stab_positions
-        source = cls._plan or rec.side
-        search = IsoSearch(source, rec.side, stab, stab, seeds=rec.aut_normalizer)
-        cls.aut_marked_order = int(search.run("count"))
+        pinned = next((rec for _, rec in cls.members if _pins_translations(rec)), None)
+        if pinned is not None:
+            cls.aut_marked_order = len(_proved_aut_normalizer(pinned))
+        else:
+            rec = cls.members[0][1]
+            stab = rec.stab_positions
+            source = cls._plan or rec.side
+            search = IsoSearch(source, rec.side, stab, stab, seeds=rec.aut_normalizer)
+            cls.aut_marked_order = int(search.run("count"))
         cls._plan = None
     return cls.aut_marked_order
 
@@ -266,6 +304,20 @@ def bijective_correspondence(record: TransitiveClassRecord) -> tuple[bool, int, 
     return (fields == hopfs, fields, hopfs)
 
 
+@dataclass(frozen=True)
+class BudgetStop:
+    """Why a degree's cells were left unknown: the layer that ran out of
+    budget, the type it was working on (the class label, for a BC stop)
+    and the BudgetError's text."""
+
+    layer: str  # "table", "enumeration" or "bc"
+    where: str
+    reason: str
+
+    def __str__(self) -> str:
+        return f"{self.layer} budget stopped at {self.where}: {self.reason}"
+
+
 @dataclass
 class DegreeCensus:
     """Full per-degree result: the row plus its supporting detail."""
@@ -279,6 +331,7 @@ class DegreeCensus:
     ac_flags: list[Optional[bool]]
     bc_flags: list[Optional[bool]]
     bc_counts: list[Optional[tuple[int, int]]]
+    stop: Optional[BudgetStop] = None
 
 
 def build_degree_census(
@@ -293,22 +346,33 @@ def build_degree_census(
     A holomorph too large for the dense table, or budget exhaustion
     during enumeration, leaves every computed cell unknown except the
     type count; exhaustion during the correspondence checks blanks only
-    that column.  Each marks the row partial rather than fail.
+    that column.  Each marks the row partial rather than fail, and keeps
+    the reason on `stop`.  `time_budget` covers the degree's enumeration
+    as a whole: every type's search runs on one clock, started here, and
+    the degree also stops after a type whose search ended past it.
     """
     groups = groups_of_order(degree)
     unknown = DegreeReportRow(degree, len(groups), *(None,) * 7, partial=True)
     contexts: list[HolomorphContext] = []
     records: list[TransitiveClassRecord] = []
+    started = time.monotonic()
+    layer, where = "table", ""
     try:
         # |Hol(N)| = n |Aut(N)|: a holomorph whose dense table the
         # enumeration would refuse stops the degree before any is built
         for g in groups:
+            where = g.name
             check_budget(degree * automorphism_order(g))
         contexts = [build_holomorph(g) for g in groups]
+        layer = "enumeration"
         for ctx in contexts:
-            records.extend(enumerate_transitive_classes(ctx, node_budget, time_budget))
-    except BudgetError:
-        return DegreeCensus(unknown, contexts, [], [], [], [], [], [])
+            where = ctx.group.name
+            records.extend(enumerate_transitive_classes(ctx, node_budget, time_budget, started))
+            # the search reads the clock only every 256 candidates
+            if (elapsed := time.monotonic() - started) > time_budget:
+                raise SearchBudgetError("enumeration time budget exhausted", spent=elapsed, budget=time_budget)
+    except BudgetError as err:
+        return DegreeCensus(unknown, contexts, [], [], [], [], [], [], BudgetStop(layer, where, str(err)))
 
     classes = classify_degree(records)
     term_of = {id(rec): _member_term(cls, rec) for cls in classes for _, rec in cls.members}
@@ -328,18 +392,21 @@ def build_degree_census(
 
     bc_counts: list[Optional[tuple[int, int]]] = [None] * len(records)
     bc_hgs = None
+    stop = None
     if not skip_bc:
         try:
             # a stabilizer-respecting isomorphism carries blocks onto
             # blocks, so every member has its leader's field count
             fields_of: dict[int, int] = {}
             for cls in classes:
+                where = cls.label
                 fields = intermediate_field_count(cls.members[0][1])
                 fields_of.update((id(rec), fields) for _, rec in cls.members)
             bc_counts = [(fields_of[id(rec)], hopf_subalgebra_count(rec)) for rec in records]
             bc_hgs = total(fields == hopfs for fields, hopfs in bc_counts)
-        except BudgetError:
+        except BudgetError as err:
             partial = True
+            stop = BudgetStop("bc", where, str(err))
     bc_flags = [None if c is None else c[0] == c[1] for c in bc_counts]
 
     row = DegreeReportRow(
@@ -355,11 +422,12 @@ def build_degree_census(
         partial=partial or skip_ac or skip_bc,
     )
     row.validate()
-    return DegreeCensus(row, contexts, records, classes, terms, ac_flags, bc_flags, bc_counts)
+    return DegreeCensus(row, contexts, records, classes, terms, ac_flags, bc_flags, bc_counts, stop)
 
 
 __all__ = [
     "DEFAULT_BLOCK_BUDGET",
+    "BudgetStop",
     "DegreeReportRow",
     "DegreeCensus",
     "hgs_count_for_class",

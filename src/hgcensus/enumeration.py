@@ -59,6 +59,7 @@ def subgroup_classes(
     T: GroupTable,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
+    started: Optional[float] = None,
 ) -> list[SubgroupClass]:
     """All subgroup conjugacy classes of the tabled group.
 
@@ -69,12 +70,16 @@ def subgroup_classes(
     The class keeps the lex-least conjugate.
 
     Raises SearchBudgetError when more than `node_budget` candidates are
-    tried or `time_budget` seconds elapse.  A candidate skipped because its
-    cyclic family's extension is already closed counts like a closed one,
-    so the budgets stop at the same candidate as a search without skips.
+    tried or `time_budget` seconds elapse since `started`, a
+    `time.monotonic()` reading (default: entry); the clock is read every
+    256 candidates.  A caller that passes its own start runs several
+    searches on one clock, each getting only the time left.  A candidate
+    skipped because its cyclic family's extension is already closed counts
+    like a closed one, so the budgets stop at the same candidate as a
+    search without skips.
     """
     m = T.order
-    start = time.monotonic()
+    start = time.monotonic() if started is None else started
     spent = 0
 
     rng = np.arange(m, dtype=np.int64)
@@ -280,15 +285,16 @@ def enumerate_transitive_classes(
     ctx: HolomorphContext,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
+    started: Optional[float] = None,
 ) -> list[TransitiveClassRecord]:
     """Transitive subgroup classes of Hol, sorted by (order, canonical
     member), each with its colours, which one `subgroup_colours` pass over
-    every record sets."""
+    every record sets.  The budgets and `started` are `subgroup_classes`'s."""
     T = ctx.table()
     img0 = ctx.perms[:, 0]
     n = ctx.n
     out = []
-    for cls in subgroup_classes(T, node_budget, time_budget):
+    for cls in subgroup_classes(T, node_budget, time_budget, started):
         stab_order = int((img0[cls.indices] == 0).sum())
         if cls.order != stab_order * n:
             continue  # orbit of 0 is smaller than the whole domain

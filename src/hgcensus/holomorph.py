@@ -64,6 +64,10 @@ class HolomorphContext:
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order))
         self._raw, self._rank = order.astype(np.int32), rank
+        # automorphism 0 is the identity, the least row of `auts`
+        self.left_indices = rank[np.arange(self.n) * len(auts)]
+        if not np.array_equal(self.perms[self.left_indices], t):
+            raise ConsistencyError(f"{self.group.name}: left translation rows do not act as x -> b*x")
         self.right_indices = self._right_translation_rows(t, auts, rank)
         self._verify(t, auts)
         self._table: Optional[GroupTable] = None
@@ -107,6 +111,11 @@ class HolomorphContext:
         """The holomorph as a permutation group whose elements are `perms`."""
         gens = np.concatenate([self.group.mul[self.group.generators()], self.aut.generators])
         return PermGroup(gens, self.n, elements=self.perms)
+
+    @cached_property
+    def fixed_points(self) -> np.ndarray:
+        """Number of points each row of `perms` fixes."""
+        return (self.perms == np.arange(self.n)).sum(axis=1)
 
     @cached_property
     def base_subgroups(self) -> np.ndarray:

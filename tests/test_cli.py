@@ -236,6 +236,20 @@ def test_degree16_degrades_to_unknowns(tmp_path, capsys):
     assert payload["row"]["hgs_total"] is None
 
 
+def test_enumerate_says_why_a_degree_stopped(tmp_path, capsys):
+    # the budget stop goes to stderr, never into the degree artifact;
+    # a skip flag gets a line of its own
+    _, _, err = _run(capsys, "enumerate", "--degrees", "16", "--cache-dir", str(tmp_path))
+    stop = "C2xC2xC2xC2: group too large to table densely (spent 322560, budget 6000)"
+    assert f"degree 16: table budget stopped at {stop}\n" in err
+    assert "left cells unknown" not in err
+    artifact = (tmp_path / "degree-016.json").read_text()
+    assert "322560" not in artifact and "too large" not in artifact
+    _, _, err = _run(capsys, "enumerate", "--degrees", "4", "--skip-bc", "--cache-dir", str(tmp_path))
+    assert "degree 4: --skip-bc left cells unknown\n" in err
+    assert "budget stopped" not in err
+
+
 def test_diff_agrees_on_clean_degrees(tmp_path, capsys):
     _run(capsys, "enumerate", "--degrees", "2-6", "--format", "csv",
          "--cache-dir", str(tmp_path))

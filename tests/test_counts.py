@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import fields_by_stabilizer_orbits, regular_representation
-from hgcensus import build_degree_census, catalog, counts, table
+from hgcensus import build_degree_census, catalog, counts, enumeration, table
 from hgcensus.counts import (
     DegreeReportRow,
     bijective_correspondence,
@@ -253,6 +254,10 @@ def test_block_budget_stop_blanks_only_the_bc_column(census, monkeypatch):
     assert c.row.cells()[:-1] == full.row.cells()[:-1]
     assert full.row.bc_hgs is not None and not full.row.partial
     assert c.ac_flags == full.ac_flags and c.terms == full.terms
+    # the stop names the class whose walk ran out
+    assert c.stop.layer == "bc" and c.stop.where in {cls.label for cls in c.classes}
+    assert c.stop.reason.startswith("block lattice walk exceeded budget")
+    assert full.stop is None
 
 
 def test_weights_align_with_records(census):
@@ -285,6 +290,9 @@ def test_oversized_holomorph_stops_degree_16_before_any_holomorph(monkeypatch):
     assert c.row.partial
     assert c.row.cells()[1:] == (None,) * 7
     assert c.contexts == [] and c.records == []
+    assert c.stop == counts.BudgetStop(
+        "table", "C2xC2xC2xC2", "group too large to table densely (spent 322560, budget 6000)"
+    )
     e16 = next(g for g in catalog.groups_of_order(16) if g.name == "C2xC2xC2xC2")
     assert catalog.automorphism_order(e16) == 20160
     assert e16._aut[1]._elements is None
@@ -372,19 +380,19 @@ def test_class_weight_equals_the_search_on_record_tables(census, record_table, d
 
 def test_class_weight_builds_no_record_table(census):
     # the largest proper record at degree 41 has order 820; its k x k int16
-    # table would take k^2 * 2 bytes
+    # table would take k^2 * 2 bytes.  Its weight is certified, so the
+    # seeded chain count the weight falls back to is run directly
     cls = max((cls for cls in census(41).classes if cls.order < 1640), key=lambda cls: cls.order)
     k = cls.order
     assert k == 820
     cls.members[0][1].ctx.table()
-    fresh = replace(cls, aut_marked_order=None)
     tracemalloc.start()
     try:
-        counts._class_weight(fresh)
+        count = _leader_count(cls, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fresh.aut_marked_order == cls.aut_marked_order
+    assert count == cls.aut_marked_order
     assert peak < k * k * 2, peak
 
 
@@ -445,6 +453,127 @@ def test_a_seed_that_does_not_normalize_the_class_is_refused(monkeypatch):
     monkeypatch.setattr(counts, "enumerate_transitive_classes", corrupt)
     with pytest.raises(ConsistencyError, match="seed"):
         build_degree_census(8)
+
+
+def _pinned_member(cls):
+    return next((rec for _, rec in cls.members if counts._pins_translations(rec)), None)
+
+
+@pytest.mark.parametrize("degree", [*range(2, 16), 30, 41, 77])
+def test_pinned_translations_weigh_what_the_unseeded_chain_counts(census, degree):
+    # where every automorphism of (G, G') must normalize lambda(N) or
+    # rho(N), it lies in N_A(G): the chain count on that member's side,
+    # unseeded, must find exactly |N_A(G)|
+    for cls in census(degree).classes:
+        rec = _pinned_member(cls)
+        if rec is not None:
+            stab = rec.stab_positions
+            chain = IsoSearch(rec.side, rec.side, stab, stab).run("count")
+            assert chain == len(rec.aut_normalizer) == cls.aut_marked_order, cls.label
+
+
+def test_the_certificate_spares_the_chain_count(census, monkeypatch):
+    # coverage floors: every class of degrees 41 and 77 and at least 105
+    # of the 147 of degrees 2-15 are weighed without a chain count, so a
+    # silent fallback to the count shows here
+    groups = {"41+77": [41, 77], "2-15": range(2, 16)}
+    classes = {name: [cls for d in degrees for cls in census(d).classes] for name, degrees in groups.items()}
+    chains = []
+    count = IsoSearch._count
+
+    def spy(self):
+        chains.append(1)
+        return count(self)
+
+    monkeypatch.setattr(IsoSearch, "_count", spy)
+    fallbacks = {}
+    for name, group in classes.items():
+        chains.clear()
+        for cls in group:
+            assert counts._class_weight(replace(cls, aut_marked_order=None)) == cls.aut_marked_order, cls.label
+        fallbacks[name] = len(chains)
+        assert fallbacks[name] == sum(_pinned_member(cls) is None for cls in group), name
+    assert len(classes["41+77"]) == 28 and fallbacks["41+77"] == 0
+    assert len(classes["2-15"]) == 147 and fallbacks["2-15"] <= 147 - 105
+
+
+def _corrupt_pinned_records(monkeypatch, change) -> list[str]:
+    """Make enumeration hand `change` every record whose translations are
+    pinned; returns the types of the records it changed."""
+    enumerate_ = counts.enumerate_transitive_classes
+    changed = []
+
+    def corrupt(ctx, *args):
+        records = enumerate_(ctx, *args)
+        changed.extend(rec.type_name for rec in records if counts._pins_translations(rec) and change(rec))
+        return records
+
+    monkeypatch.setattr(counts, "enumerate_transitive_classes", corrupt)
+    return changed
+
+
+def test_a_certified_weight_missing_a_normalizer_element_is_refused(monkeypatch):
+    # every class of degree 7 is one record of Hol(C7) whose translations
+    # are pinned, so its weight is its own |N_A(G)|; one element short,
+    # the weight still divides, and the class-size identity must refuse it
+    def drop(rec):
+        rec.aut_normalizer = rec.aut_normalizer[:-1]
+        return True
+
+    changed = _corrupt_pinned_records(monkeypatch, drop)
+    with pytest.raises(ConsistencyError, match="class size"):
+        build_degree_census(7, skip_bc=True)
+    assert changed == ["C7"] * 4
+
+
+def test_a_certified_weight_from_a_non_normalizer_is_refused(monkeypatch):
+    # swap one element of each pinned record's N_A(G) for an automorphism
+    # of N that does not normalize G: the size, and so the class-size
+    # identity, still holds, and the proof of N_A(G)'s rows must refuse it
+    def swap(rec):
+        ctx = rec.ctx
+        T, auts = ctx.table(), np.flatnonzero(ctx.perms[:, 0] == 0)
+        member = np.zeros(T.order, dtype=bool)
+        member[rec.indices] = True
+        outside = [a for a in auts.tolist() if not member[T.conj_many(a, rec.indices)].all()]
+        if outside and len(rec.aut_normalizer) > 1:
+            rec.aut_normalizer = np.sort(np.append(rec.aut_normalizer[:-1], outside[0]))
+        return bool(outside)
+
+    changed = _corrupt_pinned_records(monkeypatch, swap)
+    with pytest.raises(ConsistencyError, match="does not fix 0 and normalize"):
+        build_degree_census(8, skip_bc=True)
+    assert changed
+
+
+@pytest.mark.parametrize(
+    "degree, stopped, reason",
+    [(8, "C4xC2", "subgroup search time budget exhausted"), (6, "S3", "enumeration time budget exhausted")],
+)
+def test_the_enumeration_budget_runs_on_one_clock_per_degree(monkeypatch, degree, stopped, reason):
+    # on a fake clock each type takes 1000 s: with one clock per type no
+    # type would exceed the 1800 s budget, with one clock per degree the
+    # degree stops in its second type.  The search reads the clock every
+    # 256 candidates, so Hol(C4xC2)'s search stops itself; Hol(S3)'s has
+    # fewer, and the degree's check after it stops the degree
+    now = [0.0]
+    clock = SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(counts, "time", clock)
+    monkeypatch.setattr(enumeration, "time", clock)
+    enumerate_ = counts.enumerate_transitive_classes
+    searched = []
+
+    def slow(ctx, *args):
+        now[0] += 1000.0
+        searched.append(ctx.group.name)
+        return enumerate_(ctx, *args)
+
+    monkeypatch.setattr(counts, "enumerate_transitive_classes", slow)
+    c = build_degree_census(degree, time_budget=1800.0)
+    assert c.row.partial and c.row.cells()[1:] == (None,) * 7
+    assert c.records == [] and c.classes == []
+    assert searched == [g.name for g in catalog.groups_of_order(degree)][:2]
+    assert c.stop == counts.BudgetStop("enumeration", stopped, f"{reason} (spent 2000.0, budget 1800.0)")
 
 
 @pytest.mark.parametrize("degree", [*range(2, 16), 41, 77])

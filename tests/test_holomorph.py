@@ -82,6 +82,14 @@ def test_contains_both_translation_actions():
         assert not (row_index(right, ctx.aut.elements) >= 0).all()
 
 
+@pytest.mark.parametrize("degree", range(2, 16))
+def test_left_translation_rows_are_the_base_table(census, degree):
+    # raw row a * |A| + 0 is the translation by a after the identity
+    for ctx in census(degree).contexts:
+        assert np.array_equal(ctx.perms[ctx.left_indices], ctx.group.mul), ctx.group.name
+        assert np.array_equal(ctx.left_indices, np.sort(ctx.left_indices))
+
+
 def test_every_element_factors_as_translation_times_automorphism():
     g = groups_of_order(12)[1]
     ctx = build_holomorph(g)
