@@ -11,13 +11,13 @@ by its catalog `GroupTable`, whose `mul` is the carrier's first operation.
 No function here builds Hol(N) or reads more of it than N's table.  M lies
 in Hol(N) exactly when its generators pass `holomorph.in_holomorph`, which
 is the compatibility law (see `SkewBracoid.validate`); `cocycle_decompose`
-puts every element of M through the same test.  The bracoid and brace
-builders each build one table whose generators are M's own: a bracoid M's
-table (`PermGroup.table`), a brace its circle table.  Every action, homomorphism and compatibility law here is checked on the
-generators of a table that has passed Light's test (`GroupTable.acts`),
-and a skew brace is validated as the regular bracoid of its circle group.
-Tables are never changed in place and record a passed `validate`, so N's
-catalog table, validated at load, is not checked again.
+puts every element of M through the same test.  A reduced bracoid acts by
+M's own sorted rows, proven to be the group M's generators generate; no
+table of M is built.  Every other law is checked on the generators of a
+table that has passed Light's test (`GroupTable.acts`), and a skew brace
+is validated as the regular bracoid of its circle table, built once on
+M's generators.  Tables are never changed in place and record a passed
+`validate`, so N's catalog table, validated at load, is not checked again.
 
 Each artifact's `payload()` holds its tables as the integer arrays it was
 built and checked on, for the writer in `cli`; `to_json_dict()` is the
@@ -34,7 +34,7 @@ import numpy as np
 from .classify import is_stab_respecting_iso
 from .errors import ConsistencyError, StructureError
 from .holomorph import HolomorphContext, in_holomorph
-from .perm import PermGroup, is_transitive, row_index
+from .perm import PermGroup, orbit_labels, row_index
 from .table import GroupTable
 
 
@@ -43,12 +43,14 @@ class SkewBracoid:
     """A group acting transitively on the carrier of another group.
 
     `action[g, mu]` is the point of `target` reached by letting the acting
-    group's element g move mu.  The compatibility law ties the action to the
-    target's multiplication: moving a product equals the product of the moved
-    factors with the image of the target's identity cancelled in between.
+    group's element g move mu; the acting group is a table over those rows,
+    or a `PermGroup` whose sorted elements are the rows.  The compatibility
+    law ties the action to the target's multiplication: moving a product
+    equals the product of the moved factors with the image of the target's
+    identity cancelled in between.
     """
 
-    acting: GroupTable
+    acting: Union[GroupTable, PermGroup]
     target: GroupTable
     action: np.ndarray
     reduced: bool
@@ -60,25 +62,28 @@ class SkewBracoid:
     def validate(self) -> None:
         """Check the action law, transitivity and compatibility.
 
-        Both laws are checked on the acting table's generators only, after
-        that table has passed Light's test (see `GroupTable.acts`).  For
-        compatibility fix g, let c = a[g](e) and psi = c^-1 a[g]: g satisfies
-        g(mu nu) = g(mu) g(e)^-1 g(nu) exactly when psi is an automorphism
-        of the target, that is, when a[g] lies in its holomorph
-        (`in_holomorph`).  The passing elements are the preimage of the
-        holomorph under g -> a[g], a subgroup, so generators suffice.
+        A permutation group's rows are proven to be the group its
+        generators generate (`_generated_rows`); a table's action law is
+        checked on its generators after Light's test (`GroupTable.acts`).
+        Compatibility holds for g, with c = a[g](e) and psi = c^-1 a[g],
+        exactly when psi is an automorphism of the target, that is, when
+        a[g] lies in its holomorph (`in_holomorph`).  The passing elements
+        are the preimage of the holomorph under g -> a[g], a subgroup, so
+        generators suffice.
         """
-        T, a = self.acting, self.action
-        n = self.target.order
-        if a.shape != (T.order, n):
+        a, n = self.action, self.target.order
+        if a.shape != (self.acting.order, n):
             raise StructureError("bracoid: action table shape mismatch")
         if not np.array_equal(a[0], np.arange(n)):
             raise StructureError("bracoid: acting identity does not fix points")
-        if not T.acts(a, "bracoid acting group"):
-            raise StructureError("bracoid: action is not a group action")
+        if isinstance(self.acting, PermGroup):
+            gens = _generated_rows(self.acting.generators, a)
+        else:
+            if not self.acting.acts(a, "bracoid acting group"):
+                raise StructureError("bracoid: action is not a group action")
+            gens = np.array(self.acting.generators(), dtype=np.int64)
         if len(np.unique(a[:, 0])) != n:
             raise StructureError("bracoid: action is not transitive")
-        gens = np.array(T.generators(), dtype=np.int64)
         bad = ~in_holomorph(self.target, a[gens])
         if bad.any():
             g = int(gens[np.argmax(bad)])
@@ -171,6 +176,30 @@ class YBESolution:
         return _as_lists(self.payload())
 
 
+def _generated_rows(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the permutations `gens` among `rows`, once the rows,
+    strictly increasing with the identity first (checked by the caller),
+    are proven to be <gens> in O(|rows| k).  If r.s is a row for every row
+    r and generator s, then r -> r.s permutes the rows; if those maps join
+    every row to the identity's, every row is a word in the generators,
+    and a set holding the identity and closed under them holds every word.
+    """
+    m, n = rows.shape
+    if gens.shape[1:] != (n,) or (np.sort(gens, axis=1) != np.arange(n)).any():
+        raise StructureError("bracoid: a generator is not a permutation of the points")
+    step = rows[1:].astype(np.int64) - rows[:-1]
+    first = (step != 0).argmax(axis=1)
+    if (step[np.arange(m - 1), first] <= 0).any():
+        raise StructureError("bracoid: action rows are not strictly increasing")
+    # maps[j, i] is the position of r_i . s_j, r_i after s_j
+    maps = row_index(rows[:, gens].transpose(1, 0, 2).reshape(-1, n), rows).reshape(len(gens), m)
+    if (maps < 0).any():
+        raise StructureError("bracoid: action rows are not closed under the generators")
+    if orbit_labels(maps).any():
+        raise StructureError("bracoid: action rows are not generated from the identity")
+    return maps[:, 0]
+
+
 def _as_lists(payload: dict) -> dict:
     """An artifact's payload with every array as nested lists."""
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
@@ -190,26 +219,17 @@ def bracoid_from_subgroup(
     """Evaluation action of a transitive subgroup M of Hol(N), as a bracoid.
 
     N is given by its table.  With `delta` omitted the acting group is M
-    itself, tabled on M's own generators, and the result is reduced.
-    Otherwise `delta = (G, images)` supplies a surjection from a group G,
-    given by its table, onto M, `images[i]` being the holomorph element
-    assigned to G's element i.  Validation proves M lies in Hol(N).
+    itself, proven on its own rows, and the result is reduced.  Otherwise
+    `delta = (G, images)` supplies a surjection from a group G, given by
+    its table, onto M, `images[i]` being the holomorph element assigned to
+    G's element i.  Validation proves delta a homomorphism and M a transitive
+    subgroup of Hol(N).
     """
-    if not is_transitive(M):
-        raise StructureError("bracoid requires a transitive subgroup")
     if delta is None:
-        acting = M.table()
-        action = M.elements.astype(np.int32)
-        reduced = True
+        acting, action, reduced = M, M.elements, True
     else:
         acting, images = delta
-        if len(images) != acting.order:
-            raise StructureError("delta must assign an image to every element")
         action = np.array(images, dtype=np.int32)
-        if action.shape != (acting.order, M.degree) or not np.array_equal(action[0], np.arange(M.degree)):
-            raise StructureError("delta must send the identity to the identity")
-        if not acting.acts(action, "delta's source group"):
-            raise StructureError("delta is not a homomorphism")
         image = np.unique(action, axis=0)
         if not np.array_equal(image, M.elements):
             raise StructureError("delta is not a surjection onto the subgroup")

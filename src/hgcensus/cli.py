@@ -566,6 +566,8 @@ def cmd_actions(
     err = err or sys.stderr
     replace(cfg, degrees=[degree]).validate()
     payload = _require_payload(cfg, degree)
+    if not payload["classes"]:  # a budget stop keeps the type count only
+        raise LookupError(f"degree {degree}: the cached row is partial, so it has no classes to export")
     if all_braces:
         written = _export_actions(degree, payload["classes"], cfg.cache_dir, False)
     else:

@@ -23,11 +23,12 @@ from hgcensus.actions import (
     ybe_solution,
 )
 from hgcensus.catalog import from_perm_generators, groups_of_order
+from hgcensus.cli import _dump_canonical
 from hgcensus.classify import stab_respecting_iso
 from hgcensus.errors import ConsistencyError, StructureError
 from hgcensus.holomorph import build_holomorph
 from hgcensus.iso import IsoSearch
-from hgcensus.perm import PermGroup, closure, orbit_labels, parse_cycles
+from hgcensus.perm import PermGroup, closure, orbit_labels, parse_cycles, row_index
 from hgcensus.table import GroupTable
 
 
@@ -219,10 +220,10 @@ def _s3_right_brace() -> SkewBrace:
 
 
 @cache
-def _hol_s3_bracoid():
-    """Hol(S3), order 36, acting on the 6 points of S3."""
+def _hol_s3_bracoid() -> tuple[SkewBracoid, GroupTable]:
+    """Hol(S3), order 36, acting on the 6 points of S3, and its table."""
     ctx = build_holomorph(groups_of_order(6)[1])
-    return bracoid_from_subgroup(ctx.group, ctx.hol)
+    return bracoid_from_subgroup(ctx.group, ctx.hol), ctx.hol.table()
 
 
 @given(st.sampled_from(["add", "circ"]), st.integers(0, 5), st.integers(0, 5), st.integers(1, 5))
@@ -236,11 +237,12 @@ def test_brace_one_cell_mutation_is_rejected(which, i, j, shift):
 
 @given(st.integers(0, 35), st.integers(0, 5), st.integers(1, 5))
 def test_bracoid_one_cell_mutation_is_rejected(g, mu, shift):
-    b = _hol_s3_bracoid()
+    b, T = _hol_s3_bracoid()
     action = b.action.copy()
     action[g, mu] = (action[g, mu] + shift) % 6
-    with pytest.raises((StructureError, ConsistencyError)):
-        SkewBracoid(b.acting, b.target, action, b.reduced).validate()
+    for acting in (T, b.acting):  # the table route and the row route
+        with pytest.raises((StructureError, ConsistencyError)):
+            SkewBracoid(acting, b.target, action, b.reduced).validate()
 
 
 # -- generator checks against all-elements references ----------------------
@@ -291,10 +293,17 @@ def _brace_reference(add: np.ndarray, circ: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("degree", range(2, 9))
 def test_bracoid_validation_agrees_with_all_elements_reference(census, degree):
+    # the row route (M's own rows) and the table route (M's table) accept
+    # every record with the same bytes and reject the same mutations
     rng = np.random.default_rng(degree)
     verdicts = set()
     for rec in census(degree).records:
         b = bracoid_from_subgroup(rec.ctx.group, rec.rep)
+        T = rec.rep.table()
+        assert b.acting is rec.rep
+        table = SkewBracoid(T, b.target, rec.rep.elements, True)
+        table.validate()
+        assert _dump_canonical(b.payload()) == _dump_canonical(table.payload())
         variants = [b.action]
         for _ in range(2):  # seeded one-cell mutations
             a = b.action.copy()
@@ -302,10 +311,33 @@ def test_bracoid_validation_agrees_with_all_elements_reference(census, degree):
             a[g, mu] = (a[g, mu] + rng.integers(1, degree)) % degree
             variants.append(a)
         for a in variants:
-            ok = _bracoid_reference(b.acting.mul, b.target.mul, a)
+            ok = _bracoid_reference(T.mul, b.target.mul, a)
+            assert _rejects(lambda: SkewBracoid(T, b.target, a, b.reduced)) == (not ok)
             assert _rejects(lambda: SkewBracoid(b.acting, b.target, a, b.reduced)) == (not ok)
             verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("removed", "not closed"),
+    ("stray", "not closed"),
+    ("coset", "not generated from the identity"),
+    ("swapped", "not strictly increasing"),
+])
+def test_bracoid_row_route_rejects_rows_that_are_not_the_generated_group(census, fault, message):
+    rec = next(r for r in census(6).records if r.order < len(r.ctx.perms))
+    M, N = rec.rep, rec.ctx.group
+    hol = rec.ctx.perms
+    r = hol[np.flatnonzero(row_index(hol, M.elements) < 0)[0]]  # in Hol(N), outside M
+    rows = {
+        "removed": np.delete(M.elements, len(M.elements) // 2, axis=0),
+        "stray": np.unique(np.vstack([M.elements, r]), axis=0),
+        # closed under every generator, but r M is not reached from the identity
+        "coset": np.unique(np.vstack([M.elements, r[M.elements]]), axis=0),
+        "swapped": M.elements[[0, 2, 1, *range(3, len(M.elements))]],
+    }[fault]
+    with pytest.raises(StructureError, match=message):
+        bracoid_from_subgroup(N, PermGroup(M.generators, N.order, elements=rows))
 
 
 @pytest.mark.parametrize("degree", range(2, 9))
@@ -337,8 +369,7 @@ def test_brace_validation_agrees_with_all_elements_reference(census, degree):
 
 
 def test_action_law_is_checked_on_every_generator():
-    b = _hol_s3_bracoid()
-    T = b.acting
+    b, T = _hol_s3_bracoid()
     g1, g2 = T.generators()[:2]
     # h -> h g2 off <g1>: commutes with left multiplication by g1 only, so
     # the rows satisfy the action law at g1 but are no action of T
@@ -352,8 +383,8 @@ def test_action_law_is_checked_on_every_generator():
 
 
 def test_bracoid_with_non_associative_acting_table_is_rejected():
-    b = _hol_s3_bracoid()
-    t = b.acting.mul
+    b, T = _hol_s3_bracoid()
+    t = T.mul
     # rows 3 and 5 hold an intercalate {t[3, 1], t[3, 3]} in columns 1 and 3
     r, s, c, d = 3, 5, 1, 3
     assert t[r, c] == t[s, d] and t[r, d] == t[s, c]

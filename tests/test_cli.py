@@ -10,6 +10,7 @@ import json
 import os
 import re
 import stat
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -683,3 +684,38 @@ def test_export_builds_no_holomorph(census, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(HolomorphContext, "__init__", refuse)
     _export_every_class(census, tmp_path, [8])
+
+
+def test_export_of_the_order_1344_class_builds_no_square_table(census, tmp_path, capsys, monkeypatch):
+    # Hol(C2^3) acts by its own 1344 rows: no table of 1344^2 cells is built
+    payload = _census_payload(census(8), RunConfig(degrees=[8]))
+    (tmp_path / "degree-008.json").write_text(_dump_canonical(payload))
+    label = next(c["label"] for c in payload["classes"] if c["order"] == 1344)
+    acting = []
+
+    def bracoid(N, M):
+        acting.append(M)
+        return bracoid_from_subgroup(N, M)
+
+    monkeypatch.setattr(cli, "bracoid_from_subgroup", bracoid)
+    tracemalloc.start()
+    try:
+        assert main(["actions", "--degree", "8", "--class", label, "--cache-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [M] = acting
+    assert M.order == 1344 and M._table is None
+    assert peak < 1344**2 * 2
+
+
+def test_actions_on_a_budget_stopped_degree_is_a_clean_error(census, tmp_path, capsys):
+    # degree 16's cached row keeps the type count only, and no classes
+    payload = _census_payload(census(16), RunConfig(degrees=[16]))
+    assert payload["row"]["partial"] and not payload["classes"]
+    (tmp_path / "degree-016.json").write_text(_dump_canonical(payload))
+    for target in (["--all-braces"], ["--class", "d16-o16-s1-c1"]):
+        rc, out, err = _run(capsys, "actions", "--degree", "16", *target, "--cache-dir", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err == "error: degree 16: the cached row is partial, so it has no classes to export\n"
+    assert not (tmp_path / "actions").exists()
