@@ -2,16 +2,15 @@
 
 A transitive subgroup M of Hol(N) acts on the points of N by evaluation.
 This module materializes that action as a verified table (a skew bracoid),
-splits it into its translation and automorphism parts, transports regular
-actions onto the carrier of N (a skew brace), derives the set-theoretic
-Yang-Baxter map of a brace, and realizes N as a regular subgroup of the
-symmetric group on the points of an external acting group.  N is given
+transports regular actions onto the carrier of N (a skew brace), derives
+the set-theoretic Yang-Baxter map of a brace, and realizes N as a regular
+subgroup of the symmetric group on the points of an external acting
+group.  N is given
 by its catalog `GroupTable`, whose `mul` is the carrier's first operation.
 
 No function here builds Hol(N) or reads more of it than N's table.  M lies
 in Hol(N) exactly when its generators pass `holomorph.in_holomorph`, which
-is the compatibility law (see `SkewBracoid.validate`); `cocycle_decompose`
-puts every element of M through the same test.  A reduced bracoid acts by
+is the compatibility law (see `SkewBracoid.validate`).  A reduced bracoid acts by
 M's own sorted rows, proven to be the group M's generators generate; no
 table of M is built.  Every other law is checked on the generators of a
 table that has passed Light's test (`GroupTable.acts`), and a skew brace
@@ -239,35 +238,6 @@ def bracoid_from_subgroup(
     return b
 
 
-def cocycle_decompose(N: GroupTable, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Split each element of M, a subgroup of Hol(N) for N's table, into
-    its translation and automorphism parts.
-
-    Returns (pi, gamma) over M's sorted elements: pi[i] is the point the
-    element sends the identity to, gamma[i] the image row of its stabilizer
-    part.  Verifies M lies in Hol(N) (`in_holomorph`), so that every gamma
-    row is an automorphism, that the gamma rows multiply like M (on
-    generators, see `GroupTable.acts`), the twisted product law for
-    generators against every element, and exact recomposition of the action.
-    """
-    P = M.elements.astype(np.int32)
-    if M.degree != N.order or not in_holomorph(N, P).all():
-        raise StructureError("subgroup does not live in this holomorph")
-    t = N.mul
-    pi = P[:, 0].copy()
-    gamma = t[N.inv[pi][:, None], P].astype(np.int32)
-    T = M.table()
-    if not T.acts(gamma, "subgroup table"):
-        raise ConsistencyError("automorphism parts do not multiply")
-    gens = np.array(T.generators(), dtype=np.int64)
-    # pi(s k) = pi(s) gamma_s(pi(k)) for each generator s and every element k
-    if (pi[T.mul[gens]] != t[pi[gens][:, None], gamma[gens][:, pi]]).any():
-        raise ConsistencyError("translation parts violate the twisted product law")
-    if not np.array_equal(t[pi[:, None], gamma], P):
-        raise ConsistencyError("decomposition does not recompose to the action")
-    return pi, gamma
-
-
 def brace_from_regular(N: Union[GroupTable, HolomorphContext], M: PermGroup) -> SkewBrace:
     """Transport a regular subgroup of Hol(N) onto the carrier of N.
 
@@ -357,7 +327,6 @@ __all__ = [
     "SkewBrace",
     "YBESolution",
     "bracoid_from_subgroup",
-    "cocycle_decompose",
     "brace_from_regular",
     "trivial_brace",
     "ybe_solution",

@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import stat
 import sys
@@ -96,8 +97,8 @@ class RunConfig:
                 raise UnsupportedOrderError(d, catalog_orders())
         if self.node_budget <= 0:
             raise StructureError("node budget must be positive")
-        if self.time_budget <= 0:
-            raise StructureError("time budget must be positive")
+        if not 0 < self.time_budget < math.inf:  # NaN fails every comparison
+            raise StructureError(f"time budget must be positive and finite, not {self.time_budget}")
         if self.fmt not in ("json", "csv", "md"):
             raise StructureError(f"unknown format {self.fmt!r}")
 

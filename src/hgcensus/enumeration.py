@@ -17,16 +17,22 @@ registered, and is skipped without a closure.  The generators of each
 cyclic subgroup (`_cyclic_families`) are found once per table.  Skipped
 representatives come after x0, so every class keeps its first discoverer.
 
-A candidate x0 in N(H) needs no coset walk: <H, x0> = H<x0>, the cosets
-H x0^j below x0's first power in H (`_normalized_extension`).
+The search runs in waves: every class waiting in the queue is one wave.
+The wave's candidates are listed first, class by class, then closed
+together by `GroupTable.close_extensions`, a chunk of closures at a time,
+and registered in the order they were listed.  The queue is first in,
+first out and closures never read the registry, so classes are found,
+numbered and kept exactly as by closing one candidate at a time.  The new
+classes' normalizer generators, which only the next wave reads, come from
+greedy folds run in lockstep through the same kernel (`_normalizer_gens`).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,7 +78,8 @@ def subgroup_classes(
     Raises SearchBudgetError when more than `node_budget` candidates are
     tried or `time_budget` seconds elapse since `started`, a
     `time.monotonic()` reading (default: entry); the clock is read every
-    256 candidates.  A caller that passes its own start runs several
+    256 candidates while a wave's candidates are listed, and between the
+    chunks of its closures.  A caller that passes its own start runs several
     searches on one clock, each getting only the time left.  A candidate
     skipped because its cyclic family's extension is already closed counts
     like a closed one, so the budgets stop at the same candidate as a
@@ -81,6 +88,10 @@ def subgroup_classes(
     m = T.order
     start = time.monotonic() if started is None else started
     spent = 0
+
+    def check_clock() -> None:
+        if (elapsed := time.monotonic() - start) > time_budget:
+            raise SearchBudgetError("subgroup search time budget exhausted", spent=elapsed, budget=time_budget)
 
     rng = np.arange(m, dtype=np.int64)
     key_dtype = np.int16 if m < 2**15 else np.int32
@@ -92,14 +103,16 @@ def subgroup_classes(
     last = np.searchsorted(family[by_family], family, "right")
     registry: dict[bytes, int] = {}
     classes: list[SubgroupClass] = []
-    queue: deque[int] = deque()
+    # the wave's new classes, whose `normalizer_gens` the wave's end fills
+    # in: (id, elements, gens, normalizer, conjugator to the canonical
+    # member), the arrays in the registry's key dtype to keep a wave small
+    found: list[tuple[int, np.ndarray, list[int], np.ndarray, int]] = []
 
-    def register(elems: np.ndarray, gens: list[int]) -> Optional[int]:
+    def register(elems: np.ndarray, gens: list[int]) -> None:
         if elems.astype(key_dtype).tobytes() in registry:
-            return None
+            return
         cid = len(classes)
         norm = T.normalizer_of(elems, gens)
-        norm_gens = T.small_generating_set(norm, start=(elems, gens))
         reps = _coset_leaders(T, norm)
         if len(reps) * len(norm) != m:
             raise ConsistencyError("conjugate count does not match normalizer index")
@@ -113,59 +126,80 @@ def subgroup_classes(
                 conjs[best].astype(np.int64),
                 [T.conj(g, x) for x in gens],
                 np.sort(T.conj_many(g, norm)),
-                [T.conj(g, x) for x in norm_gens],
+                [],
                 len(reps),
             )
         )
-        return cid
+        found.append((cid, elems.astype(key_dtype), gens, norm.astype(key_dtype), g))
 
-    trivial = register(np.array([0], dtype=np.int64), [])
-    queue.append(trivial)
-
-    while queue:
-        cid = queue.popleft()
-        cls = classes[cid]
-        elems, gens = cls.indices, cls.gens
-        if cls.order == m:
-            continue
-        lab = orbit_labels(_candidate_maps(T, gens, cls.normalizer_gens))
-        in_h = np.zeros(m, dtype=bool)
-        in_h[elems] = True
-        in_norm = np.zeros(m, dtype=bool)
-        in_norm[cls.normalizer] = True
-        done = np.zeros(m, dtype=bool)  # orbit labels whose extension is closed
-        for x0 in np.flatnonzero((lab == rng) & ~in_h).tolist():
-            spent += 1
-            if spent > node_budget:
-                raise SearchBudgetError("subgroup closure budget exhausted", spent=spent, budget=node_budget)
-            if spent % 256 == 0 and (elapsed := time.monotonic() - start) > time_budget:
-                raise SearchBudgetError("subgroup search time budget exhausted", spent=elapsed, budget=time_budget)
-            if done[x0]:
+    register(np.array([0], dtype=np.int64), [])
+    while found:
+        wave = [cid for cid, *_ in found]
+        folds = _normalizer_gens(T, [(elems, gens, norm) for _, elems, gens, norm, _ in found])
+        for (cid, *_, g), norm_gens in zip(found, folds):
+            classes[cid].normalizer_gens = [T.conj(g, x) for x in norm_gens]
+        found.clear()
+        subgroups: list[tuple[np.ndarray, list[int]]] = []
+        jobs: list[tuple[int, int]] = []
+        for cid in wave:
+            cls = classes[cid]
+            if cls.order == m:
                 continue
-            done[lab[by_family[first[x0] : last[x0]]]] = True
-            if in_norm[x0]:
-                grown = _normalized_extension(T, elems, in_h, x0)
-            else:
-                grown = T.extend_subgroup(elems, gens, x0)
-            new_id = register(grown, gens + [x0])
-            if new_id is not None:
-                queue.append(new_id)
+            lab = orbit_labels(_candidate_maps(T, cls.gens, cls.normalizer_gens))
+            in_h = np.zeros(m, dtype=bool)
+            in_h[cls.indices] = True
+            done = np.zeros(m, dtype=bool)  # orbit labels whose extension is listed
+            for x0 in np.flatnonzero((lab == rng) & ~in_h).tolist():
+                spent += 1
+                if spent > node_budget:
+                    raise SearchBudgetError("subgroup closure budget exhausted", spent=spent, budget=node_budget)
+                if spent % 256 == 0:
+                    check_clock()
+                if done[x0]:
+                    continue
+                done[lab[by_family[first[x0] : last[x0]]]] = True
+                jobs.append((len(subgroups), x0))
+            subgroups.append((cls.indices, cls.gens))
+        listed, closed = iter(jobs), 0
+        for chunk in T.close_extensions(subgroups, jobs):
+            for elems, (s, x0) in zip(chunk, listed):
+                register(elems, subgroups[s][1] + [x0])
+            closed += len(chunk)
+            if closed < len(jobs):  # before the wave's next chunk
+                check_clock()
 
     order_key = [(c.order, tuple(c.indices.tolist())) for c in classes]
     return [classes[i] for i in sorted(range(len(classes)), key=lambda i: order_key[i])]
 
 
-def _normalized_extension(T: GroupTable, elems: np.ndarray, in_h: np.ndarray, x: int) -> np.ndarray:
-    """Sorted indices of <H, x> for x normalizing H, with H's sorted
-    `elems` and membership mask `in_h`: H<x> is then a group, the union of
-    the distinct cosets H x^j for j below the least k > 0 with x^k in H,
-    read off the table in one gather."""
-    powers = [0]
-    p = x
-    while not in_h[p]:
-        powers.append(p)
-        p = int(T.mul[p, x])
-    return np.sort(T.mul[elems[:, None], np.array(powers)], axis=None).astype(np.int64)
+def _normalizer_gens(T: GroupTable, folds: list[tuple[np.ndarray, list[int], np.ndarray]]) -> list[list[int]]:
+    """`T.small_generating_set(norm, start=(elems, gens))` for each fold
+    (elems, gens, norm), the greedy passes run in lockstep: each round takes
+    every unfinished fold one step, extending its subgroup K by the least
+    element x of its normalizer N outside it, in one `close_extensions`
+    call.  Where [N : K] is prime, no subgroup lies strictly between K and
+    N, so <K, x> = N needs no closure."""
+    state = [(elems, list(gens), norm) for elems, gens, norm in folds]
+    while live := [s for s, (elems, _, norm) in enumerate(state) if len(elems) < len(norm)]:
+        subgroups, jobs, closing = [], [], []
+        for s in live:
+            elems, gens, norm = state[s]
+            # the sorted subgroup agrees with its sorted normalizer up to the
+            # least element outside it, and ends below it where it is a prefix
+            ahead = elems != norm[: len(elems)]
+            x = int(norm[ahead.argmax() if ahead[-1] else len(elems)])
+            index = len(norm) // len(elems)
+            if all(index % d for d in range(2, isqrt(index) + 1)):
+                state[s] = (norm, gens + [x], norm)
+            else:
+                jobs.append((len(subgroups), x))
+                subgroups.append((elems, gens))
+                closing.append(s)
+        grown = (elems for chunk in T.close_extensions(subgroups, jobs) for elems in chunk)
+        for s, (_, x), elems in zip(closing, jobs, grown):
+            _, gens, norm = state[s]
+            state[s] = (elems.astype(norm.dtype), gens + [x], norm)
+    return [gens for _, gens, _ in state]
 
 
 def _coset_leaders(T: GroupTable, norm: np.ndarray) -> np.ndarray:

@@ -9,12 +9,18 @@ automorphism.  Every method here reads products through that one indexing
 form, so subgroup closure, normalizers and conjugacy sweeps are the same
 integer work on either form; only `validate` and `acts`, which check every
 cell, take whole rows and columns of a dense table.
+
+Subgroup closure is a right-coset fill.  One closure <H, x>
+(`extend_subgroup`) marks its first cosets from single representatives;
+many closures at once (`close_extensions`) are filled together, a level
+of cosets at a time, in one flat membership mask (`_CosetFill`), and a
+lone closure with more cosets to go finishes the same way.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,8 +40,14 @@ _COLOUR_POSITIONS = 8192
 _COLOUR_MAP_CELLS = 2**17
 
 # cosets `extend_subgroup` marks one at a time in Python before it hands the
-# rest of the fill to numpy levels
-_WALK_COSETS = 4
+# rest of the fill to `_CosetFill`, whose set-up costs about as much as a
+# dozen walked cosets
+_WALK_COSETS = 16
+
+# bytes of each of the coset fill's temporaries: a chunk of
+# `close_extensions` jobs shares one membership mask of one-byte cells, and
+# frontier products and gathered cosets, int64 cells, are taken in blocks
+_FILL_BYTES = 2**17
 
 
 def check_budget(m: int) -> None:
@@ -312,24 +324,24 @@ class GroupTable:
         The result is a union of right cosets H r, filled from H new by right
         multiplication with H's generators and `new`.  A Python walk over
         single representatives (`_coset_walk`) marks the first cosets; past
-        `_WALK_COSETS` of them the fill finishes in numpy one level at a
-        time, multiplying by the generators and their repeated squares
-        (`_coset_levels`).  Lagrange stop: a proper subgroup containing H
-        has at most m/p elements, p the least prime dividing [G : H], so
-        once the fill passes m/p the result is the whole group.
+        `_WALK_COSETS` of them the fill goes on from the walk's mask and
+        unfinished representatives as a one-job `_CosetFill`.  Lagrange
+        stop: a proper subgroup containing H has at most m/p elements, p the
+        least prime dividing [G : H], so once the fill passes m/p the result
+        is the whole group.
         """
         member = np.zeros(self.order, dtype=bool)
         member[elems] = True
         if member[new]:
             return elems
-        gens = [*gens, new]
         most = self.order // _prime_factors(self.order // len(elems))[0]
-        frontier = self._coset_walk(elems, gens, new, member, most)
-        if frontier is not None and len(frontier):
-            frontier = self._coset_levels(elems, gens, frontier, member, most)
+        frontier = self._coset_walk(elems, [*gens, new], new, member, most)
         if frontier is None:
             return np.arange(self.order, dtype=np.int64)
-        return np.flatnonzero(member)
+        if not len(frontier):
+            return np.flatnonzero(member)
+        fill = _CosetFill(self, [(elems, gens)], np.zeros(1, dtype=np.intp), np.array([new]))
+        return fill.resume(member, frontier)
 
     def _coset_walk(self, elems, gens, new, member, most) -> Optional[np.ndarray]:
         """Mark the cosets H new and H r g, one representative r at a time.
@@ -355,34 +367,31 @@ class GroupTable:
                     reps.append(t)
         return None
 
-    def _coset_levels(self, elems, gens, frontier, member, most) -> Optional[np.ndarray]:
-        """Finish the coset fill from the representatives in `frontier`.
+    def close_extensions(
+        self, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]], jobs: Sequence[tuple[int, int]]
+    ) -> Iterator[list[np.ndarray]]:
+        """Sorted indices of <H, x> for each job (s, x), where subgroups[s]
+        = (sorted elements, generators) of H: the same sets `extend_subgroup`
+        returns, yielded as one list per chunk of consecutive jobs, in job
+        order.
 
-        Each level multiplies the frontier by every generator x and its
-        repeated squares x^2, x^4, ... below x's order, so a long cycle
-        takes logarithmically many levels, marks the cosets of the
-        products not yet marked, and keeps one representative per new
-        coset, its least element.  Returns the empty frontier once nothing
-        new is found, or None once more than `most` elements are marked.
+        A chunk holds as many jobs as fit a membership mask of `_FILL_BYTES`
+        one-byte cells, at least one, and is filled as one `_CosetFill`; a
+        chunk of one job is `extend_subgroup`, which walks its first cosets.
+        A chunk's arrays may be views of one buffer, which a kept view holds
+        alive.  Nothing is computed for a chunk until the caller asks for
+        it, so a caller that reads the clock between chunks stops the work
+        there.
         """
-        mul = self.mul
-        steps = []
-        for x in gens:
-            k, e = int(self.elem_order[x]), 1
-            while e < k:  # x is a generator's e-th power
-                steps.append(x)
-                x, e = int(mul[x, x]), 2 * e
-        col = elems[:, None]
-        while True:
-            prod = mul[frontier[:, None], steps]
-            cand = prod[~member[prod]]
-            if not len(cand):
-                return cand
-            block = mul[col, cand]
-            member[block] = True
-            frontier = np.unique(block.min(0))
-            if np.count_nonzero(member) > most:
-                return None
+        per = max(1, _FILL_BYTES // self.order)
+        for lo in range(0, len(jobs), per):
+            chunk = jobs[lo : lo + per]
+            if len(chunk) == 1:
+                (s, x), = chunk
+                yield [self.extend_subgroup(*subgroups[s], x)]
+            else:
+                owner, xs = np.array(chunk, dtype=np.intp).T
+                yield _CosetFill(self, subgroups, owner, xs).run()
 
     def small_generating_set(
         self, elems: np.ndarray, start: Optional[tuple[np.ndarray, Sequence[int]]] = None
@@ -580,6 +589,152 @@ def _prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1
     return out + [n] if n > 1 else out
+
+
+class _CosetFill:
+    """Right-coset fills of a chunk of closures <H_j, x_j>, level by level.
+
+    Job j's element y is cell j * order + y of one flat membership mask, and
+    a coset H_j t is keyed by the cell of its least element.  Each
+    subgroup's elements are stored once, however many jobs extend it, and
+    a coset H_j t is gathered as one run of exactly |H_j| cells, so jobs
+    of different subgroups share a gather without padding.  A job's row of the step matrix holds H_j's
+    generators and x_j with their repeated squares x^2, x^4, ... below x's
+    order, so a long cycle takes logarithmically many levels; rows are
+    padded with the identity, whose products are always marked.
+
+    A fill starts from each job's identity cell, whose coset is H_j.  Each
+    level marks the cosets of the candidate cells, keeps the least cell of
+    each new coset as the frontier, and multiplies the frontier by its
+    job's steps; the products not yet marked are the next candidates.  A
+    job stops with the whole group once its marked elements, counted as
+    |H_j| per new coset, pass `extend_subgroup`'s Lagrange bound.  Frontier
+    products and gathered cosets are taken in blocks of at most
+    `_FILL_BYTES` bytes of int64 cells.
+    """
+
+    def __init__(self, T: GroupTable, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]],
+                 owner: np.ndarray, xs: np.ndarray):
+        m = T.order
+        self.mul, self.m = T.mul, m
+        first = int(owner.min())
+        hs = subgroups[first : int(owner.max()) + 1]
+        owner = owner - first
+        sizes = np.array([len(elems) for elems, _ in hs], dtype=np.intp)
+        most = [m // _prime_factors(m // h)[0] if h < m else m for h in sizes.tolist()]
+        self.most = np.array(most, dtype=np.intp)[owner]
+        self.hsz = sizes[owner]
+        self.hcat = np.concatenate([elems for elems, _ in hs]).astype(np.intp)
+        self.hoff = (np.cumsum(sizes) - sizes)[owner]
+        self.base = np.arange(len(owner), dtype=np.intp) * m
+        self.member = np.zeros(len(owner) * m, dtype=bool)
+        self.count = np.zeros(len(owner), dtype=np.intp)
+        self.alive = np.ones(len(owner), dtype=bool)
+        gens = np.zeros((len(hs), max(len(g) for _, g in hs) + 1), dtype=np.intp)
+        for s, (_, g) in enumerate(hs):
+            gens[s, : len(g)] = g
+        gens = gens[owner]
+        gens[:, -1] = xs
+        self.steps = self._squares(T, gens)
+
+    @staticmethod
+    def _squares(T: GroupTable, gens: np.ndarray) -> np.ndarray:
+        """Each row's generators and their repeated squares below their
+        order, the identity moved to the end and the columns that hold
+        nothing else dropped."""
+        orders = T.elem_order[gens]
+        cols, power, e = [gens], gens, 2
+        while (live := orders > e).any():
+            power = np.where(live, T.mul[power, power], 0)
+            cols.append(power)
+            e *= 2
+        steps = np.sort(np.concatenate(cols, axis=1), axis=1)[:, ::-1]
+        return steps[:, : max(1, np.count_nonzero(steps, axis=1).max())]
+
+    def run(self) -> list[np.ndarray]:
+        """Fill every job from its identity cell; return each job's sorted
+        elements."""
+        return self._fill(self.base)
+
+    def resume(self, member: np.ndarray, reps: np.ndarray) -> np.ndarray:
+        """Finish a one-job fill begun elsewhere from its mask `member` and
+        `reps`, representatives of marked cosets not yet multiplied out;
+        return its sorted elements."""
+        self.member = member
+        self.count[0] = np.count_nonzero(member)
+        return self._fill(self._products(reps))[0]
+
+    def _fill(self, cells: np.ndarray) -> list[np.ndarray]:
+        """Fill level by level from the candidate cells `cells`, sorted,
+        distinct and unmarked, until no job has a new coset."""
+        while len(cells):
+            cells = self._products(self._mark(cells))
+        m = self.m
+        self.member.reshape(-1, m)[~self.alive] = False  # a stopped job gets `whole`
+        elems = np.flatnonzero(self.member)
+        elems %= m
+        size = np.where(self.alive, self.count, 0)
+        whole = np.arange(m)
+        return [elems[hi - k : hi] if k else whole for hi, k in zip(np.cumsum(size).tolist(), size.tolist())]
+
+    def _mark(self, cells: np.ndarray) -> np.ndarray:
+        """Mark the cosets H_j t of the candidate cells j * order + t, sorted,
+        distinct and unmarked, and return the least cells of the new cosets
+        of the jobs within their Lagrange bound."""
+        m = self.m
+        found = []
+        while len(cells):
+            job = cells // m
+            h = self.hsz[job]
+            ends = np.cumsum(h)
+            k = max(1, int(np.searchsorted(ends, _FILL_BYTES // 8, "right")))
+            job, h = job[:k], h[:k]
+            base = self.base[job]
+            elems = self.hcat[_ranges(self.hoff[job], h)]
+            coset = np.repeat(base, h) + self.mul[elems, np.repeat(cells[:k] - base, h)]
+            found.append(np.minimum.reduceat(coset, ends[:k] - h))
+            self.member[coset] = True
+            cells = cells[k:]
+            if len(cells):  # drop the cosets this block marked
+                cells = cells[~self.member[cells]]
+        front = _distinct(np.concatenate(found) if len(found) > 1 else found[0])
+        self.count += np.bincount(front // m, minlength=len(self.count)) * self.hsz
+        if (self.count > self.most).any():
+            self.alive &= self.count <= self.most
+            front = front[self.alive[front // m]]
+        return front
+
+    def _products(self, front: np.ndarray) -> np.ndarray:
+        """The unmarked products of the frontier cells with their jobs'
+        steps, sorted and distinct."""
+        m = self.m
+        rows = max(1, _FILL_BYTES // 8 // self.steps.shape[1])
+        found = []
+        for lo in range(0, len(front), rows):
+            f = front[lo : lo + rows]
+            job = f // m
+            base = self.base[job][:, None]
+            cells = base + self.mul[f[:, None] - base, self.steps[job]]
+            found.append(cells[~self.member[cells]])
+        if not found:
+            return front
+        return _distinct(np.concatenate(found) if len(found) > 1 else found[0])
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-d array `a`, sorted; `a` is sorted in
+    place."""
+    a.sort()
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i], ..., starts[i] + sizes[i] - 1."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
 def _colour_chunks(sizes: Sequence[int], order: int) -> list[range]:

@@ -2,8 +2,9 @@
 
 `compose`, `regular_representation` and `opposite_group` are plain
 permutation and table helpers that only tests use; test modules import
-them from here, as they do `fields_by_stabilizer_orbits`, the reference
-intermediate field count.  Census construction dominates the suite's runtime, so
+them from here, as they do `cocycle_decompose`, which splits every element
+of a subgroup of Hol(N) on M's own table, and `fields_by_stabilizer_orbits`,
+the reference intermediate field count.  Census construction dominates the suite's runtime, so
 results are cached per (degree, options) for the whole session and shared
 across modules.  Property tests run under one deterministic hypothesis
 profile.
@@ -17,7 +18,8 @@ from hypothesis import settings
 
 from hgcensus import build_degree_census
 from hgcensus.counts import _minimal_block
-from hgcensus.errors import StructureError
+from hgcensus.errors import ConsistencyError, StructureError
+from hgcensus.holomorph import in_holomorph
 from hgcensus.iso import IsoSearch
 from hgcensus.perm import Perm, PermGroup, orbit_labels
 from hgcensus.table import GroupTable
@@ -50,6 +52,35 @@ def regular_representation(g: GroupTable, side: str = "left") -> PermGroup:
 
 def opposite_group(g: GroupTable) -> GroupTable:
     return GroupTable(g.mul.T.copy(), g.name + "_op", g.generators())
+
+
+def cocycle_decompose(N: GroupTable, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Split each element of M, a subgroup of Hol(N) for N's table, into
+    its translation and automorphism parts.
+
+    Returns (pi, gamma) over M's sorted elements: pi[i] is the point the
+    element sends the identity to, gamma[i] the image row of its stabilizer
+    part.  Verifies M lies in Hol(N) (`in_holomorph`), so that every gamma
+    row is an automorphism, that the gamma rows multiply like M (on
+    generators, see `GroupTable.acts`), the twisted product law for
+    generators against every element, and exact recomposition of the action.
+    """
+    P = M.elements.astype(np.int32)
+    if M.degree != N.order or not in_holomorph(N, P).all():
+        raise StructureError("subgroup does not live in this holomorph")
+    t = N.mul
+    pi = P[:, 0].copy()
+    gamma = t[N.inv[pi][:, None], P].astype(np.int32)
+    T = M.table()
+    if not T.acts(gamma, "subgroup table"):
+        raise ConsistencyError("automorphism parts do not multiply")
+    gens = np.array(T.generators(), dtype=np.int64)
+    # pi(s k) = pi(s) gamma_s(pi(k)) for each generator s and every element k
+    if (pi[T.mul[gens]] != t[pi[gens][:, None], gamma[gens][:, pi]]).any():
+        raise ConsistencyError("translation parts violate the twisted product law")
+    if not np.array_equal(t[pi[:, None], gamma], P):
+        raise ConsistencyError("decomposition does not recompose to the action")
+    return pi, gamma
 
 
 @pytest.fixture(scope="session")

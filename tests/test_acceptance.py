@@ -19,12 +19,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import compose
+from conftest import cocycle_decompose, compose
 from hgcensus import build_degree_census
 from hgcensus.actions import (
     bracoid_from_subgroup,
     brace_from_regular,
-    cocycle_decompose,
     ybe_solution,
 )
 from hgcensus.catalog import catalog_orders, groups_of_order

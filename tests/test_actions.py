@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import regular_representation
+from conftest import cocycle_decompose, regular_representation
 from hgcensus.actions import (
     SkewBrace,
     SkewBracoid,
     YBESolution,
     bracoid_from_subgroup,
     brace_from_regular,
-    cocycle_decompose,
     realize_regular_subgroup,
     trivial_brace,
     ybe_solution,

@@ -380,6 +380,19 @@ def test_unsupported_degree_is_a_clean_error(tmp_path, capsys):
     assert not cache.exists()  # no degree-005.json, no timings.json
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_a_time_budget_that_is_not_finite_is_a_clean_error(tmp_path, capsys, budget):
+    # NaN compares false with everything, so it used to pass the positivity
+    # check, run with no time limit and write "NaN" into the JSON artifact
+    cache = tmp_path / "cache"
+    rc, out, err = _run(capsys, "enumerate", "--degrees", "2-3", f"--time-budget={budget}",
+                        "--cache-dir", str(cache))
+    assert rc == 2
+    assert err.startswith("error:") and "time budget" in err
+    assert out == ""
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("argv", [["diff", "--degrees", "1"], ["actions", "--degree", "1", "--all-braces"],
                                   ["diff", "--degrees", "5,17"], ["actions", "--degree", "17", "--all-braces"]])
 def test_diff_and_actions_refuse_a_bad_degree_without_advising_enumerate(tmp_path, capsys, argv):

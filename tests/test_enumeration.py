@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hgcensus import enumeration, table
 from hgcensus.catalog import groups_of_order
 from hgcensus.enumeration import (
     _candidate_maps,
@@ -97,8 +101,48 @@ def test_records_are_sorted_and_deterministic():
 
 def test_node_budget_is_enforced():
     T = _ctx_of(8, "C2xC2xC2").table()
-    with pytest.raises(SearchBudgetError):
+    with pytest.raises(SearchBudgetError) as exc:
         subgroup_classes(T, node_budget=50)
+    assert exc.value.spent == 51 and exc.value.budget == 50
+
+
+def test_time_budget_stops_a_wave_before_its_next_chunk(monkeypatch):
+    # the clock runs out once a batch of several chunks has closed its
+    # first: the search stops there, not at the next candidate listing
+    T = _ctx_of(8, "C2xC2xC2").table()
+    monkeypatch.setattr(table, "_FILL_BYTES", 4 * T.order)  # four jobs a chunk
+    calls = []  # [jobs, chunks closed] per batch
+    close = GroupTable.close_extensions
+
+    def record(T, subgroups, jobs):
+        calls.append([len(jobs), 0])
+        for chunk in close(T, subgroups, jobs):
+            calls[-1][1] += 1
+            yield chunk
+
+    def clock():
+        return 10.0 if any(n > 4 and k for n, k in calls) else 0.0
+
+    monkeypatch.setattr(GroupTable, "close_extensions", record)
+    monkeypatch.setattr(enumeration, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(SearchBudgetError) as exc:
+        subgroup_classes(T, time_budget=1.0)
+    assert exc.value.spent == 10.0 and exc.value.budget == 1.0
+    assert calls[-1][0] > 4 and calls[-1][1] == 1
+
+
+def test_search_on_hol_c77_stays_small():
+    # a wave's closures come a chunk at a time, each held in a few blocks
+    # of `_FILL_BYTES`, and are registered before the next chunk is closed
+    T = _ctx_of(77, "C77").table()
+    tracemalloc.start()
+    try:
+        classes = subgroup_classes(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 80
+    assert peak < 3 * 2**20, peak
 
 
 def test_time_budget_is_enforced():

@@ -8,9 +8,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import compose, regular_representation
+from conftest import cocycle_decompose, compose, regular_representation
 from hgcensus import holomorph
-from hgcensus.actions import cocycle_decompose
 from hgcensus.catalog import groups_of_order
 from hgcensus.enumeration import enumerate_transitive_classes
 from hgcensus.errors import BudgetError, ConsistencyError, StructureError

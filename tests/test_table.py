@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import compose
-from hgcensus import enumeration, table
+from hgcensus import table
 from hgcensus.catalog import catalog_orders, groups_of_order
 from hgcensus.enumeration import enumerate_transitive_classes, subgroup_classes
 from hgcensus.errors import BudgetError, StructureError
@@ -161,67 +161,129 @@ def _holomorph_tables(degrees) -> list[GroupTable]:
     return [build_holomorph(g).table() for n in degrees for g in groups_of_order(n)]
 
 
-def test_extend_subgroup_matches_elementwise_closure(monkeypatch):
-    # replay every seventh extension the subgroup-class search makes
-    # against the element-wise closure of H's generators and the new element
+@pytest.fixture(scope="module")
+def search_closures():
+    """The holomorph tables of degrees 2-15 and Hol(C41), and every
+    `close_extensions` call the subgroup-class search makes on them:
+    (T, subgroups, jobs, the closures it returned in job order)."""
     calls = []
-    extend = GroupTable.extend_subgroup
+    close = GroupTable.close_extensions
 
-    def record(T, elems, gens, new):
-        calls.append((T, elems, list(gens), int(new)))
-        return extend(T, elems, gens, new)
+    def record(T, subgroups, jobs):
+        closures = []
+        calls.append((T, list(subgroups), list(jobs), closures))
+        for chunk in close(T, subgroups, jobs):
+            closures.extend(chunk)
+            yield chunk
 
-    with monkeypatch.context() as patch:
-        patch.setattr(GroupTable, "extend_subgroup", record)
-        for T in _holomorph_tables([*range(2, 16), 41]):
+    tables = _holomorph_tables([*range(2, 16), 41])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroupTable, "close_extensions", record)
+        for T in tables:
             subgroup_classes(T)
-    phases = []  # (phase, returned None) for the call being replayed
+    return tables, calls
 
-    def spy(name):
-        phase = getattr(GroupTable, name)
 
-        def run(T, *args):
-            out = phase(T, *args)
-            phases.append((name, out is None))
-            return out
+def test_extend_subgroup_matches_elementwise_closure(search_closures, monkeypatch):
+    # replay every seventh extension the subgroup-class search makes, closed
+    # alone by `extend_subgroup`, against the element-wise closure of H's
+    # generators and the new element: some walks hand their fill on to a
+    # one-job kernel, and some take the Lagrange stop
+    _, calls = search_closures
+    phases = []  # (phase, stopped) for the call being replayed
+    walk, resume = GroupTable._coset_walk, table._CosetFill.resume
 
-        return run
+    def spy_walk(T, *args):
+        out = walk(T, *args)
+        phases.append(("walk", out is None))
+        return out
 
-    monkeypatch.setattr(GroupTable, "_coset_walk", spy("_coset_walk"))
-    monkeypatch.setattr(GroupTable, "_coset_levels", spy("_coset_levels"))
+    def spy_resume(fill, *args):
+        out = resume(fill, *args)
+        phases.append(("kernel", not fill.alive[0]))
+        return out
+
+    monkeypatch.setattr(GroupTable, "_coset_walk", spy_walk)
+    monkeypatch.setattr(table._CosetFill, "resume", spy_resume)
+    extensions = [(T, *subgroups[s], x) for T, subgroups, jobs, _ in calls for s, x in jobs]
     switched = stopped = 0
-    for T, elems, gens, new in calls[::7]:
+    for T, elems, gens, new in extensions[::7]:
         phases.clear()
         got = T.extend_subgroup(elems, gens, new)
-        want = _closure_by_elements(T, gens + [new])
+        want = _closure_by_elements(T, list(gens) + [new])
         assert np.array_equal(got, want) and np.isin(elems, want).all()
-        switched += any(name == "_coset_levels" for name, _ in phases)
+        switched += any(name == "kernel" for name, _ in phases)
         if any(stop for _, stop in phases):  # the Lagrange stop
             stopped += 1
             assert len(want) == T.order
     assert switched > 0 and stopped > 0
 
 
-def test_normalized_extensions_match_elementwise_closure(monkeypatch):
-    # replay every closure the search takes as H<x>, for x normalizing H,
-    # against the element-wise closure of H's generators and x; the
-    # trivial subgroup is normal, so the path runs on every holomorph
-    calls = []
-    extend = enumeration._normalized_extension
+def test_normalized_extensions_match_elementwise_closure(search_closures):
+    # every closure the search takes of H and an x normalizing H, the group
+    # H<x>, which the kernel fills like any other job, against the
+    # element-wise closure of H's generators and x; the trivial subgroup is
+    # normal, so such closures come on every holomorph
+    tables, calls = search_closures
+    seen = set()
+    for T, subgroups, jobs, closures in calls:
+        assert len(closures) == len(jobs)
+        for (s, x), got in zip(jobs, closures):
+            elems, gens = subgroups[s]
+            if not np.array_equal(np.sort(T.mul[elems, x]), np.sort(T.mul[x, elems])):
+                continue
+            want = _closure_by_elements(T, list(gens) + [x])
+            assert np.array_equal(got, want) and np.isin(elems, want).all()
+            seen.add(id(T))
+    assert seen == {id(T) for T in tables}
 
-    def record(T, elems, in_h, x):
-        out = extend(T, elems, in_h, x)
-        calls.append((T, elems, x, out))
+
+def test_close_extensions_match_elementwise_closure(search_closures, monkeypatch):
+    # replay the closure batches the subgroup-class search makes against the
+    # element-wise closure of H's generators and the new element, every
+    # seventh job; chunks mix subgroups of different orders, batches cross
+    # chunk boundaries, lone jobs go through `extend_subgroup`, whose walk
+    # hands the longer fills to a one-job batch, and every Lagrange stop is
+    # a whole-group closure
+    _, calls = search_closures
+    stops = []  # per chunk, the jobs that took the Lagrange stop
+    resumed = []
+    run, resume = table._CosetFill.run, table._CosetFill.resume
+
+    def spy(fill):
+        out = run(fill)
+        stops.append(~fill.alive)
         return out
 
-    monkeypatch.setattr(enumeration, "_normalized_extension", record)
-    tables = _holomorph_tables([*range(2, 16), 41])
-    for T in tables:
-        subgroup_classes(T)
-        assert any(t is T for t, *_ in calls), T.name
-    for T, elems, x, got in calls:
-        want = _closure_by_elements(T, T.small_generating_set(elems) + [x])
-        assert np.array_equal(got, want) and np.isin(elems, want).all()
+    def spy_resume(fill, *args):
+        resumed.append(fill)
+        return resume(fill, *args)
+
+    monkeypatch.setattr(table._CosetFill, "run", spy)
+    monkeypatch.setattr(table._CosetFill, "resume", spy_resume)
+    mixed = crossed = stopped = 0
+    replayed = 0
+    for T, subgroups, jobs, _ in calls:
+        lo = 0
+        for chunk in T.close_extensions(subgroups, jobs):
+            part = jobs[lo : lo + len(chunk)]
+            mixed += len({len(subgroups[s][0]) for s, _ in part}) > 1
+            crossed += 0 < lo
+            if len(part) == 1:  # a lone job is `extend_subgroup`'s walk
+                stops.append([False])
+            for (s, x), got, stop in zip(part, chunk, stops[-1]):
+                elems, gens = subgroups[s]
+                replayed += 1
+                if stop:
+                    stopped += 1
+                    assert len(got) == T.order
+                if replayed % 7 and not stop:
+                    continue
+                want = _closure_by_elements(T, list(gens) + [x])
+                assert np.array_equal(got, want) and np.isin(elems, want).all()
+            lo += len(chunk)
+        assert lo == len(jobs)
+    assert mixed > 0 and crossed > 0 and stopped > 0 and resumed
 
 
 def test_small_generating_set_regenerates():
