@@ -81,7 +81,7 @@ class SkewBracoid:
             if not self.acting.acts(a, "bracoid acting group"):
                 raise StructureError("bracoid: action is not a group action")
             gens = np.array(self.acting.generators(), dtype=np.int64)
-        if len(np.unique(a[:, 0])) != n:
+        if not _covers_evenly(a[:, 0], n):
             raise StructureError("bracoid: action is not transitive")
         bad = ~in_holomorph(self.target, a[gens])
         if bad.any():
@@ -199,6 +199,15 @@ def _generated_rows(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return maps[:, 0]
 
 
+def _covers_evenly(points: np.ndarray, n: int) -> bool:
+    """Whether `points` hold each of 0..n-1 equally often: the images of
+    one point under a transitive group action, or under a regular set of
+    permutations once each.  Checked by a sort, as a plain `np.unique`
+    would import `numpy.ma` on its first call."""
+    k, rest = divmod(len(points), n)
+    return not rest and np.array_equal(np.sort(points), np.repeat(np.arange(n), k))
+
+
 def _as_lists(payload: dict) -> dict:
     """An artifact's payload with every array as nested lists."""
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
@@ -249,7 +258,7 @@ def brace_from_regular(N: Union[GroupTable, HolomorphContext], M: PermGroup) -> 
     N = _table_of(N)
     n = N.order
     rows = M.elements
-    if rows.shape != (n, n) or len(np.unique(rows[:, 0])) != n:
+    if rows.shape != (n, n) or not _covers_evenly(rows[:, 0], n):
         raise StructureError("brace transport requires a regular subgroup")
     circ = np.empty((n, n), dtype=np.int32)
     circ[rows[:, 0]] = rows
@@ -313,7 +322,7 @@ def realize_regular_subgroup(
         raise StructureError("point correspondence is not a bijection")
 
     alphas = np.argsort(bar)[N.mul[:, bar]]  # bar^-1 . lambda_a . bar
-    if len(np.unique(alphas[:, 0])) != n:
+    if not _covers_evenly(alphas[:, 0], n):
         raise ConsistencyError("realized image is not regular")
     for g in G.generators:
         if (row_index(g[alphas[:, np.argsort(g)]], alphas) < 0).any():

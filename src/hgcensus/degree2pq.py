@@ -36,18 +36,7 @@ from .errors import ConsistencyError, StructureError
 from .holomorph import in_holomorph
 from .iso import IsoSearch
 from .perm import PermGroup, is_transitive, row_index
-from .table import GroupTable
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .table import GroupTable, _prime_factors
 
 
 def _mult_order(a: int, m: int) -> int:
@@ -162,7 +151,7 @@ def _member(name: str, gens: dict[str, list[int]]) -> GroupData:
 
 def build_family(p: int, q: int) -> Degree2pqFamily:
     """All groups of order 2pq with verified named automorphism generators."""
-    if not (_is_prime(p) and _is_prime(q)) or p <= q or q < 3:
+    if _prime_factors(p) != [p] or _prime_factors(q) != [q] or p <= q or q < 3:
         raise StructureError("need distinct odd primes p > q")
     n = 2 * p * q
     members: list[GroupData] = []

@@ -22,9 +22,7 @@ The wave's candidates are listed first, class by class, then closed
 together by `GroupTable.close_extensions`, a chunk of closures at a time,
 and registered in the order they were listed.  The queue is first in,
 first out and closures never read the registry, so classes are found,
-numbered and kept exactly as by closing one candidate at a time.  The new
-classes' normalizer generators, which only the next wave reads, come from
-greedy folds run in lockstep through the same kernel (`_normalizer_gens`).
+numbered and kept exactly as by closing one candidate at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +37,7 @@ import numpy as np
 from .errors import ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext
 from .perm import PermGroup, orbit_labels
-from .table import GroupTable
+from .table import GroupTable, index_dtype
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 1800.0
@@ -94,7 +91,7 @@ def subgroup_classes(
             raise SearchBudgetError("subgroup search time budget exhausted", spent=elapsed, budget=time_budget)
 
     rng = np.arange(m, dtype=np.int64)
-    key_dtype = np.int16 if m < 2**15 else np.int32
+    key_dtype = index_dtype(m)
     # the members of x's cyclic family, the generators of <x>, are
     # by_family[first[x]:last[x]]
     family = _cyclic_families(T)
@@ -103,10 +100,7 @@ def subgroup_classes(
     last = np.searchsorted(family[by_family], family, "right")
     registry: dict[bytes, int] = {}
     classes: list[SubgroupClass] = []
-    # the wave's new classes, whose `normalizer_gens` the wave's end fills
-    # in: (id, elements, gens, normalizer, conjugator to the canonical
-    # member), the arrays in the registry's key dtype to keep a wave small
-    found: list[tuple[int, np.ndarray, list[int], np.ndarray, int]] = []
+    queue: list[int] = []  # ids of the classes the next wave extends
 
     def register(elems: np.ndarray, gens: list[int]) -> None:
         if elems.astype(key_dtype).tobytes() in registry:
@@ -126,19 +120,15 @@ def subgroup_classes(
                 conjs[best].astype(np.int64),
                 [T.conj(g, x) for x in gens],
                 np.sort(T.conj_many(g, norm)),
-                [],
+                [T.conj(g, x) for x in T.small_generating_set(norm, start=(elems, gens))],
                 len(reps),
             )
         )
-        found.append((cid, elems.astype(key_dtype), gens, norm.astype(key_dtype), g))
+        queue.append(cid)
 
     register(np.array([0], dtype=np.int64), [])
-    while found:
-        wave = [cid for cid, *_ in found]
-        folds = _normalizer_gens(T, [(elems, gens, norm) for _, elems, gens, norm, _ in found])
-        for (cid, *_, g), norm_gens in zip(found, folds):
-            classes[cid].normalizer_gens = [T.conj(g, x) for x in norm_gens]
-        found.clear()
+    while queue:
+        wave, queue = queue, []
         subgroups: list[tuple[np.ndarray, list[int]]] = []
         jobs: list[tuple[int, int]] = []
         for cid in wave:
@@ -170,36 +160,6 @@ def subgroup_classes(
 
     order_key = [(c.order, tuple(c.indices.tolist())) for c in classes]
     return [classes[i] for i in sorted(range(len(classes)), key=lambda i: order_key[i])]
-
-
-def _normalizer_gens(T: GroupTable, folds: list[tuple[np.ndarray, list[int], np.ndarray]]) -> list[list[int]]:
-    """`T.small_generating_set(norm, start=(elems, gens))` for each fold
-    (elems, gens, norm), the greedy passes run in lockstep: each round takes
-    every unfinished fold one step, extending its subgroup K by the least
-    element x of its normalizer N outside it, in one `close_extensions`
-    call.  Where [N : K] is prime, no subgroup lies strictly between K and
-    N, so <K, x> = N needs no closure."""
-    state = [(elems, list(gens), norm) for elems, gens, norm in folds]
-    while live := [s for s, (elems, _, norm) in enumerate(state) if len(elems) < len(norm)]:
-        subgroups, jobs, closing = [], [], []
-        for s in live:
-            elems, gens, norm = state[s]
-            # the sorted subgroup agrees with its sorted normalizer up to the
-            # least element outside it, and ends below it where it is a prefix
-            ahead = elems != norm[: len(elems)]
-            x = int(norm[ahead.argmax() if ahead[-1] else len(elems)])
-            index = len(norm) // len(elems)
-            if all(index % d for d in range(2, isqrt(index) + 1)):
-                state[s] = (norm, gens + [x], norm)
-            else:
-                jobs.append((len(subgroups), x))
-                subgroups.append((elems, gens))
-                closing.append(s)
-        grown = (elems for chunk in T.close_extensions(subgroups, jobs) for elems in chunk)
-        for s, (_, x), elems in zip(closing, jobs, grown):
-            _, gens, norm = state[s]
-            state[s] = (elems.astype(norm.dtype), gens + [x], norm)
-    return [gens for _, gens, _ in state]
 
 
 def _coset_leaders(T: GroupTable, norm: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .catalog import automorphism_group
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
-from .table import FactoredMul, GroupTable, check_budget, sample_indices, spot_check
+from .table import FactoredMul, GroupTable, check_budget, index_dtype, sample_indices, spot_check
 
 _SPOT_CHECKS = 100
 
@@ -148,7 +148,7 @@ class HolomorphContext:
             n, n_aut = self.n, self.aut.order
             aut_table = self.aut.table()
             a, k = np.divmod(self._raw, n_aut)
-            dtype = np.int16 if m < 2**15 else np.int32
+            dtype = index_dtype(m)
             rank = self._rank.astype(dtype)
             # kept row r maps b . beta to point[r, b] . aut_of[r, beta]: the
             # translations (a b) . beta, then the automorphisms alpha(b) . (alpha beta)

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import ConsistencyError, StructureError
 from .perm import orbit_labels
-from .table import GroupTable
+from .table import GroupTable, index_dtype
 
 # cells of a product table filled per step: keeps the int64 index
 # temporaries small next to the table itself
@@ -401,7 +401,7 @@ def _orbits(found: list[np.ndarray], seeded: list[np.ndarray], m: int) -> np.nda
 
 def _back(T: GroupTable, elems: np.ndarray) -> np.ndarray:
     """Position of each of T's indices in `elems`, -1 off the subgroup."""
-    back = np.full(T.order, -1, dtype=np.int16 if len(elems) < 2**15 else np.int32)
+    back = np.full(T.order, -1, dtype=index_dtype(len(elems)))
     back[elems] = np.arange(len(elems))
     return back
 

@@ -11,10 +11,9 @@ integer work on either form; only `validate` and `acts`, which check every
 cell, take whole rows and columns of a dense table.
 
 Subgroup closure is a right-coset fill.  One closure <H, x>
-(`extend_subgroup`) marks its first cosets from single representatives;
-many closures at once (`close_extensions`) are filled together, a level
-of cosets at a time, in one flat membership mask (`_CosetFill`), and a
-lone closure with more cosets to go finishes the same way.
+(`extend_subgroup`) marks its cosets from single representatives, one at
+a time; many closures at once (`close_extensions`) are filled together, a
+level of cosets at a time, in one flat membership mask (`_CosetFill`).
 """
 
 from __future__ import annotations
@@ -39,15 +38,15 @@ _ROW_BLOCK = 128
 _COLOUR_POSITIONS = 8192
 _COLOUR_MAP_CELLS = 2**17
 
-# cosets `extend_subgroup` marks one at a time in Python before it hands the
-# rest of the fill to `_CosetFill`, whose set-up costs about as much as a
-# dozen walked cosets
-_WALK_COSETS = 16
-
 # bytes of each of the coset fill's temporaries: a chunk of
 # `close_extensions` jobs shares one membership mask of one-byte cells, and
 # frontier products and gathered cosets, int64 cells, are taken in blocks
 _FILL_BYTES = 2**17
+
+
+def index_dtype(k: int) -> type:
+    """The narrower of int16 and int32 that holds every index below k."""
+    return np.int16 if k < 2**15 else np.int32
 
 
 def check_budget(m: int) -> None:
@@ -181,7 +180,7 @@ class GroupTable:
         arr = np.array(elems, dtype=np.int32)
         base, levels = cls._base_levels(arr)
         cols = np.ascontiguousarray(arr[:, base].T)  # row k: every p_j(b_k)
-        mul = np.empty((m, m), dtype=np.int16 if m < 2**15 else np.int32)
+        mul = np.empty((m, m), dtype=index_dtype(m))
         step = max(1, 2**16 // m)  # rows of products per block
         for lo in range(0, m, step):
             rows = arr[lo : lo + step]
@@ -322,50 +321,37 @@ class GroupTable:
         """Sorted indices of <H, new> given H's sorted `elems` and `gens`.
 
         The result is a union of right cosets H r, filled from H new by right
-        multiplication with H's generators and `new`.  A Python walk over
-        single representatives (`_coset_walk`) marks the first cosets; past
-        `_WALK_COSETS` of them the fill goes on from the walk's mask and
-        unfinished representatives as a one-job `_CosetFill`.  Lagrange
-        stop: a proper subgroup containing H has at most m/p elements, p the
-        least prime dividing [G : H], so once the fill passes m/p the result
-        is the whole group.
+        multiplication with H's generators and `new`, one representative at
+        a time (`_coset_walk`).  Lagrange stop: a proper subgroup containing
+        H has at most m/p elements, p the least prime dividing [G : H], so
+        once the fill passes m/p the result is the whole group.
         """
         member = np.zeros(self.order, dtype=bool)
         member[elems] = True
         if member[new]:
             return elems
         most = self.order // _prime_factors(self.order // len(elems))[0]
-        frontier = self._coset_walk(elems, [*gens, new], new, member, most)
-        if frontier is None:
+        if not self._coset_walk(elems, [*gens, new], new, member, most):
             return np.arange(self.order, dtype=np.int64)
-        if not len(frontier):
-            return np.flatnonzero(member)
-        fill = _CosetFill(self, [(elems, gens)], np.zeros(1, dtype=np.intp), np.array([new]))
-        return fill.resume(member, frontier)
+        return np.flatnonzero(member)
 
-    def _coset_walk(self, elems, gens, new, member, most) -> Optional[np.ndarray]:
-        """Mark the cosets H new and H r g, one representative r at a time.
-
-        Stops once `_WALK_COSETS` cosets besides H are marked and returns
-        the representatives not yet multiplied out (empty when the fill is
-        complete), or None once more than `most` elements are marked.
-        """
+    def _coset_walk(self, elems, gens, new, member, most) -> bool:
+        """Mark the cosets H new and H r g, one representative r at a time,
+        until no new coset appears; False, with the fill left unfinished,
+        once more than `most` elements are marked."""
         mul = self.mul
         h = len(elems)
         member[mul[elems, new]] = True
         reps = [new]
-        qi = 0
-        while h * (len(reps) + 1) <= most:
-            if qi == len(reps) or len(reps) >= _WALK_COSETS:
-                return np.array(reps[qi:], dtype=np.int64)
-            r = reps[qi]
-            qi += 1
+        for r in reps:  # grows as cosets are found
+            if h * (len(reps) + 1) > most:
+                return False
             for g in gens:
                 t = int(mul[r, g])
                 if not member[t]:
                     member[mul[elems, t]] = True
                     reps.append(t)
-        return None
+        return True
 
     def close_extensions(
         self, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]], jobs: Sequence[tuple[int, int]]
@@ -377,7 +363,8 @@ class GroupTable:
 
         A chunk holds as many jobs as fit a membership mask of `_FILL_BYTES`
         one-byte cells, at least one, and is filled as one `_CosetFill`; a
-        chunk of one job is `extend_subgroup`, which walks its first cosets.
+        chunk of one job is `extend_subgroup`, whose walk costs less than
+        setting up the kernel for one closure.
         A chunk's arrays may be views of one buffer, which a kept view holds
         alive.  Nothing is computed for a chunk until the caller asks for
         it, so a caller that reads the clock between chunks stops the work
@@ -540,8 +527,7 @@ class GroupTable:
         elems = np.concatenate([np.asarray(e, dtype=np.int64) for e, _ in subgroups])
         owner = np.repeat(np.arange(len(subgroups)), sizes)
         row = owner * self.order  # subgroup s's row in the flat position map
-        dtype = np.int16 if len(elems) < 2**15 else np.int32
-        pos = np.full(len(subgroups) * self.order, -1, dtype=dtype)
+        pos = np.full(len(subgroups) * self.order, -1, dtype=index_dtype(len(elems)))
         pos[row + elems] = np.arange(len(elems))
         width = max(len(gens) for _, gens in subgroups)
         gens = np.zeros((width, len(subgroups)), dtype=np.int64)
@@ -652,21 +638,9 @@ class _CosetFill:
         return steps[:, : max(1, np.count_nonzero(steps, axis=1).max())]
 
     def run(self) -> list[np.ndarray]:
-        """Fill every job from its identity cell; return each job's sorted
-        elements."""
-        return self._fill(self.base)
-
-    def resume(self, member: np.ndarray, reps: np.ndarray) -> np.ndarray:
-        """Finish a one-job fill begun elsewhere from its mask `member` and
-        `reps`, representatives of marked cosets not yet multiplied out;
-        return its sorted elements."""
-        self.member = member
-        self.count[0] = np.count_nonzero(member)
-        return self._fill(self._products(reps))[0]
-
-    def _fill(self, cells: np.ndarray) -> list[np.ndarray]:
-        """Fill level by level from the candidate cells `cells`, sorted,
-        distinct and unmarked, until no job has a new coset."""
+        """Fill every job level by level from its identity cell until no job
+        has a new coset; return each job's sorted elements."""
+        cells = self.base
         while len(cells):
             cells = self._products(self._mark(cells))
         m = self.m

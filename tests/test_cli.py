@@ -10,6 +10,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -316,6 +318,24 @@ def test_actions_sweep_writes_brace_and_solution_per_regular_member(tmp_path, ca
         data = json.loads(path.read_text())
         assert data["kind"] == "skew_brace"
         assert data["order"] == 6
+
+
+def test_actions_on_a_warm_cache_never_import_numpy_ma(tmp_path, capsys):
+    # a plain `np.unique` imports `numpy.ma` (10-12 ms) on its first call in
+    # a process; the export's transitivity and regularity checks sort
+    # instead, so a fresh interpreter that only runs `actions` never loads it
+    _run(capsys, "enumerate", "--degrees", "2-8", "--format", "csv", "--cache-dir", str(tmp_path))
+    script = (
+        "import sys\n"
+        "from hgcensus.cli import main\n"
+        "for n in range(2, 9):\n"
+        f"    assert main(['actions', '--degree', str(n), '--all-braces', '--cache-dir', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert len(list((tmp_path / "actions").glob("*-brace.json"))) > 0
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_exported_flip_solution_at_degree_4(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -183,6 +185,24 @@ def test_normalizer_gens_extend_the_class_gens(degree):
             assert np.array_equal(T.closure_of(c.normalizer_gens), c.normalizer), g.name
             if len(c.normalizer) == T.order:
                 assert c.class_size == 1, g.name
+
+
+# sha256 of every field of every class `subgroup_classes` returns on the
+# holomorph tables of degrees 2-15 and Hol(C41), in catalog order: the
+# `normalizer_gens` decide which candidate orbits a class extends, and so
+# which member of each class is discovered first
+_CLASS_FIELDS_DIGEST = "5a6c9429f6ab86ec05650effa33c3b08bccfa345d140ee96b7beb0eb5e8ad6d8"
+
+
+def test_subgroup_class_fields_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for g in [g for n in [*range(2, 16), 41] for g in groups_of_order(n)]:
+        fields = [
+            [c.indices.tolist(), c.gens, c.normalizer.tolist(), c.normalizer_gens, c.class_size]
+            for c in subgroup_classes(build_holomorph(g).table())
+        ]
+        h.update(json.dumps([g.name, fields]).encode())
+    assert h.hexdigest() == _CLASS_FIELDS_DIGEST
 
 
 def _full_maps(T: GroupTable, c) -> np.ndarray:

@@ -187,36 +187,28 @@ def search_closures():
 def test_extend_subgroup_matches_elementwise_closure(search_closures, monkeypatch):
     # replay every seventh extension the subgroup-class search makes, closed
     # alone by `extend_subgroup`, against the element-wise closure of H's
-    # generators and the new element: some walks hand their fill on to a
-    # one-job kernel, and some take the Lagrange stop
+    # generators and the new element: some walks take the Lagrange stop
     _, calls = search_closures
-    phases = []  # (phase, stopped) for the call being replayed
-    walk, resume = GroupTable._coset_walk, table._CosetFill.resume
+    stops = []  # per walk of the call being replayed, whether it stopped
+    walk = GroupTable._coset_walk
 
     def spy_walk(T, *args):
         out = walk(T, *args)
-        phases.append(("walk", out is None))
-        return out
-
-    def spy_resume(fill, *args):
-        out = resume(fill, *args)
-        phases.append(("kernel", not fill.alive[0]))
+        stops.append(not out)
         return out
 
     monkeypatch.setattr(GroupTable, "_coset_walk", spy_walk)
-    monkeypatch.setattr(table._CosetFill, "resume", spy_resume)
     extensions = [(T, *subgroups[s], x) for T, subgroups, jobs, _ in calls for s, x in jobs]
-    switched = stopped = 0
+    stopped = 0
     for T, elems, gens, new in extensions[::7]:
-        phases.clear()
+        stops.clear()
         got = T.extend_subgroup(elems, gens, new)
         want = _closure_by_elements(T, list(gens) + [new])
         assert np.array_equal(got, want) and np.isin(elems, want).all()
-        switched += any(name == "kernel" for name, _ in phases)
-        if any(stop for _, stop in phases):  # the Lagrange stop
+        if any(stops):  # the Lagrange stop
             stopped += 1
             assert len(want) == T.order
-    assert switched > 0 and stopped > 0
+    assert stopped > 0
 
 
 def test_normalized_extensions_match_elementwise_closure(search_closures):
@@ -242,25 +234,18 @@ def test_close_extensions_match_elementwise_closure(search_closures, monkeypatch
     # replay the closure batches the subgroup-class search makes against the
     # element-wise closure of H's generators and the new element, every
     # seventh job; chunks mix subgroups of different orders, batches cross
-    # chunk boundaries, lone jobs go through `extend_subgroup`, whose walk
-    # hands the longer fills to a one-job batch, and every Lagrange stop is
-    # a whole-group closure
+    # chunk boundaries, lone jobs go through `extend_subgroup`, and every
+    # Lagrange stop is a whole-group closure
     _, calls = search_closures
     stops = []  # per chunk, the jobs that took the Lagrange stop
-    resumed = []
-    run, resume = table._CosetFill.run, table._CosetFill.resume
+    run = table._CosetFill.run
 
     def spy(fill):
         out = run(fill)
         stops.append(~fill.alive)
         return out
 
-    def spy_resume(fill, *args):
-        resumed.append(fill)
-        return resume(fill, *args)
-
     monkeypatch.setattr(table._CosetFill, "run", spy)
-    monkeypatch.setattr(table._CosetFill, "resume", spy_resume)
     mixed = crossed = stopped = 0
     replayed = 0
     for T, subgroups, jobs, _ in calls:
@@ -283,7 +268,7 @@ def test_close_extensions_match_elementwise_closure(search_closures, monkeypatch
                 assert np.array_equal(got, want) and np.isin(elems, want).all()
             lo += len(chunk)
         assert lo == len(jobs)
-    assert mixed > 0 and crossed > 0 and stopped > 0 and resumed
+    assert mixed > 0 and crossed > 0 and stopped > 0
 
 
 def test_small_generating_set_regenerates():
