@@ -110,9 +110,11 @@ def _pins_translations(record: TransitiveClassRecord) -> bool:
     pair = key * (ctx.n + 1) + ctx.fixed_points[record.indices]
     for R in (ctx.left_indices, ctx.right_indices):
         pos = np.searchsorted(record.indices, R)
-        if (pos[-1] < record.order and np.array_equal(record.indices[pos], R)
-                and np.isin(pair, pair[pos]).sum() == ctx.n):
-            return True
+        if pos[-1] < record.order and np.array_equal(record.indices[pos], R):
+            known = np.sort(pair[pos])
+            at = np.searchsorted(known, pair).clip(max=ctx.n - 1)
+            if (known[at] == pair).sum() == ctx.n:
+                return True
     return False
 
 
@@ -177,10 +179,13 @@ def is_almost_classical(record: TransitiveClassRecord) -> bool:
     """
     ctx = record.ctx
     right = ctx.right_indices
-    ac = bool(np.isin(right, record.indices).all())
+    pos = np.searchsorted(record.indices, right)
+    ac = bool(pos[-1] < record.order and np.array_equal(record.indices[pos], right))
     if ac:
         stab = record.indices[record.stab_positions]
-        if not np.array_equal(np.unique(ctx.table().mul[np.ix_(right, stab)]), record.indices):
+        # |right| |stab| = |G| products, so the sorted products equal G's
+        # indices only when they are distinct and cover G
+        if not np.array_equal(np.sort(ctx.table().mul[np.ix_(right, stab)], axis=None), record.indices):
             raise ConsistencyError(
                 "translation/stabilizer factorization failed on an almost-classical record"
             )

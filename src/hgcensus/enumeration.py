@@ -4,7 +4,9 @@ Subgroup classes are found by ascending generation: starting from the
 trivial subgroup, each stored class representative H is extended to
 <H, x> for one x per orbit of the candidate space under two-sided
 H-multiplication and normalizer conjugation (extensions by elements of
-the same orbit land in the same conjugacy class).  Every conjugate of a
+the same orbit land in the same conjugacy class).  An orbit is a union of
+left cosets x H, so the orbits are labelled on the m/|H| coset leaders
+(`_candidate_labels`), not on all m elements.  Every conjugate of a
 discovered subgroup, one per coset of its normalizer (`_coset_leaders`
 sweeps them), is registered by the exact bytes of its sorted indices, so
 repeat classes are recognized in O(1) regardless of which conjugate
@@ -113,14 +115,24 @@ def subgroup_classes(
         conjs = np.sort(T.conj_many(reps[:, None], elems), axis=1)
         for row in conjs.astype(key_dtype):
             registry[row.tobytes()] = cid
-        best = np.lexsort(conjs.T[::-1])[0]  # distinct cosets give distinct rows
-        g = int(reps[best])
+        # the lex-least row, narrowed a column at a time from column 1
+        # (every row starts with the identity): distinct cosets give
+        # distinct rows, so one is left before the columns run out
+        best = np.arange(len(conjs))
+        for col in conjs.T[1:]:
+            if len(best) == 1:
+                break
+            here = col[best]
+            best = best[here == here.min()]
+        g = int(reps[best[0]])
+        ngens = np.array(T.small_generating_set(norm, start=(elems, gens)), dtype=np.int64)
+        moved = T.conj_many(g, ngens).tolist()  # `gens` first
         classes.append(
             SubgroupClass(
-                conjs[best].astype(np.int64),
-                [T.conj(g, x) for x in gens],
+                conjs[best[0]].astype(np.int64),
+                moved[: len(gens)],
                 np.sort(T.conj_many(g, norm)),
-                [T.conj(g, x) for x in T.small_generating_set(norm, start=(elems, gens))],
+                moved,
                 len(reps),
             )
         )
@@ -135,7 +147,7 @@ def subgroup_classes(
             cls = classes[cid]
             if cls.order == m:
                 continue
-            lab = orbit_labels(_candidate_maps(T, cls.gens, cls.normalizer_gens))
+            lab = _candidate_labels(T, cls.gens, cls.normalizer_gens)
             in_h = np.zeros(m, dtype=bool)
             in_h[cls.indices] = True
             done = np.zeros(m, dtype=bool)  # orbit labels whose extension is listed
@@ -178,20 +190,31 @@ def _coset_leaders(T: GroupTable, norm: np.ndarray) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
-def _candidate_maps(T: GroupTable, gens: Sequence[int], normalizer_gens: Sequence[int]) -> np.ndarray:
-    """Maps whose orbits are the candidate orbits of a subgroup H.
+def _candidate_labels(T: GroupTable, gens: Sequence[int], normalizer_gens: Sequence[int]) -> np.ndarray:
+    """The least element of each element's candidate orbit for a subgroup H.
 
-    Left and right multiplication by H and conjugation by N_G(H) preserve H
-    and send <H, x> to a conjugate of it, so one extension per orbit
-    suffices.  Conjugation by h in H is left multiplication by h after
-    right multiplication by h^-1, so besides H's generators `gens` only the
-    normalizer's extras, `normalizer_gens` past its prefix `gens`, need a
-    conjugation row.
+    Left and right multiplication by H and conjugation by N = N_G(H)
+    preserve H and send <H, x> to a conjugate of it, so one extension per
+    orbit suffices.  The orbit of x is the union of the left cosets
+    (a x a^-1) H over a in N, as h x = (h x h^-1) h, and conjugation by N
+    permutes the left cosets.  So the cosets x H are labelled first, by
+    right multiplication with H's generators `gens`, each by its least
+    element, its leader; then the orbits of conjugation by N's generators
+    `normalizer_gens` are labelled on the m/|H| leaders alone and lifted
+    back.  An orbit's least element leads its coset, so every element gets
+    the least element of its orbit, as labelling all m elements would: the
+    orbit representatives, and so the candidates and classes found, are
+    the same.
     """
-    rng = np.arange(T.order, dtype=np.int64)
-    h = np.array(gens, dtype=np.int64)[:, None]
-    extra = np.array(normalizer_gens[len(gens):], dtype=np.int64)[:, None]
-    return np.concatenate([T.mul[h, rng], T.mul[rng, h], T.conj_many(extra, rng)])
+    m = T.order
+    rng = np.arange(m, dtype=np.int64)
+    cmin = orbit_labels(T.mul[rng, np.array(gens, dtype=np.int64)[:, None]])
+    reps = np.flatnonzero(cmin == rng)
+    pos = np.empty(m, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    moved = T.conj_many(np.array(normalizer_gens, dtype=np.int64)[:, None], reps)
+    lab2 = orbit_labels(pos[cmin[moved]])
+    return reps[lab2][pos[cmin]]
 
 
 def _cyclic_families(T: GroupTable) -> np.ndarray:

@@ -34,8 +34,8 @@ from .table import FactoredMul, GroupTable, check_budget, index_dtype, sample_in
 
 _SPOT_CHECKS = 100
 
-# rows of the product table filled per step: keeps the m-wide temporaries
-# small next to the table itself
+# kept rows filled per step: keeps the m-wide temporaries small next to
+# the rows themselves
 _ROW_BLOCK = 16
 
 # Largest holomorph whose table is filled out densely, m^2 int16 cells
@@ -137,10 +137,11 @@ class HolomorphContext:
         rows and the |A| automorphism rows of the table give every product:
         one entry of N's table or of Aut(N)'s per kept cell, and `rank` maps
         its raw row back to a row of `perms`.  Up to `_DENSE_MAX` elements
-        the table is filled out from the kept rows; above it the table keeps
-        only them (`FactoredMul`) and takes its inverses from the law,
-        (a . alpha)^-1 = alpha^-1(a^-1) . alpha^-1.  The budget is checked
-        before Aut(N)'s table is built.
+        the table is filled out from the kept rows, one gather per
+        automorphism; above it the table keeps only them (`FactoredMul`)
+        and takes its inverses from the law, (a . alpha)^-1 =
+        alpha^-1(a^-1) . alpha^-1.  The budget is checked before Aut(N)'s
+        table is built.
         """
         if self._table is None:
             m = len(self.perms)
@@ -159,17 +160,17 @@ class HolomorphContext:
                 hi = lo + _ROW_BLOCK
                 raw = np.take(point[lo:hi], a, axis=1) * n_aut + np.take(aut_of[lo:hi], k, axis=1)
                 np.take(rank, raw, out=rows[lo:hi])
-            mul = FactoredMul(rows, a, n + k)
             if m <= _DENSE_MAX:
-                xs = np.arange(m)
+                # the n elements a . alpha_j sharing automorphism j take one
+                # gather: row x is rows[a[x]] read at rows[n + j]
                 dense = np.empty((m, m), dtype=dtype)
-                for lo in range(0, m, _ROW_BLOCK):
-                    dense[lo : lo + _ROW_BLOCK] = mul[xs[lo : lo + _ROW_BLOCK, None], xs]
+                for j, xs in enumerate(np.argsort(k, kind="stable").reshape(n_aut, n)):
+                    dense[xs] = np.take(rows[a[xs]], rows[n + j], axis=1)
                 table = GroupTable(dense)
             else:
                 k_inv = aut_table.inv[k]
                 inv = rank[self.aut.elements[k_inv, self.group.inv[a]].astype(np.int32) * n_aut + k_inv]
-                table = GroupTable(mul, inv=inv)
+                table = GroupTable(FactoredMul(rows, a, n + k), inv=inv)
             spot_check(self.perms, table.mul)
             self._table = table
         return self._table

@@ -338,6 +338,26 @@ def test_actions_on_a_warm_cache_never_import_numpy_ma(tmp_path, capsys):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_a_census_never_imports_numpy_ma(tmp_path):
+    # the census checks membership and factorizations by sorting, not by a
+    # plain `np.unique` or `np.isin`, so a fresh interpreter that computes
+    # degrees and reads them back (a cache hit and a `diff`) never pays for
+    # importing `numpy.ma`
+    cache = ["--cache-dir", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from hgcensus.cli import main\n"
+        f"main({['enumerate', '--degrees', '2-16,41', '--format', 'csv', *cache]!r})\n"
+        f"main({['enumerate', '--degrees', '2-16,41', '--format', 'csv', *cache]!r})\n"
+        f"main({['diff', '--degrees', '2-16,41', *cache]!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert "degree 41: cache hit" in done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_exported_flip_solution_at_degree_4(tmp_path, capsys):
     _run(capsys, "enumerate", "--degrees", "4", "--format", "csv",
          "--cache-dir", str(tmp_path))
