@@ -5,12 +5,13 @@ trivial subgroup, each stored class representative H is extended to
 <H, x> for one x per orbit of the candidate space under two-sided
 H-multiplication and normalizer conjugation (extensions by elements of
 the same orbit land in the same conjugacy class).  An orbit is a union of
-left cosets x H, so the orbits are labelled on the m/|H| coset leaders
-(`_candidate_labels`), not on all m elements.  Every conjugate of a
-discovered subgroup, one per coset of its normalizer (`_coset_leaders`
-sweeps them), is registered by the exact bytes of its sorted indices, so
-repeat classes are recognized in O(1) regardless of which conjugate
-shows up, and two distinct subgroups never share a key.
+left cosets x H, so the orbits are labelled on the m/|H| coset leaders,
+not on all m elements, and a wave's classes are labelled side by side, a
+chunk of classes per `orbit_labels` call (`_candidate_labels`).  Every
+conjugate of a discovered subgroup, one per coset of its normalizer
+(`_coset_leaders` sweeps them), is registered by the exact bytes of its
+sorted indices, so repeat classes are recognized in O(1) regardless of
+which conjugate shows up, and two distinct subgroups never share a key.
 
 <H, x> = <H, x^j> for every j coprime to the order of x, so once <H, x0>
 is closed, every orbit holding a generator of <x0> is done: a later orbit
@@ -32,14 +33,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import table
 from .errors import ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext
 from .perm import PermGroup, orbit_labels
-from .table import GroupTable, index_dtype
+from .table import GroupTable, _mix, index_dtype
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 1800.0
@@ -143,11 +145,8 @@ def subgroup_classes(
         wave, queue = queue, []
         subgroups: list[tuple[np.ndarray, list[int]]] = []
         jobs: list[tuple[int, int]] = []
-        for cid in wave:
-            cls = classes[cid]
-            if cls.order == m:
-                continue
-            lab = _candidate_labels(T, cls.gens, cls.normalizer_gens)
+        extended = [classes[cid] for cid in wave if classes[cid].order < m]
+        for cls, lab in zip(extended, _candidate_labels(T, extended)):
             in_h = np.zeros(m, dtype=bool)
             in_h[cls.indices] = True
             done = np.zeros(m, dtype=bool)  # orbit labels whose extension is listed
@@ -190,8 +189,9 @@ def _coset_leaders(T: GroupTable, norm: np.ndarray) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
-def _candidate_labels(T: GroupTable, gens: Sequence[int], normalizer_gens: Sequence[int]) -> np.ndarray:
-    """The least element of each element's candidate orbit for a subgroup H.
+def _candidate_labels(T: GroupTable, wave: Sequence[SubgroupClass]) -> Iterator[np.ndarray]:
+    """The least element of each element's candidate orbit, for each
+    subgroup class of a wave in turn.
 
     Left and right multiplication by H and conjugation by N = N_G(H)
     preserve H and send <H, x> to a conjugate of it, so one extension per
@@ -205,16 +205,43 @@ def _candidate_labels(T: GroupTable, gens: Sequence[int], normalizer_gens: Seque
     the least element of its orbit, as labelling all m elements would: the
     orbit representatives, and so the candidates and classes found, are
     the same.
+
+    The classes are labelled a chunk at a time, side by side: class c of
+    a chunk holds positions c m .. c m + m - 1, and its generators are
+    padded with the identity, which adds only self-loops.  One
+    `orbit_labels` call labels every class's cosets and one more their
+    conjugation orbits.  Every map keeps its class's block and an orbit's
+    least position is c m plus its least element, so each class gets the
+    labels it would get alone.  A chunk holds the consecutive classes
+    whose widest map array, classes x m x most normalizer generators, fits
+    in `table._FILL_BYTES` bytes of int64 cells, or one class.
     """
     m = T.order
     rng = np.arange(m, dtype=np.int64)
-    cmin = orbit_labels(T.mul[rng, np.array(gens, dtype=np.int64)[:, None]])
-    reps = np.flatnonzero(cmin == rng)
-    pos = np.empty(m, dtype=np.int64)
-    pos[reps] = np.arange(len(reps))
-    moved = T.conj_many(np.array(normalizer_gens, dtype=np.int64)[:, None], reps)
-    lab2 = orbit_labels(pos[cmin[moved]])
-    return reps[lab2][pos[cmin]]
+    cells = table._FILL_BYTES // 8
+    lo = 0
+    while lo < len(wave):
+        hi, width = lo + 1, len(wave[lo].normalizer_gens)
+        while hi < len(wave) and (hi - lo + 1) * m * max(width, len(wave[hi].normalizer_gens)) <= cells:
+            width = max(width, len(wave[hi].normalizer_gens))
+            hi += 1
+        chunk, lo = wave[lo:hi], hi
+        gens = np.zeros((max(len(c.gens) for c in chunk), len(chunk)), dtype=np.int64)
+        ngens = np.zeros((width, len(chunk)), dtype=np.int64)
+        for i, c in enumerate(chunk):
+            gens[: len(c.gens), i] = c.gens
+            ngens[: len(c.normalizer_gens), i] = c.normalizer_gens
+        base = np.arange(len(chunk), dtype=np.int64)[:, None] * m
+        cmin = orbit_labels((T.mul[rng, gens[:, :, None]] + base).reshape(len(gens), len(chunk) * m))
+        reps = np.flatnonzero(cmin == np.arange(len(cmin)))
+        pos = np.empty(len(cmin), dtype=np.int64)
+        pos[reps] = np.arange(len(reps))
+        owner, leader = np.divmod(reps, m)
+        # a lone class conjugates by a column, so a factored table reads
+        # its rows once per generator, not once per leader
+        moved = T.conj_many(ngens if len(chunk) == 1 else ngens[:, owner], leader) + owner * m
+        lab2 = orbit_labels(pos[cmin[moved]])
+        yield from (reps[lab2][pos[cmin]].reshape(len(chunk), m) - base)
 
 
 def _cyclic_families(T: GroupTable) -> np.ndarray:
@@ -243,8 +270,8 @@ class TransitiveClassRecord:
     indices.
     `colours`, the representative's element colours, are set by
     `enumerate_transitive_classes`, one pass per holomorph.  Searches run
-    on the holomorph table (`side`); the representative never gets a table
-    of its own.
+    on the holomorph table (`side`), keyed by `search_colours`, which also
+    mix in cycle types; the representative never gets a table of its own.
     """
 
     ctx: HolomorphContext
@@ -286,11 +313,20 @@ class TransitiveClassRecord:
         enumeration, and computed alone only for a record without them."""
         return self.ctx.table().subgroup_colours([(self.indices, self.gens)])[0]
 
+    @cached_property
+    def search_colours(self) -> np.ndarray:
+        """`colours` mixed with each element's cycle type on the n points
+        (`HolomorphContext.cycle_types`): a stabilizer-respecting
+        isomorphism is conjugation by a bijection of the points, so it
+        keeps both, and records of one degree compare directly."""
+        mixed = _mix(self.colours.astype(np.uint64), self.ctx.cycle_types[self.indices])
+        return (mixed >> np.uint64(1)).astype(np.int64)
+
     @property
     def side(self) -> tuple[GroupTable, np.ndarray, np.ndarray]:
         """The representative as an `IsoSearch` side: the holomorph table,
-        the record's indices into it and their colours."""
-        return self.ctx.table(), self.indices, self.colours
+        the record's indices into it and their `search_colours`."""
+        return self.ctx.table(), self.indices, self.search_colours
 
     @cached_property
     def stab_positions(self) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .catalog import automorphism_group
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
-from .table import FactoredMul, GroupTable, check_budget, index_dtype, sample_indices, spot_check
+from .table import FactoredMul, GroupTable, _mix, check_budget, index_dtype, sample_indices, spot_check
 
 _SPOT_CHECKS = 100
 
@@ -116,6 +116,24 @@ class HolomorphContext:
     def fixed_points(self) -> np.ndarray:
         """Number of points each row of `perms` fixes."""
         return (self.perms == np.arange(self.n)).sum(axis=1)
+
+    @cached_property
+    def cycle_types(self) -> np.ndarray:
+        """One uint64 id per row of `perms` for its cycle type on the n
+        points: the `_mix` of the fixed-point counts of x, x^2, ..., x^n,
+        which determine the cycle type and are determined by it (x^k fixes
+        the points of the cycles whose length divides k).  The id depends
+        on the permutation alone, so it compares across the holomorphs of
+        one degree; a collision only merges ids.  Each power is one table
+        gather, so every temporary is one entry per row."""
+        T = self.table()
+        rng = np.arange(len(self.perms), dtype=np.int64)
+        fix = self.fixed_points.astype(np.uint64)
+        ids, power = fix, rng
+        for _ in range(1, self.n):
+            power = T.mul[power, rng]
+            ids = _mix(ids, fix[power])
+        return ids
 
     @cached_property
     def base_subgroups(self) -> np.ndarray:

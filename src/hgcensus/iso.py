@@ -3,13 +3,14 @@
 A search side is a table plus the sorted element indices of the subgroup
 searched and that subgroup's colours: a catalog group is its whole table
 with `GroupTable.colours()`, a transitive record its indices into the
-holomorph table with `record.colours`.  No table of the subgroup itself is
-built.  Keys, the injectivity check, orbit labels and the maps returned run
-over the subgroup's own positions 0..k-1 (position i is the i-th sorted
-index).  The search reads side 1's table only to plan, and side 2's only
-at construction: for each distinct key among the generators it fills one
-table of right products, whose row c holds the side-2 position of x * c
-for every position x, c running over the side-2 elements with that key.
+holomorph table with `record.search_colours`.  No table of the subgroup
+itself is built.  Keys, the injectivity check, orbit labels and the maps
+returned run over the subgroup's own positions 0..k-1 (position i is the
+i-th sorted index).  The search reads side 1's table only to plan, and
+side 2's only at construction: for each distinct key among the generators
+it fills one table of right products, whose row c holds the side-2
+position of x * c for every position x, c running over the side-2
+elements with that key.
 Partial maps hold side-2 positions, so every build and verify step is one
 gather in such a row, whatever the form or order of the side's table.
 
@@ -24,13 +25,14 @@ on each side.  Equal sorted keys are necessary for a map to exist,
 candidate images of a generator are the elements of side 2 with its key,
 and each level checks the keys of the elements it maps first.  That is how
 stabilizer-respecting isomorphism and marked automorphism counts share one
-engine; a further invariant, such as cycle type on the points, would be
-one more key column next to the mark.  Partial maps are extended level by
-level along a precomputed breadth tree and every (element, generator)
-product is verified before descending, so dead branches die early.  That
-check and the keys are the only pruning inside a search: a test on the
-orders of short words such as g_j g_i would only repeat conditions the
-verified products already enforce.
+engine.  A transitive record's search colours also mix in each element's
+cycle type on the points, which every stabilizer-respecting isomorphism
+keeps, as it is conjugation by a bijection of the points.  Partial maps
+are extended level by level along a precomputed breadth tree and every
+(element, generator) product is verified before descending, so dead
+branches die early.  That check and the keys are the only pruning inside
+a search: a test on the orders of short words such as g_j g_i would only
+repeat conditions the verified products already enforce.
 
 Counts never list the maps.  For the generator sequence g_1..g_k,
 |Aut(T, marked)| is the product over i of the orbit size of g_i under the

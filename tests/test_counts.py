@@ -378,6 +378,16 @@ def test_class_weight_equals_the_search_on_record_tables(census, record_table, d
         assert counts._class_weight(replace(cls, aut_marked_order=None)) == want, cls.label
 
 
+def test_census_41_77_never_computes_cycle_types():
+    # classify runs no search there and every weight is certified, so no
+    # record side, and no cycle-type id, is ever read; a fresh census, as
+    # other tests search the cached one's records
+    for degree in (41, 77):
+        c = build_degree_census(degree)
+        assert c.classes and c.contexts
+        assert not any("cycle_types" in ctx.__dict__ for ctx in c.contexts), degree
+
+
 def test_class_weight_builds_no_record_table(census):
     # the largest proper record at degree 41 has order 820; its k x k int16
     # table would take k^2 * 2 bytes.  Its weight is certified, so the
@@ -430,6 +440,29 @@ def test_seeds_spare_the_weights_successful_searches(census, monkeypatch):
             _leader_count(cls, seeded)
         successes[seeded] = sum(found)
     assert 0 < successes[True] < successes[False], successes
+
+
+def test_cycle_type_keys_refute_searches_before_they_run(monkeypatch):
+    # record sides key each element by colour and cycle type on the
+    # points: the census of degrees 2-15 finds every map it found with
+    # colours alone (342), and the keys refute 73 of the 232 searches
+    # that failed.  The catalog is parsed afresh, so its distinctness
+    # checks and automorphism counts, cached per process, run here too
+    monkeypatch.setattr(catalog, "_catalog_cache", None)
+    monkeypatch.setattr(catalog, "_checked_orders", set())
+    descend = IsoSearch._descend
+    found = []
+
+    def spy(self, *args):
+        maps = descend(self, *args)
+        found.append(bool(maps))
+        return maps
+
+    monkeypatch.setattr(IsoSearch, "_descend", spy)
+    for degree in range(2, 16):
+        build_degree_census(degree)
+    assert found.count(True) == 342
+    assert found.count(False) <= 159, found.count(False)
 
 
 def test_a_seed_that_does_not_normalize_the_class_is_refused(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,18 +218,30 @@ def _full_maps(T: GroupTable, c) -> np.ndarray:
 @pytest.mark.parametrize(
     "order,name", [(8, "Q8"), (8, "D4"), (12, "C12"), (41, "C41"), (8, "C2xC2xC2"), (77, "C77")]
 )
-def test_candidate_maps_give_the_full_orbit_partition(order, name):
+def test_candidate_maps_give_the_full_orbit_partition(order, name, monkeypatch):
     T = _ctx_of(order, name).table()
     rng = np.arange(T.order)
-    sensitive = 0  # classes whose partition needs the last extra's conjugation
-    for c in subgroup_classes(T):
-        lab = orbit_labels(_full_maps(T, c))
-        assert np.array_equal(_candidate_labels(T, c.gens, c.normalizer_gens), lab)
-        if len(c.normalizer_gens) > len(c.gens):
-            sensitive += not np.array_equal(_candidate_labels(T, c.gens, c.normalizer_gens[:-1]), lab)
+    classes = [c for c in subgroup_classes(T) if c.order < T.order]
+    widest = max(len(c.normalizer_gens) for c in classes)
+    # a chunk holds three classes or more, exactly three where the widest is
+    monkeypatch.setattr(table, "_FILL_BYTES", 8 * 3 * T.order * widest)
+    cells = []  # positions of each `orbit_labels` call, two a chunk
+    label = enumeration.orbit_labels
+    monkeypatch.setattr(enumeration, "orbit_labels", lambda maps: cells.append(maps.shape[1]) or label(maps))
+    want = [orbit_labels(_full_maps(T, c)) for c in classes]
+    got = list(_candidate_labels(T, classes))
+    assert len(got) == len(classes)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    chunks = [k // T.order for k in cells[::2]]
+    assert sum(chunks) == len(classes) and 1 < len(chunks) and min(chunks[:-1]) >= 3
+    # classes whose partition needs their last extra's conjugation
+    trimmed = [replace(c, normalizer_gens=c.normalizer_gens[:-1]) if len(c.normalizer_gens) > len(c.gens) else c
+               for c in classes]
+    sensitive = sum(not np.array_equal(a, b) for a, b in zip(_candidate_labels(T, trimmed), want))
+    assert sensitive > 0
+    for c in classes:
         # the swept coset leaders of N lead the orbits of right
         # multiplication by N's generators
         right = T.mul[rng, np.array(c.normalizer_gens, dtype=np.int64)[:, None]]
         leaders = np.flatnonzero(orbit_labels(right) == rng)
         assert np.array_equal(_coset_leaders(T, c.normalizer), leaders)
-    assert sensitive > 0

@@ -70,6 +70,26 @@ def test_holomorph_is_transitive_with_stabilizer_the_automorphisms():
         assert np.array_equal(hol[hol[:, 0] == 0], ctx.aut.elements)
 
 
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_cycle_type_ids_match_cycle_types(degree):
+    # across every holomorph of the degree, two rows share an id exactly
+    # when their sorted cycle lengths, found by walking the cycles, agree
+    pairs = set()
+    for g in groups_of_order(degree):
+        ctx = build_holomorph(g)
+        for row, cid in zip(ctx.perms.tolist(), ctx.cycle_types.tolist()):
+            lengths, seen = [], set()
+            for start in range(degree):
+                x, k = start, 0
+                while x not in seen:
+                    seen.add(x)
+                    x, k = row[x], k + 1
+                if k:
+                    lengths.append(k)
+            pairs.add((tuple(sorted(lengths)), cid))
+    assert len({t for t, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+
+
 def test_contains_both_translation_actions():
     for g in groups_of_order(8):
         ctx = build_holomorph(g)
