@@ -37,11 +37,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import table
 from .errors import ConsistencyError, SearchBudgetError
 from .holomorph import HolomorphContext
 from .perm import PermGroup, orbit_labels
-from .table import GroupTable, _mix, index_dtype
+from .table import GroupTable, _mix, _rows, index_dtype
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 1800.0
@@ -214,15 +213,14 @@ def _candidate_labels(T: GroupTable, wave: Sequence[SubgroupClass]) -> Iterator[
     least position is c m plus its least element, so each class gets the
     labels it would get alone.  A chunk holds the consecutive classes
     whose widest map array, classes x m x most normalizer generators, fits
-    in `table._FILL_BYTES` bytes of int64 cells, or one class.
+    `_TEMP_BYTES` as int64 cells, or one class.
     """
     m = T.order
     rng = np.arange(m, dtype=np.int64)
-    cells = table._FILL_BYTES // 8
     lo = 0
     while lo < len(wave):
         hi, width = lo + 1, len(wave[lo].normalizer_gens)
-        while hi < len(wave) and (hi - lo + 1) * m * max(width, len(wave[hi].normalizer_gens)) <= cells:
+        while hi < len(wave) and hi - lo < _rows(m * max(width, len(wave[hi].normalizer_gens)), 8):
             width = max(width, len(wave[hi].normalizer_gens))
             hi += 1
         chunk, lo = wave[lo:hi], hi

@@ -30,13 +30,9 @@ import numpy as np
 from .catalog import automorphism_group
 from .errors import ConsistencyError
 from .perm import PermGroup, row_index
-from .table import FactoredMul, GroupTable, _mix, check_budget, index_dtype, sample_indices, spot_check
+from .table import FactoredMul, GroupTable, _mix, _rows, check_budget, index_dtype, sample_indices, spot_check
 
 _SPOT_CHECKS = 100
-
-# kept rows filled per step: keeps the m-wide temporaries small next to
-# the rows themselves
-_ROW_BLOCK = 16
 
 # Largest holomorph whose table is filled out densely, m^2 int16 cells
 # (8 MB here).  Above it the table keeps only its n + |Aut N| translation
@@ -174,8 +170,9 @@ class HolomorphContext:
             point = np.concatenate([self.group.mul, self.aut.elements], dtype=np.int32)
             aut_of = np.concatenate([np.tile(np.arange(n_aut), (n, 1)), aut_table.mul], dtype=np.int32)
             rows = np.empty((n + n_aut, m), dtype=dtype)
-            for lo in range(0, n + n_aut, _ROW_BLOCK):
-                hi = lo + _ROW_BLOCK
+            step = _rows(m, 4)  # kept rows of int32 raw indices per block
+            for lo in range(0, n + n_aut, step):
+                hi = lo + step
                 raw = np.take(point[lo:hi], a, axis=1) * n_aut + np.take(aut_of[lo:hi], k, axis=1)
                 np.take(rank, raw, out=rows[lo:hi])
             if m <= _DENSE_MAX:

@@ -76,11 +76,7 @@ import numpy as np
 
 from .errors import ConsistencyError, StructureError
 from .perm import orbit_labels
-from .table import GroupTable, index_dtype
-
-# cells of a product table filled per step: keeps the int64 index
-# temporaries small next to the table itself
-_BLOCK_CELLS = 2**16
+from .table import GroupTable, _rows, index_dtype
 
 Side = Union[GroupTable, tuple[GroupTable, np.ndarray, np.ndarray]]
 
@@ -410,10 +406,11 @@ def _back(T: GroupTable, elems: np.ndarray) -> np.ndarray:
 
 def _right_products(T: GroupTable, elems: np.ndarray, back: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Row c: the position of elems[x] * elems[cands[c]] for every position
-    x, filled a few rows at a time in `back`'s narrow dtype."""
+    x, filled a few rows at a time in `back`'s narrow dtype, each block's
+    int64 index temporaries within `_TEMP_BYTES`."""
     k = len(elems)
     out = np.empty((len(cands), k), dtype=back.dtype)
-    step = max(1, _BLOCK_CELLS // k)
+    step = _rows(k, 8)
     for lo in range(0, len(cands), step):
         out[lo : lo + step] = back[T.mul[elems, elems[cands[lo : lo + step], None]]]
     if out.min() < 0:

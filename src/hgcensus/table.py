@@ -29,19 +29,17 @@ from .perm import PermGroup, orbit_labels
 # Largest group we are willing to table densely (order^2 cells).
 DEFAULT_TABLE_BUDGET = 6000
 
-# rows per block when locating inverses and validating:
-# keeps the m-wide temporaries small next to the table itself
-_ROW_BLOCK = 128
+# Bytes of any one temporary of a chunked kernel: every block of rows and
+# chunk of jobs, classes or subgroups is sized by `_rows` at the element
+# size of its widest temporary, so transients stay small next to the
+# tables, and no kernel's result depends on how it is chunked.
+_TEMP_BYTES = 2**17
 
-# elements and position-map cells `subgroup_colours` works on at once: one
-# pass over many subgroups, with temporaries small next to the table
-_COLOUR_POSITIONS = 8192
-_COLOUR_MAP_CELLS = 2**17
 
-# bytes of each of the coset fill's temporaries: a chunk of
-# `close_extensions` jobs shares one membership mask of one-byte cells, and
-# frontier products and gathered cosets, int64 cells, are taken in blocks
-_FILL_BYTES = 2**17
+def _rows(width: int, itemsize: int) -> int:
+    """Rows of `width` cells of `itemsize` bytes that fit `_TEMP_BYTES`, at
+    least one."""
+    return max(1, _TEMP_BYTES // (width * itemsize))
 
 
 def index_dtype(k: int) -> type:
@@ -127,10 +125,11 @@ class GroupTable:
             # every product row composes two kept rows, so it is a
             # permutation once they are; x x^-1 = x^-1 x = 0 checks `inv`
             rng = np.arange(m)
+            step = _rows(m, mul.itemsize)  # rows sorted per block
             unique = (
                 inv is not None
-                and all((np.sort(mul.rows[lo : lo + _ROW_BLOCK], axis=1) == rng).all()
-                        for lo in range(0, len(mul.rows), _ROW_BLOCK))
+                and all((np.sort(mul.rows[lo : lo + step], axis=1) == rng).all()
+                        for lo in range(0, len(mul.rows), step))
                 and (mul[rng, inv] == 0).all() and (mul[inv, rng] == 0).all()
             )
         else:
@@ -140,9 +139,10 @@ class GroupTable:
             # the identity 0 is the least entry of any row that holds it; each
             # row must hold it once, counted a block of rows at a time
             inv = mul.argmin(1).astype(mul.dtype)
+            step = _rows(m, 1)  # rows of one-byte comparisons per block
             unique = (mul[np.arange(m), inv] == 0).all() and all(
-                np.count_nonzero(mul[lo : lo + _ROW_BLOCK] == 0) == min(_ROW_BLOCK, m - lo)
-                for lo in range(0, m, _ROW_BLOCK)
+                np.count_nonzero(mul[lo : lo + step] == 0) == min(step, m - lo)
+                for lo in range(0, m, step)
             )
         if not unique:
             raise StructureError("table row lacks a unique inverse")
@@ -181,7 +181,7 @@ class GroupTable:
         base, levels = cls._base_levels(arr)
         cols = np.ascontiguousarray(arr[:, base].T)  # row k: every p_j(b_k)
         mul = np.empty((m, m), dtype=index_dtype(m))
-        step = max(1, 2**16 // m)  # rows of products per block
+        step = _rows(m, 4)  # rows of int32 product keys per block
         for lo in range(0, m, step):
             rows = arr[lo : lo + step]
             key = np.zeros(1, dtype=np.int32)
@@ -238,8 +238,8 @@ class GroupTable:
         they form, so Lagrange's theorem, on which the fill's early stop
         rests, holds as soon as the generators pass.  Each
         generator costs one order^2 comparison.  The Latin and
-        associativity comparisons run over blocks of `_ROW_BLOCK` rows (and
-        columns), so no temporary exceeds block * order cells.  Success is
+        associativity comparisons run over blocks of rows (and columns)
+        whose sorted or gathered copies fit `_TEMP_BYTES`.  Success is
         recorded on the instance, and tables are never changed in place, so
         later calls return at once.
         """
@@ -250,7 +250,8 @@ class GroupTable:
         rng = np.arange(m)
         if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
             raise StructureError(f"{what}: index 0 is not an identity")
-        blocks = [(lo, lo + _ROW_BLOCK) for lo in range(0, m, _ROW_BLOCK)]
+        step = _rows(m, t.itemsize)
+        blocks = [(lo, lo + step) for lo in range(0, m, step)]
         for lo, hi in blocks:
             if not ((np.sort(t[lo:hi], axis=1) == rng).all()
                     and (np.sort(t[:, lo:hi], axis=0) == rng[:, None]).all()):
@@ -361,7 +362,7 @@ class GroupTable:
         returns, yielded as one list per chunk of consecutive jobs, in job
         order.
 
-        A chunk holds as many jobs as fit a membership mask of `_FILL_BYTES`
+        A chunk holds as many jobs as fit a membership mask of `_TEMP_BYTES`
         one-byte cells, at least one, and is filled as one `_CosetFill`; a
         chunk of one job is `extend_subgroup`, whose walk costs less than
         setting up the kernel for one closure.
@@ -370,7 +371,7 @@ class GroupTable:
         it, so a caller that reads the clock between chunks stops the work
         there.
         """
-        per = max(1, _FILL_BYTES // self.order)
+        per = _rows(self.order, 1)
         for lo in range(0, len(jobs), per):
             chunk = jobs[lo : lo + per]
             if len(chunk) == 1:
@@ -504,15 +505,19 @@ class GroupTable:
         directly; a collision only merges colours.  Equal colours are
         necessary for an element and its image.
 
-        The subgroups are coloured together, a chunk at a time
-        (`_colour_chunks`): a chunk lays its subgroups' elements side by
-        side on disjoint positions, reads inverses, orders and powers once
-        over all of them, labels every conjugacy class with one
-        `orbit_labels` call and runs the mix rounds once.
+        The subgroups are coloured together, a chunk of consecutive ones
+        at a time: a chunk lays its subgroups' elements side by side on
+        disjoint positions, reads inverses, orders and powers once over all
+        of them, labels every conjugacy class with one `orbit_labels` call
+        and runs the mix rounds once.  A chunk holds the subgroups whose
+        rows of the position map, `order` cells each, fit `_TEMP_BYTES` as
+        int64 cells, or one subgroup; a subgroup has at most `order`
+        elements, so each int64 array over the positions fits as well.
         """
+        per = _rows(self.order, 8)
         out: list[np.ndarray] = []
-        for chunk in _colour_chunks([len(elems) for elems, _ in subgroups], self.order):
-            out.extend(self._colour_chunk([subgroups[i] for i in chunk]))
+        for lo in range(0, len(subgroups), per):
+            out.extend(self._colour_chunk(subgroups[lo : lo + per]))
         return out
 
     def _colour_chunk(self, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]]) -> list[np.ndarray]:
@@ -596,7 +601,7 @@ class _CosetFill:
     job stops with the whole group once its marked elements, counted as
     |H_j| per new coset, pass `extend_subgroup`'s Lagrange bound.  Frontier
     products and gathered cosets are taken in blocks of at most
-    `_FILL_BYTES` bytes of int64 cells.
+    `_TEMP_BYTES` bytes of int64 cells, or one row or coset.
     """
 
     def __init__(self, T: GroupTable, subgroups: Sequence[tuple[np.ndarray, Sequence[int]]],
@@ -661,7 +666,7 @@ class _CosetFill:
             job = cells // m
             h = self.hsz[job]
             ends = np.cumsum(h)
-            k = max(1, int(np.searchsorted(ends, _FILL_BYTES // 8, "right")))
+            k = max(1, int(np.searchsorted(ends, _rows(1, 8), "right")))
             job, h = job[:k], h[:k]
             base = self.base[job]
             elems = self.hcat[_ranges(self.hoff[job], h)]
@@ -682,7 +687,7 @@ class _CosetFill:
         """The unmarked products of the frontier cells with their jobs'
         steps, sorted and distinct."""
         m = self.m
-        rows = max(1, _FILL_BYTES // 8 // self.steps.shape[1])
+        rows = _rows(self.steps.shape[1], 8)
         found = []
         for lo in range(0, len(front), rows):
             f = front[lo : lo + rows]
@@ -709,22 +714,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The concatenated ranges starts[i], ..., starts[i] + sizes[i] - 1."""
     ends = np.cumsum(sizes)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + sizes, sizes)
-
-
-def _colour_chunks(sizes: Sequence[int], order: int) -> list[range]:
-    """Consecutive runs of subgroups coloured together: each run holds at
-    most `_COLOUR_POSITIONS` elements and a position map of at most
-    `_COLOUR_MAP_CELLS` cells (one row of `order` per subgroup), or a
-    single subgroup."""
-    runs, lo, total = [], 0, 0
-    for i, k in enumerate(sizes):
-        if i > lo and (total + k > _COLOUR_POSITIONS or (i - lo + 1) * order > _COLOUR_MAP_CELLS):
-            runs.append(range(lo, i))
-            lo, total = i, 0
-        total += k
-    if sizes:
-        runs.append(range(lo, len(sizes)))
-    return runs
 
 
 def _mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

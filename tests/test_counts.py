@@ -21,6 +21,7 @@ from hgcensus.counts import (
 )
 from hgcensus.errors import ConsistencyError
 from hgcensus.expected import EXPECTED
+from hgcensus.holomorph import build_holomorph
 from hgcensus.iso import IsoSearch
 from hgcensus.table import GroupTable
 
@@ -463,6 +464,37 @@ def test_cycle_type_keys_refute_searches_before_they_run(monkeypatch):
         build_degree_census(degree)
     assert found.count(True) == 342
     assert found.count(False) <= 159, found.count(False)
+
+
+def _census_fields(c) -> tuple:
+    return (
+        c.row,
+        [(k.label, k.aut_marked_order, [(t, r.indices.tolist(), r.gens) for t, r in k.members]) for k in c.classes],
+        c.terms, c.ac_flags, c.bc_flags, c.bc_counts, c.stop,
+    )
+
+
+def test_census_does_not_depend_on_the_temporaries_budget(census, monkeypatch):
+    # every chunked kernel sizes its blocks by `table._rows`, and the census
+    # is the same field by field at any budget: at one byte each block or
+    # chunk holds one row, job, coset, class or subgroup (so every closure
+    # is walked alone); at two jobs of Hol(C2^3)'s 1344 elements the coset
+    # fills run chunks of two or more jobs in blocks of at most 336 int64
+    # cells.  The catalog is parsed afresh, so its tables are built,
+    # validated and coloured under the budget too; Hol(C77) adds a factored
+    # table's inverse scan and kept-row fill
+    def hol_c77() -> GroupTable:
+        return build_holomorph(next(g for g in catalog.groups_of_order(77) if g.name == "C77")).table()
+
+    want = [_census_fields(census(d)) for d in (6, 8)]
+    factored = hol_c77()
+    for budget in (2 * 1344, 1):
+        monkeypatch.setattr(table, "_TEMP_BYTES", budget)
+        monkeypatch.setattr(catalog, "_catalog_cache", None)
+        monkeypatch.setattr(catalog, "_checked_orders", set())
+        assert [_census_fields(build_degree_census(d)) for d in (6, 8)] == want, budget
+    T = hol_c77()
+    assert np.array_equal(T.mul.rows, factored.mul.rows) and np.array_equal(T.inv, factored.inv)
 
 
 def test_a_seed_that_does_not_normalize_the_class_is_refused(monkeypatch):

@@ -113,7 +113,7 @@ def test_time_budget_stops_a_wave_before_its_next_chunk(monkeypatch):
     # the clock runs out once a batch of several chunks has closed its
     # first: the search stops there, not at the next candidate listing
     T = _ctx_of(8, "C2xC2xC2").table()
-    monkeypatch.setattr(table, "_FILL_BYTES", 4 * T.order)  # four jobs a chunk
+    monkeypatch.setattr(table, "_TEMP_BYTES", 4 * T.order)  # four jobs a chunk
     calls = []  # [jobs, chunks closed] per batch
     close = GroupTable.close_extensions
 
@@ -136,7 +136,7 @@ def test_time_budget_stops_a_wave_before_its_next_chunk(monkeypatch):
 
 def test_search_on_hol_c77_stays_small():
     # a wave's closures come a chunk at a time, each held in a few blocks
-    # of `_FILL_BYTES`, and are registered before the next chunk is closed
+    # of `_TEMP_BYTES`, and are registered before the next chunk is closed
     T = _ctx_of(77, "C77").table()
     tracemalloc.start()
     try:
@@ -224,7 +224,7 @@ def test_candidate_maps_give_the_full_orbit_partition(order, name, monkeypatch):
     classes = [c for c in subgroup_classes(T) if c.order < T.order]
     widest = max(len(c.normalizer_gens) for c in classes)
     # a chunk holds three classes or more, exactly three where the widest is
-    monkeypatch.setattr(table, "_FILL_BYTES", 8 * 3 * T.order * widest)
+    monkeypatch.setattr(table, "_TEMP_BYTES", 8 * 3 * T.order * widest)
     cells = []  # positions of each `orbit_labels` call, two a chunk
     label = enumeration.orbit_labels
     monkeypatch.setattr(enumeration, "orbit_labels", lambda maps: cells.append(maps.shape[1]) or label(maps))

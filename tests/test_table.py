@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import compose
 from hgcensus import table
@@ -377,10 +379,55 @@ def test_batch_colours_equal_one_record_colours(census, record_table, conjugacy_
             assert np.array_equal(rec.colours, own), (rec.type_name, rec.order)
 
 
+@given(budget=st.integers(1, 2**20), width=st.integers(1, 5000), itemsize=st.sampled_from([1, 2, 4, 8]))
+def test_rows_fit_the_budget_or_are_one(budget, width, itemsize):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table, "_TEMP_BYTES", budget)
+        rows = table._rows(width, itemsize)
+    assert rows >= 1
+    assert rows == 1 or rows * width * itemsize <= budget
+    assert (rows + 1) * width * itemsize > budget  # as many as fit
+
+
+@pytest.fixture(scope="module")
+def s4_subgroups():
+    """Hol(C2xC2) = S4, its 30 subgroups as (elements, generators), and
+    their colours at the default budget."""
+    T = build_holomorph(next(g for g in groups_of_order(4) if g.name == "C2xC2")).table()
+    subgroups = [(h, T.small_generating_set(h)) for h in T.all_subgroups()]
+    return T, subgroups, T.subgroup_colours(subgroups)
+
+
+@given(picks=st.lists(st.integers(0, 29), max_size=12), budget=st.integers(1, 24 * 8 * 13))
+def test_colour_runs_cover_the_subgroups_in_order_within_the_budget(s4_subgroups, picks, budget):
+    # a run's position map, one row of `order` cells per subgroup, fits the
+    # budget as int64 cells or the run holds one subgroup; the runs are
+    # consecutive, as full as fit, and give the default budget's colours
+    T, subgroups, want = s4_subgroups
+    assert T.order == 24 and len(subgroups) == 30
+    runs = []
+    chunk = GroupTable._colour_chunk
+
+    def spy(self, part):
+        runs.append(list(part))
+        return chunk(self, part)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table, "_TEMP_BYTES", budget)
+        patch.setattr(GroupTable, "_colour_chunk", spy)
+        got = T.subgroup_colours([subgroups[i] for i in picks])
+    flat = [s for run in runs for s in run]
+    assert len(flat) == len(picks) and all(s is subgroups[i] for s, i in zip(flat, picks))
+    assert all(len(run) == 1 or len(run) * T.order * 8 <= budget for run in runs)
+    assert all(len(run) == max(1, budget // (T.order * 8)) for run in runs[:-1])
+    assert len(got) == len(picks) and all(np.array_equal(c, want[i]) for c, i in zip(got, picks))
+
+
 @pytest.mark.parametrize("order, name", [(8, "C2xC2xC2"), (77, "C77")])
 def test_one_holomorphs_colour_batch_stays_small(order, name):
-    # a chunk holds at most 8192 positions and 2^17 position-map cells, so
-    # the batch stays near 1 MB: Hol(C77)'s records hold 20 328 positions
+    # a chunk's position map, one row of `order` cells per subgroup, fits
+    # `_TEMP_BYTES` as int64 cells, so the batch stays near 1 MB: Hol(C77)'s
+    # records hold 20 328 positions
     ctx = build_holomorph(next(g for g in groups_of_order(order) if g.name == name))
     records = enumerate_transitive_classes(ctx)
     T = ctx.table()
@@ -487,21 +534,24 @@ def _swap_intercalate(t: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarr
     return out
 
 
-def test_validate_covers_the_last_row_and_column_block():
-    # Hol(Q8) has order 192, so validation runs over two blocks of rows
-    # and of columns; both defects sit in the second block only
+def test_validate_covers_the_last_row_and_column_block(monkeypatch):
+    # Hol(Q8) has order 192 and int16 cells: a budget of 128 rows runs the
+    # validation over two blocks of rows and of columns, with both defects
+    # in the second block only, and a one-byte budget over blocks of one
     q8 = next(g for g in groups_of_order(8) if g.name == "Q8")
     t = build_holomorph(q8).table().mul
     m = len(t)
     assert m == 192
     bad = t.copy()
     bad[m - 1, [128, 129]] = t[m - 1, [129, 128]]  # the row stays a permutation
-    with pytest.raises(StructureError, match="not permutations"):
-        GroupTable(bad).validate("Hol(Q8)")
     swapped = _swap_intercalate(t, 189, 191, 1, 3)
     assert not _associative_by_all_triples(swapped)
-    with pytest.raises(StructureError, match="not associative"):
-        GroupTable(swapped).validate("Hol(Q8)")
+    for budget in (128 * m * 2, 1):
+        monkeypatch.setattr(table, "_TEMP_BYTES", budget)
+        with pytest.raises(StructureError, match="not permutations"):
+            GroupTable(bad).validate("Hol(Q8)")
+        with pytest.raises(StructureError, match="not associative"):
+            GroupTable(swapped).validate("Hol(Q8)")
 
 
 def test_validate_accepts_every_catalog_group():
